@@ -7,10 +7,10 @@ import sys
 
 from .calibrate import delta_closed_form, delta_mc, delta_ou
 from .critical_values import (
-    DEFAULT_LENGTHS,
-    DEFAULT_QUANTILES,
     SHIPPED_N_MC,
     SHIPPED_SEED,
+    SHIPPED_TABLES,
+    TABLES,
     generate_cv_table,
     save_table,
 )
@@ -67,7 +67,6 @@ def _spec_from_args(args) -> ProcessSpec:
 def _config_from_args(args, dataset: str | None = None) -> StudyConfig:
     return StudyConfig(
         process=None if dataset else _spec_from_args(args),
-        dataset=dataset,
         n_paths=args.n_paths,
         n_crossings=args.n_crossings,
         delta=args.delta,
@@ -75,7 +74,6 @@ def _config_from_args(args, dataset: str | None = None) -> StudyConfig:
         tests=tuple(t.strip() for t in args.tests.split(",") if t.strip()),
         seed=args.seed,
         cv_dir=args.cv_dir,
-        fmt=args.format,
         log_transform=args.log_transform,
         milstein_step=args.milstein_step,
         fbm_grid=args.fbm_grid,
@@ -162,8 +160,8 @@ def main(argv=None) -> int:
     p_cal.add_argument("--step-exponents", default="3,4,5")
 
     p_gen = sub.add_parser("gen-cv", help="regenerate critical-value tables")
-    p_gen.add_argument("--test", default="all",
-                       help="table id or 'all'")
+    p_gen.add_argument("--test", default="all", choices=["all", *TABLES],
+                       help="table id, or 'all' for every shipped table")
     p_gen.add_argument("--n-mc", type=int, default=SHIPPED_N_MC)
     p_gen.add_argument("--seed", type=int, default=SHIPPED_SEED)
     p_gen.add_argument("--out", default="tables")
@@ -204,11 +202,15 @@ def main(argv=None) -> int:
         _emit(result, args)
         return 0
     if args.command == "gen-cv":
-        names = list(DEFAULT_LENGTHS) if args.test == "all" else [args.test]
+        names = SHIPPED_TABLES if args.test == "all" else [args.test]
         for name in names:
-            lengths = DEFAULT_LENGTHS[name] if args.lengths is None else \
+            spec = TABLES[name]
+            if spec.lengths is None and None in (args.lengths, args.quantiles):
+                p_gen.error(f"no {name} table ships; give --lengths and "
+                            "--quantiles")
+            lengths = spec.lengths if args.lengths is None else \
                 _parse_lengths(args.lengths)
-            quantiles = DEFAULT_QUANTILES[name] if args.quantiles is None else \
+            quantiles = spec.quantiles if args.quantiles is None else \
                 tuple(float(q) for q in args.quantiles.split(","))
             table = generate_cv_table(name, lengths, quantiles,
                                       n_mc=args.n_mc, seed=args.seed)

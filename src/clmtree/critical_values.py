@@ -10,6 +10,7 @@ bit for bit.
 from __future__ import annotations
 
 import os
+from collections.abc import Callable
 from dataclasses import dataclass
 from importlib import resources
 
@@ -20,22 +21,6 @@ GENERATOR_VERSION = 1
 # Seeds used for the tables shipped with the package.
 SHIPPED_SEED = 20091127
 SHIPPED_N_MC = 100_000
-
-# Shipped coverage: the lengths each serving test may request from a table.
-DEFAULT_LENGTHS = {
-    "chi2_geometric": range(14, 40),
-    "ks_discrete": range(2, 1001),
-    "autocorr": range(5, 101),
-    "obrien76": range(6, 21),  # below n=6 every applicable sample is degenerate
-    "larsen": range(3, 81),
-}
-DEFAULT_QUANTILES = {
-    "chi2_geometric": (0.95,),
-    "ks_discrete": (0.95,),
-    "autocorr": (0.025, 0.975),
-    "obrien76": (0.025, 0.975),
-    "larsen": (0.025, 0.975),
-}
 
 _GEOM_BINS = 64  # beyond-bin mass ~2**-64: unobservable at any n_mc here
 
@@ -84,7 +69,7 @@ def lookup_cv(
 
 
 # ---------------------------------------------------------------------------
-# null samplers / statistic batteries, one per registered test id
+# null batteries and the table registry
 # ---------------------------------------------------------------------------
 
 def _geometric_counts(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
@@ -97,19 +82,18 @@ def _stats_twos(n: int, n_mc: int, rng) -> np.ndarray:
 
 
 def _stats_chi2_geometric(n: int, n_mc: int, rng) -> np.ndarray:
-    probs = [0.5, 0.25, 0.25]
+    from .dist_tests import geometric_bin_probs, pearson_statistic
+
+    probs = geometric_bin_probs(3)
     obs = rng.multinomial(n, probs, size=n_mc).astype(np.float64)
-    exp = n * np.asarray(probs)
-    return np.sum((obs - exp) ** 2 / exp, axis=1)
+    return pearson_statistic(obs, n * probs)
 
 
 def _stats_ks_discrete(n: int, n_mc: int, rng) -> np.ndarray:
-    probs = 2.0 ** -np.arange(1.0, _GEOM_BINS + 1)
-    probs[-1] = 2.0 ** -(_GEOM_BINS - 1)
-    counts = rng.multinomial(n, probs, size=n_mc)
-    f_emp = np.cumsum(counts, axis=1) / n
-    h = 1.0 - 2.0 ** -np.arange(1.0, _GEOM_BINS + 1)
-    return np.sqrt(n) * np.max(np.abs(h[None, :] - f_emp), axis=1)
+    from .dist_tests import geometric_bin_probs, ks_statistic_from_counts
+
+    counts = rng.multinomial(n, geometric_bin_probs(_GEOM_BINS), size=n_mc)
+    return ks_statistic_from_counts(counts, n)
 
 
 def _stats_autocorr(n: int, n_mc: int, rng) -> np.ndarray:
@@ -136,21 +120,42 @@ def _stats_larsen(n: int, n_mc: int, rng) -> np.ndarray:
     return stat[valid]
 
 
-_REGISTRY = {
-    "twos": _stats_twos,
-    "chi2_geometric": _stats_chi2_geometric,
-    "ks_discrete": _stats_ks_discrete,
-    "autocorr": _stats_autocorr,
-    "obrien76": _stats_obrien76,
-    "larsen": _stats_larsen,
+@dataclass(frozen=True)
+class TableSpec:
+    """One table id: how its null statistic is simulated, which lengths
+    and quantiles the package ships, and where the cutoff is placed.
+
+    ``battery(n, n_mc, rng)`` returns the valid null statistics at length
+    n.  ``lengths`` are the lengths the serving test may request; None
+    means no table ships and the battery serves explicit requests only.
+    ``nearest_size`` places each cutoff between the two adjacent atoms
+    whose exceedance probability is nearest the nominal tail, instead of
+    at the order statistic at index ceil(q * m).
+    """
+
+    battery: Callable[[int, int, np.random.Generator], np.ndarray]
+    lengths: range | None = None
+    quantiles: tuple = ()
+    nearest_size: bool = False
+
+
+TABLES = {
+    # the exact binomial serves the twos test; its battery is the
+    # generator's exact reference
+    "twos": TableSpec(_stats_twos),
+    "chi2_geometric": TableSpec(_stats_chi2_geometric, range(14, 40), (0.95,)),
+    # The KS statistic is so discrete at small n that the plain
+    # order-statistic quantile can leave the whole boundary atom on either
+    # side of the cutoff, pushing the realised size far from nominal.
+    "ks_discrete": TableSpec(_stats_ks_discrete, range(2, 1001), (0.95,),
+                             nearest_size=True),
+    "autocorr": TableSpec(_stats_autocorr, range(5, 101), (0.025, 0.975)),
+    # below n=6 every applicable sample is degenerate
+    "obrien76": TableSpec(_stats_obrien76, range(6, 21), (0.025, 0.975)),
+    "larsen": TableSpec(_stats_larsen, range(3, 81), (0.025, 0.975)),
 }
 
-# The KS statistic is so discrete at small n that the plain order-statistic
-# quantile can leave the whole boundary atom on either side of the cutoff,
-# pushing the realised size far from nominal; its critical values are
-# instead placed between adjacent atoms where the exceedance probability is
-# nearest the nominal tail.
-_NEAREST_SIZE_TABLES = frozenset({"ks_discrete"})
+SHIPPED_TABLES = tuple(t for t, spec in TABLES.items() if spec.lengths)
 
 
 def _nearest_size_cutoff(sims_sorted: np.ndarray, q: float) -> float:
@@ -177,16 +182,16 @@ def generate_cv_table(
     seeded by (seed, n), so results do not depend on evaluation order or
     parallelism.
     """
-    if test_id not in _REGISTRY:
+    if test_id not in TABLES:
         raise ValueError(f"unknown test id {test_id!r}; "
-                         f"known: {sorted(_REGISTRY)}")
+                         f"known: {sorted(TABLES)}")
     if n_mc < 10_000:
         raise ValueError("n_mc below 10,000 gives unusable quantiles")
-    battery = _REGISTRY[test_id]
+    spec = TABLES[test_id]
     entries = {}
     for n in lengths:
         rng = np.random.default_rng([seed, int(n)])
-        sims = np.sort(battery(int(n), n_mc, rng))
+        sims = np.sort(spec.battery(int(n), n_mc, rng))
         m = sims.size
         if m == 0:
             raise ValueError(
@@ -194,7 +199,7 @@ def generate_cv_table(
                 "drop this length"
             )
         for q in quantiles:
-            if test_id in _NEAREST_SIZE_TABLES:
+            if spec.nearest_size:
                 entries[(int(n), float(q))] = _nearest_size_cutoff(sims, q)
             else:
                 idx = int(np.ceil(q * m)) - 1
@@ -279,9 +284,9 @@ def shipped_table(test_id: str) -> CriticalValueTable:
 
 
 def load_all_tables(directory: str | None = None) -> dict:
-    """The standard five tables the serving tests need, keyed by test id."""
+    """The shipped tables the serving tests need, keyed by table id."""
     out = {}
-    for test_id in DEFAULT_LENGTHS:
+    for test_id in SHIPPED_TABLES:
         if directory is None:
             out[test_id] = shipped_table(test_id)
         else:

@@ -9,10 +9,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import stats
+from scipy import special, stats
 
-from .critical_values import CriticalValueTable, lookup_cv
-from .outcomes import MIN_SAMPLE, TestOutcome, ZSample, skipped_outcome
+from .critical_values import TABLES, CriticalValueTable, lookup_cv
+from .outcomes import TestOutcome, ZSample, skipped_outcome
 
 # Delta-method variance of n**0.5 * (c_hat - 1) for Y = Z/2 under the null
 # (moments of Geometric_1(1/2): E Y = 2, E Y(Y-1) = 4, Var Y(Y-1) = 88,
@@ -21,23 +21,30 @@ _KLP_AVAR = 1.5
 
 _KLP_LOG_MIN_N = 10
 
-CHI2_SMALL_MAX = 39  # largest n decided by the empirical table (d = 3)
+# largest n decided by the empirical table (d = 3)
+CHI2_SMALL_MAX = TABLES["chi2_geometric"].lengths[-1]
+
+
+def geometric_bin_probs(d: int) -> np.ndarray:
+    """Null mass of i = Z/2 on the bins 1, ..., d-1 and the pooled tail d+:
+    2**-i below d and 2**-(d-1) for the tail, summing to 1."""
+    probs = 2.0 ** -np.arange(1.0, d + 1)
+    probs[-1] = 2.0 ** -(d - 1)
+    return probs
 
 
 def _bin_geometric(values: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Observed and expected counts on i = Z/2 with the tail pooled at d.
-
-    Expected mass is exact and sums to n: E_i = n * 2**-i for i < d and
-    E_d+ = n * 2**-(d-1).
-    """
-    n = values.size
+    """Observed and expected counts on i = Z/2 with the tail pooled at d."""
     i = values // 2
     obs = np.zeros(d, dtype=np.float64)
     clipped = np.minimum(i, d)
     obs[:] = np.bincount(clipped.astype(np.int64), minlength=d + 1)[1 : d + 1]
-    exp = n * 2.0 ** -np.arange(1.0, d + 1)
-    exp[-1] = n * 2.0 ** -(d - 1)
-    return obs, exp
+    return obs, values.size * geometric_bin_probs(d)
+
+
+def pearson_statistic(obs: np.ndarray, exp: np.ndarray) -> np.ndarray:
+    """Pearson's sum of (obs - exp)**2 / exp over the last axis."""
+    return np.sum((obs - exp) ** 2 / exp, axis=-1)
 
 
 def _bin_count(n: int) -> int:
@@ -47,7 +54,7 @@ def _bin_count(n: int) -> int:
 def twos_test(z: ZSample) -> TestOutcome:
     """Exact two-sided binomial test on the number of Z = 2 observations."""
     n = len(z)
-    if n < MIN_SAMPLE["twos"]:
+    if n == 0:
         return skipped_outcome("twos", n, "empty sample")
     t = int(np.sum(z.values == 2))
     lo = stats.binom.cdf(t, n, 0.5)
@@ -55,6 +62,9 @@ def twos_test(z: ZSample) -> TestOutcome:
     p = min(1.0, 2.0 * min(lo, hi))
     return TestOutcome("twos", n, statistic=float(t), p_value=p,
                        reject_at_5pct=p < 0.05)
+
+
+CHI2_MIN_N = 14
 
 
 def chi2_geometric_test(z: ZSample, cv: CriticalValueTable | None) -> TestOutcome:
@@ -65,48 +75,56 @@ def chi2_geometric_test(z: ZSample, cv: CriticalValueTable | None) -> TestOutcom
     rule are used with the asymptotic chi-square distribution.
     """
     n = len(z)
-    if n < MIN_SAMPLE["chi2"]:
-        return skipped_outcome("chi2", n, f"n={n} below floor {MIN_SAMPLE['chi2']}")
+    if n < CHI2_MIN_N:
+        return skipped_outcome("chi2", n, f"n={n} below floor {CHI2_MIN_N}")
     if n <= CHI2_SMALL_MAX:
         if cv is None:
             raise ValueError("chi2_geometric_test needs a critical-value table "
                              f"for n={n}")
-        obs, exp = _bin_geometric(z.values, 3)
-        d_stat = float(np.sum((obs - exp) ** 2 / exp))
+        d_stat = float(pearson_statistic(*_bin_geometric(z.values, 3)))
         crit, _ = lookup_cv(cv, n, 0.95)
         return TestOutcome("chi2", n, statistic=d_stat,
                            reject_at_5pct=d_stat >= crit)
     d = _bin_count(n) + 2
-    obs, exp = _bin_geometric(z.values, d)
-    d_stat = float(np.sum((obs - exp) ** 2 / exp))
-    p = float(stats.chi2.sf(d_stat, d - 1))
+    d_stat = float(pearson_statistic(*_bin_geometric(z.values, d)))
+    p = float(special.chdtrc(d - 1, d_stat))
     return TestOutcome("chi2", n, statistic=d_stat, p_value=p,
                        reject_at_5pct=p < 0.05)
+
+
+G_MIN_N = 14
 
 
 def g_test(z: ZSample) -> TestOutcome:
     """Log-likelihood-ratio test with the basic floor(log2(n/5) + 1) binning."""
     n = len(z)
-    if n < MIN_SAMPLE["g"]:
-        return skipped_outcome("g", n, f"n={n} below floor {MIN_SAMPLE['g']}")
+    if n < G_MIN_N:
+        return skipped_outcome("g", n, f"n={n} below floor {G_MIN_N}")
     d = max(_bin_count(n), 2)
     obs, exp = _bin_geometric(z.values, d)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(obs > 0, obs * np.log(obs / exp), 0.0)
     g = float(2.0 * terms.sum())
-    p = float(stats.chi2.sf(g, d - 1))
+    p = float(special.chdtrc(d - 1, g))
     return TestOutcome("g", n, statistic=g, p_value=p, reject_at_5pct=p < 0.05)
+
+
+def ks_statistic_from_counts(counts: np.ndarray, n: int) -> np.ndarray:
+    """sqrt(n) * sup |H - F_n| from the counts of i = Z/2 = 1, 2, ... on the
+    last axis; bins past the largest observed i add nothing."""
+    f_emp = np.cumsum(counts, axis=-1) / n
+    h = 1.0 - 2.0 ** -np.arange(1.0, counts.shape[-1] + 1)
+    return np.sqrt(n) * np.max(np.abs(h - f_emp), axis=-1)
 
 
 def ks_statistic_geometric(values: np.ndarray) -> float:
     """sqrt(n) * sup |H - F_n| over the jump points 2, 4, ... of the null cdf."""
-    n = values.size
     i = values // 2
-    i_max = int(i.max())
-    counts = np.bincount(i.astype(np.int64), minlength=i_max + 1)[1:]
-    f_emp = np.cumsum(counts) / n
-    h = 1.0 - 2.0 ** -np.arange(1.0, i_max + 1)
-    return float(np.sqrt(n) * np.max(np.abs(h - f_emp)))
+    counts = np.bincount(i.astype(np.int64), minlength=int(i.max()) + 1)[1:]
+    return float(ks_statistic_from_counts(counts, values.size))
+
+
+KS_MIN_N = 2
 
 
 def ks_discrete_test(z: ZSample, cv: CriticalValueTable) -> TestOutcome:
@@ -115,8 +133,8 @@ def ks_discrete_test(z: ZSample, cv: CriticalValueTable) -> TestOutcome:
     For n > 1000 the n = 1000 critical value stands in for the asymptote.
     """
     n = len(z)
-    if n < MIN_SAMPLE["ks_discrete"]:
-        return skipped_outcome("ks_discrete", n, f"n={n} below floor 2")
+    if n < KS_MIN_N:
+        return skipped_outcome("ks_discrete", n, f"n={n} below floor {KS_MIN_N}")
     if cv is None:
         raise ValueError("ks_discrete_test needs a critical-value table")
     d_stat = ks_statistic_geometric(z.values)
@@ -145,15 +163,18 @@ def klp_statistic(values: np.ndarray) -> float:
     return math.sqrt(n / _KLP_AVAR) * math.log(c_hat)
 
 
+KLP_MIN_N = 5
+
+
 def klp_nb_test(z: ZSample) -> TestOutcome:
     """First-two-moments test of the geometric law, applied to Y = Z/2."""
     n = len(z)
-    if n < MIN_SAMPLE["klp"]:
-        return skipped_outcome("klp", n, f"n={n} below floor {MIN_SAMPLE['klp']}")
+    if n < KLP_MIN_N:
+        return skipped_outcome("klp", n, f"n={n} below floor {KLP_MIN_N}")
     t = klp_statistic(z.values)
-    p = float(2.0 * stats.norm.sf(abs(t)))
+    p = float(2.0 * special.ndtr(-abs(t)))
     return TestOutcome("klp", n, statistic=t, p_value=p,
-                       reject_at_5pct=abs(t) > stats.norm.ppf(0.975))
+                       reject_at_5pct=abs(t) > special.ndtri(0.975))
 
 
 def chi2_stationarity(z: ZSample, parts: int) -> TestOutcome:
@@ -162,15 +183,15 @@ def chi2_stationarity(z: ZSample, parts: int) -> TestOutcome:
     Harness-side diagnostic only; chi2_{parts*(d-1)} under the null.
     """
     n = len(z)
-    if parts < 2 or n // parts < MIN_SAMPLE["chi2"]:
+    if parts < 2 or n // parts < CHI2_MIN_N:
         return skipped_outcome("chi2_split", n, "parts too short")
     size = n // parts
     d = max(_bin_count(size), 2)
     total = 0.0
     for j in range(parts):
-        obs, exp = _bin_geometric(z.values[j * size : (j + 1) * size], d)
-        total += float(np.sum((obs - exp) ** 2 / exp))
+        total += float(pearson_statistic(
+            *_bin_geometric(z.values[j * size : (j + 1) * size], d)))
     df = parts * (d - 1)
-    p = float(stats.chi2.sf(total, df))
+    p = float(special.chdtrc(df, total))
     return TestOutcome("chi2_split", size * parts, statistic=total, p_value=p,
                        reject_at_5pct=p < 0.05)

@@ -27,10 +27,37 @@ from .tree import (
     select_base_scale,
 )
 
-Z_TESTS = ("chi2", "twos", "g", "ks_discrete", "klp", "joint", "autocorr",
-           "runs", "larsen", "obrien76", "obrien85")
-V_TESTS = ("runs_ud", "larsen_ud", "obrien76_ud", "obrien85_ud")
-ALL_TESTS = Z_TESTS + V_TESTS
+
+@dataclass(frozen=True)
+class RosterEntry:
+    """One test id: the function that runs it (looked up on ``module`` at
+    call time), the level sample it reads ("counts" Z, their "twos"
+    indicator bits or the "excursions" bits) and its table id, if any."""
+
+    module: object
+    func: str
+    sample: str
+    table: str | None = None
+
+
+ROSTER = {
+    "chi2": RosterEntry(dt, "chi2_geometric_test", "counts", "chi2_geometric"),
+    "twos": RosterEntry(dt, "twos_test", "counts"),
+    "g": RosterEntry(dt, "g_test", "counts"),
+    "ks_discrete": RosterEntry(dt, "ks_discrete_test", "counts", "ks_discrete"),
+    "klp": RosterEntry(dt, "klp_nb_test", "counts"),
+    "joint": RosterEntry(it, "joint_dist_test", "counts"),
+    "autocorr": RosterEntry(it, "lag1_autocorr_test", "counts", "autocorr"),
+    "runs": RosterEntry(it, "wald_wolfowitz_runs", "twos"),
+    "larsen": RosterEntry(it, "larsen_test", "twos", "larsen"),
+    "obrien76": RosterEntry(it, "obrien76_test", "twos", "obrien76"),
+    "obrien85": RosterEntry(it, "obrien_dyck85_test", "twos"),
+    "runs_ud": RosterEntry(it, "wald_wolfowitz_runs", "excursions"),
+    "larsen_ud": RosterEntry(it, "larsen_test", "excursions", "larsen"),
+    "obrien76_ud": RosterEntry(it, "obrien76_test", "excursions", "obrien76"),
+    "obrien85_ud": RosterEntry(it, "obrien_dyck85_test", "excursions"),
+}
+ALL_TESTS = tuple(ROSTER)
 
 DELTA0_POLICIES = ("zero", "first", "latticed")
 
@@ -41,7 +68,6 @@ class StudyConfig:
     reports."""
 
     process: ProcessSpec | None = None
-    dataset: str | None = None
     n_paths: int = 1000
     n_crossings: int = 1250
     delta: float | None = None
@@ -49,8 +75,6 @@ class StudyConfig:
     tests: tuple = ALL_TESTS
     seed: int = 0
     cv_dir: str | None = None  # None: tables shipped with the package
-    out_dir: str | None = None
-    fmt: str = "text"
     log_transform: bool = False
     milstein_step: float = 1e-5
     fbm_grid: float = 1e-5
@@ -73,66 +97,43 @@ class StudyConfig:
             raise ValueError(f"unknown tests: {sorted(unknown)}")
 
 
-def _tables_for(cfg: StudyConfig) -> dict:
-    return load_all_tables(cfg.cv_dir)
-
-
 def apply_tests_to_tree(
     tree: CrossingTree, roster, tables: dict
 ) -> dict[int, dict[str, TestOutcome]]:
     """Run the roster at every level of one tree.
 
-    Z-based tests consume the subcrossing counts, their runs-family
-    variants the twos-indicator bits, and the UD variants the pooled
-    excursion bits of the same level.
+    Each test reads the sample its roster entry names: the subcrossing
+    counts, their twos-indicator bits, or the excursion bits of the same
+    level.  A bit test on a level without bits, and any test that finds
+    its sample degenerate (e.g. constant counts), is skipped.
     """
     out: dict[int, dict[str, TestOutcome]] = {}
     for level in range(1, tree.max_level + 1):
         z = ZSample(tree.counts[level], level=level)
-        zbits = it.indicator_of_twos(z) if len(z) else None
-        vbits = BitSequence(tree.excursions[level], origin="excursions")
+        samples = {
+            "counts": z,
+            "twos": it.indicator_of_twos(z) if len(z) else None,
+            "excursions": BitSequence(tree.excursions[level],
+                                      origin="excursions"),
+        }
         row: dict[str, TestOutcome] = {}
         for test_id in roster:
-            row[test_id] = _run_one_test(test_id, z, zbits, vbits, tables)
+            entry = ROSTER[test_id]
+            sample = samples[entry.sample]
+            if entry.sample != "counts" and (sample is None or len(sample) == 0):
+                row[test_id] = skipped_outcome(test_id, 0, "no bits at this level")
+                continue
+            args = (sample,) if entry.table is None else (
+                sample, tables[entry.table])
+            try:
+                res = getattr(entry.module, entry.func)(*args)
+            except ValueError as exc:
+                res = skipped_outcome(test_id, len(z), f"degenerate: {exc}")
+            if res.test_id != test_id:
+                res = replace(res, test_id=test_id)
+            row[test_id] = res
         out[level] = row
     return out
-
-
-def _run_one_test(test_id, z, zbits, vbits, tables) -> TestOutcome:
-    n = len(z)
-    try:
-        if test_id == "twos":
-            return dt.twos_test(z)
-        if test_id == "chi2":
-            return dt.chi2_geometric_test(z, tables["chi2_geometric"])
-        if test_id == "g":
-            return dt.g_test(z)
-        if test_id == "ks_discrete":
-            return dt.ks_discrete_test(z, tables["ks_discrete"])
-        if test_id == "klp":
-            return dt.klp_nb_test(z)
-        if test_id == "joint":
-            return it.joint_dist_test(z)
-        if test_id == "autocorr":
-            return it.lag1_autocorr_test(z, tables["autocorr"])
-        bits = vbits if test_id.endswith("_ud") else zbits
-        base = test_id[:-3] if test_id.endswith("_ud") else test_id
-        if bits is None or len(bits) == 0:
-            return skipped_outcome(test_id, 0, "no bits at this level")
-        if base == "runs":
-            res = it.wald_wolfowitz_runs(bits)
-        elif base == "larsen":
-            res = it.larsen_test(bits, tables["larsen"])
-        elif base == "obrien76":
-            res = it.obrien76_test(bits, tables["obrien76"])
-        elif base == "obrien85":
-            res = it.obrien_dyck85_test(bits)
-        else:
-            raise ValueError(f"unknown test id {test_id!r}")
-        return replace(res, test_id=test_id)
-    except ValueError as exc:
-        # degenerate samples (e.g. constant counts) skip rather than abort
-        return skipped_outcome(test_id, n, f"degenerate: {exc}")
 
 
 @dataclass
@@ -160,14 +161,13 @@ def _simulate_series(cfg: StudyConfig, path_index: int) -> TickSeries:
     spec = cfg.process
     if spec is None or cfg.delta is None:
         raise ValueError("simulation studies need a process spec and delta")
-    extra = 0
     if spec.kind == "fbm":
         # self-similar scaling gives the crossing-duration order of
         # magnitude; the margin absorbs the H-dependent constant
         horizon = cfg.fbm_horizon
         if horizon is None:
             per_crossing = (cfg.delta**2 / spec.sigma2) ** (1.0 / (2 * spec.hurst))
-            horizon = 2.2 * (cfg.n_crossings + extra) * per_crossing
+            horizon = 2.2 * cfg.n_crossings * per_crossing
         n_steps = int(math.ceil(horizon / cfg.fbm_grid))
         return simulate_fbm_path(spec.hurst, spec.sigma2, n_steps,
                                  cfg.fbm_grid, seed=[cfg.seed, path_index])
@@ -211,7 +211,7 @@ def lattice_median_anchor(series: TickSeries, delta: float) -> float:
 def run_study(cfg: StudyConfig, label: str) -> StudyReport:
     """Simulate n_paths crossing records, build trees, run the roster, and
     tally rejections per test and level."""
-    tables = _tables_for(cfg)
+    tables = load_all_tables(cfg.cv_dir)
     cells: dict = {}
     max_level_seen = 0
     for i in range(cfg.n_paths):
@@ -266,7 +266,7 @@ def analyze_series(series: TickSeries, cfg: StudyConfig,
         series = log_transform(series)
     delta = cfg.delta if cfg.delta is not None else select_base_scale(series)
     tree = tree_for_series(cfg, series, delta)
-    tables = _tables_for(cfg)
+    tables = load_all_tables(cfg.cv_dir)
     outcomes = apply_tests_to_tree(tree, cfg.tests, tables)
     shares = {d["level"]: d for d in multiple_crossing_shares(tree, series)}
     rows = []

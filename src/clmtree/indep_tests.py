@@ -12,19 +12,20 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy import stats
+from scipy import special
 from scipy.special import gammaln
 
-from .critical_values import CriticalValueTable, lookup_cv
-from .outcomes import MIN_SAMPLE, BitSequence, TestOutcome, ZSample, skipped_outcome
+from .critical_values import TABLES, CriticalValueTable, lookup_cv
+from .outcomes import BitSequence, TestOutcome, ZSample, skipped_outcome
 
 # Exact enumeration of the run-count distribution is used up to this length;
 # beyond it the normal approximation with continuity correction takes over.
 RUNS_EXACT_MAX = 50
 
-AUTOCORR_TABLE_MAX = 100
-LARSEN_TABLE_MAX = 80
-OBRIEN76_TABLE_MAX = 20
+# longest samples decided by the empirical tables
+AUTOCORR_TABLE_MAX = TABLES["autocorr"].lengths[-1]
+LARSEN_TABLE_MAX = TABLES["larsen"].lengths[-1]
+OBRIEN76_TABLE_MAX = TABLES["obrien76"].lengths[-1]
 
 
 def indicator_of_twos(z: ZSample) -> BitSequence:
@@ -34,21 +35,37 @@ def indicator_of_twos(z: ZSample) -> BitSequence:
     return BitSequence((z.values == 2).astype(np.int8), origin="twos-indicator")
 
 
+def _tabled_outcome(test_id: str, n: int, stat: float,
+                    cv: CriticalValueTable | None) -> TestOutcome:
+    """Two-sided 5% decision outside the tabulated 0.025 and 0.975 quantiles.
+
+    The comparisons are strict: at small n the statistic has atoms, and
+    an empirical quantile can sit on one; inclusive cutoffs would then
+    reject the whole atom and overshoot the level.
+    """
+    if cv is None:
+        raise ValueError(f"the {test_id} test needs critical values for n={n}")
+    lo, _ = lookup_cv(cv, n, 0.025)
+    hi, _ = lookup_cv(cv, n, 0.975)
+    return TestOutcome(test_id, n, statistic=stat,
+                       reject_at_5pct=(stat < lo) or (stat > hi))
+
+
+def _normal_outcome(test_id: str, n: int, stat: float,
+                    zscore: float) -> TestOutcome:
+    """Two-sided p-value of a zscore that is N(0,1) under the null."""
+    p = float(2.0 * special.ndtr(-abs(zscore)))
+    return TestOutcome(test_id, n, statistic=stat, p_value=p,
+                       reject_at_5pct=p < 0.05)
+
+
 # ---------------------------------------------------------------------------
 # lag-1 autocorrelation
 # ---------------------------------------------------------------------------
 
-def lag1_autocorr_statistic(values: np.ndarray) -> float | None:
-    """Known-mean-4 numerator over the centred sum of squares; None when the
-    sample is constant."""
-    dev = values - 4.0
-    den = float(np.sum((values - values.mean()) ** 2))
-    if den == 0.0:
-        return None
-    return float(np.sum(dev[1:] * dev[:-1]) / den)
-
-
 def lag1_autocorr_batch(z_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row: the known-mean-4 lag-1 numerator over the centred sum of
+    squares; constant rows are invalid."""
     dev = z_matrix - 4.0
     num = np.sum(dev[:, 1:] * dev[:, :-1], axis=1)
     cen = z_matrix - z_matrix.mean(axis=1, keepdims=True)
@@ -59,6 +76,9 @@ def lag1_autocorr_batch(z_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out, valid
 
 
+AUTOCORR_MIN_N = 5
+
+
 def lag1_autocorr_test(z: ZSample, cv: CriticalValueTable | None) -> TestOutcome:
     """Two-sided lag-1 autocorrelation test.
 
@@ -66,30 +86,23 @@ def lag1_autocorr_test(z: ZSample, cv: CriticalValueTable | None) -> TestOutcome
     the statistic is referred to N(0,1).
     """
     n = len(z)
-    if n < MIN_SAMPLE["autocorr"]:
-        return skipped_outcome("autocorr", n, f"n={n} below floor 5")
-    stat = lag1_autocorr_statistic(z.values.astype(np.float64))
-    if stat is None:
+    if n < AUTOCORR_MIN_N:
+        return skipped_outcome("autocorr", n, f"n={n} below floor {AUTOCORR_MIN_N}")
+    stat, valid = lag1_autocorr_batch(z.values[None, :].astype(np.float64))
+    if not valid[0]:
         raise ValueError("constant sample: autocorrelation undefined")
+    stat = float(stat[0])
     if n <= AUTOCORR_TABLE_MAX:
-        if cv is None:
-            raise ValueError(f"lag1_autocorr_test needs critical values for n={n}")
-        lo, _ = lookup_cv(cv, n, 0.025)
-        hi, _ = lookup_cv(cv, n, 0.975)
-        # strict comparisons: at small n the statistic has atoms, and the
-        # empirical quantile can sit on one; inclusive cutoffs would then
-        # reject the whole atom and overshoot the level
-        return TestOutcome("autocorr", n, statistic=stat,
-                           reject_at_5pct=(stat < lo) or (stat > hi))
-    zscore = math.sqrt(n) * stat
-    p = float(2.0 * stats.norm.sf(abs(zscore)))
-    return TestOutcome("autocorr", n, statistic=stat, p_value=p,
-                       reject_at_5pct=p < 0.05)
+        return _tabled_outcome("autocorr", n, stat, cv)
+    return _normal_outcome("autocorr", n, stat, math.sqrt(n) * stat)
 
 
 # ---------------------------------------------------------------------------
 # bivariate joint distribution
 # ---------------------------------------------------------------------------
+
+JOINT_MIN_N = 10
+
 
 def joint_dist_test(z: ZSample) -> TestOutcome:
     """Chi-square on consecutive pairs against the product geometric law.
@@ -97,8 +110,8 @@ def joint_dist_test(z: ZSample) -> TestOutcome:
     d = 3 with tail pooling in both coordinates; valid from n >= 10.
     """
     n = len(z)
-    if n < MIN_SAMPLE["joint"]:
-        return skipped_outcome("joint", n, f"n={n} below floor 10")
+    if n < JOINT_MIN_N:
+        return skipped_outcome("joint", n, f"n={n} below floor {JOINT_MIN_N}")
     m = n // 2
     i = np.minimum(z.values[: 2 * m : 2] // 2, 3) - 1
     j = np.minimum(z.values[1 : 2 * m : 2] // 2, 3) - 1
@@ -106,7 +119,7 @@ def joint_dist_test(z: ZSample) -> TestOutcome:
     marg = np.array([0.5, 0.25, 0.25])
     exp = m * np.outer(marg, marg)
     stat = float(np.sum((obs - exp) ** 2 / exp))
-    p = float(stats.chi2.sf(stat, 8))
+    p = float(special.chdtrc(8, stat))
     return TestOutcome("joint", n, statistic=stat, p_value=p,
                        reject_at_5pct=p < 0.05)
 
@@ -179,7 +192,7 @@ def wald_wolfowitz_runs(b: BitSequence) -> TestOutcome:
         var = 2.0 * n0 * n1 * (2.0 * n0 * n1 - n) / (n * n * (n - 1.0))
         shift = -0.5 if r > mu else 0.5
         zscore = (r - mu + shift) / math.sqrt(var)
-        p = min(1.0, float(2.0 * stats.norm.sf(abs(zscore))))
+        p = min(1.0, float(2.0 * special.ndtr(-abs(zscore))))
     return TestOutcome("runs", n, statistic=float(r), p_value=p,
                        reject_at_5pct=p < 0.05)
 
@@ -230,23 +243,35 @@ def _biased_var(x: np.ndarray) -> float:
     return float(np.mean((x - x.mean()) ** 2))
 
 
-def obrien76_pivot(bits: np.ndarray) -> float | None:
-    """Gamma-cdf pivot of the run-length-variance statistic of the more
-    numerous symbol, moments taken given the observed run count; uniform on
-    [0,1] under the null up to the Gamma approximation error.  None when
-    degenerate (fewer than 2 runs)."""
-    n1 = int(bits.sum())
-    n0 = bits.size - n1
-    sym = 1 if n1 >= n0 else 0
-    lens = run_lengths(bits, sym)
-    if lens.size < 2:
-        return None
-    match = _gamma_match(*run_variance_moments(max(n1, n0), lens.size))
-    if match is None:
-        return None
-    c, nu = match
-    s2 = _biased_var(lens.astype(np.float64))
-    return float(stats.gamma.cdf(c * s2, a=nu / 2.0, scale=2.0))
+def obrien76_pivot_batch(bits_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the Gamma-cdf pivot of the run-length variance of the more
+    numerous symbol given its run count: uniform on [0,1] under the null
+    up to the Gamma approximation.  Rows are grouped by (count, runs);
+    rows with < 2 of a symbol or < 2 runs of the pivot symbol are invalid."""
+    b, width = bits_matrix.shape
+    n1 = bits_matrix.sum(axis=1)
+    n0 = width - n1
+    out = np.full(b, np.nan)
+    valid = np.minimum(n0, n1) >= 2
+    s2 = np.zeros(b)
+    n_runs = np.zeros(b, dtype=np.int64)
+    sym = (n1 >= n0).astype(np.int8)
+    for row in np.flatnonzero(valid):
+        lens = run_lengths(bits_matrix[row], int(sym[row]))
+        n_runs[row] = lens.size
+        s2[row] = _biased_var(lens.astype(np.float64)) if lens.size >= 2 else 0.0
+    valid &= n_runs >= 2
+    n_more = np.maximum(n0, n1)
+    for count, runs in {(int(a), int(r))
+                        for a, r in zip(n_more[valid], n_runs[valid])}:
+        match = _gamma_match(*run_variance_moments(count, runs))
+        rows = valid & (n_more == count) & (n_runs == runs)
+        if match is None:
+            valid[rows] = False
+            continue
+        c, nu = match
+        out[rows] = special.gammainc(nu / 2.0, c * s2[rows] / 2.0)
+    return out, valid
 
 
 def obrien76_test(b: BitSequence, cv: CriticalValueTable | None) -> TestOutcome:
@@ -259,17 +284,13 @@ def obrien76_test(b: BitSequence, cv: CriticalValueTable | None) -> TestOutcome:
     n = len(b)
     if min(b.n_ones, b.n_zeros) < 2:
         return skipped_outcome("obrien76", n, "less numerous symbol count < 2")
-    u = obrien76_pivot(b.bits)
-    if u is None:
+    u, valid = obrien76_pivot_batch(b.bits[None, :])
+    u = float(u[0])
+    if not valid[0]:
         return skipped_outcome("obrien76", n, "fewer than 2 runs of the "
                                               "more numerous symbol")
     if n <= OBRIEN76_TABLE_MAX:
-        if cv is None:
-            raise ValueError(f"obrien76_test needs critical values for n={n}")
-        lo, _ = lookup_cv(cv, n, 0.025)
-        hi, _ = lookup_cv(cv, n, 0.975)
-        return TestOutcome("obrien76", n, statistic=u,
-                           reject_at_5pct=(u < lo) or (u > hi))
+        return _tabled_outcome("obrien76", n, u, cv)
     p = min(1.0, 2.0 * min(u, 1.0 - u))
     return TestOutcome("obrien76", n, statistic=u, p_value=p,
                        reject_at_5pct=p < 0.05)
@@ -296,8 +317,10 @@ def obrien_dyck85_test(b: BitSequence) -> TestOutcome:
     c0, nu0 = match0
     t = (c0 * _biased_var(lens0.astype(np.float64))
          + c1 * _biased_var(lens1.astype(np.float64)))
-    law = stats.gamma(a=(nu0 + nu1) / 2.0, scale=2.0)
-    p = min(1.0, 2.0 * float(min(law.cdf(t), law.sf(t))))
+    # cdf and sf at t of the Gamma law with shape a and scale 2
+    a, x = (nu0 + nu1) / 2.0, t / 2.0
+    tail = min(special.gammainc(a, x), special.gammaincc(a, x))
+    p = min(1.0, 2.0 * float(tail))
     return TestOutcome("obrien85", n, statistic=t, p_value=p,
                        reject_at_5pct=p < 0.05)
 
@@ -329,21 +352,10 @@ def larsen_moments(n: int, n1: int) -> tuple[float, float]:
     return mean, max(scale * s, 0.0)
 
 
-def larsen_statistic(bits: np.ndarray) -> float:
-    """Standardised K1; 0 by convention when K1 is deterministic."""
-    n = bits.size
-    locs = np.flatnonzero(bits) + 1
-    n1 = locs.size
-    med = locs[(n1 + 1) // 2 - 1]
-    k1 = float(np.sum(np.abs(locs - med)))
-    mean, var = larsen_moments(n, n1)
-    if var == 0.0:
-        return 0.0
-    return (k1 - mean) / math.sqrt(var)
-
-
 def larsen_batch(bits_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorised standardised K1 per row; rows without successes invalid."""
+    """Standardised K1 per row, 0 by convention where K1 is deterministic;
+    rows without successes are invalid.  Moments are built only for the
+    success counts present."""
     b, n = bits_matrix.shape
     n1 = bits_matrix.sum(axis=1)
     valid = n1 >= 1
@@ -354,8 +366,8 @@ def larsen_batch(bits_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     k1 = np.sum(bits_matrix * np.abs(cols[None, :] - med_col[:, None]), axis=1)
     means = np.zeros(n + 1)
     sds = np.zeros(n + 1)
-    for count in range(1, n + 1):
-        mu, var = larsen_moments(n, count)
+    for count in np.unique(n1[valid]):
+        mu, var = larsen_moments(n, int(count))
         means[count], sds[count] = mu, math.sqrt(var)
     out = np.zeros(b)
     ok = valid & (sds[n1] > 0)
@@ -363,49 +375,16 @@ def larsen_batch(bits_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out, valid
 
 
+LARSEN_MIN_N = 3
+
+
 def larsen_test(b: BitSequence, cv: CriticalValueTable | None) -> TestOutcome:
     """Two-sided test of the standardised absolute-deviation statistic."""
     n = len(b)
-    if n < MIN_SAMPLE["larsen"] or b.n_ones == 0:
-        return skipped_outcome("larsen", n, "no successes or n < 3")
-    t = larsen_statistic(b.bits)
+    if n < LARSEN_MIN_N or b.n_ones == 0:
+        return skipped_outcome("larsen", n, f"no successes or n < {LARSEN_MIN_N}")
+    t, _ = larsen_batch(b.bits[None, :])
+    t = float(t[0])
     if n <= LARSEN_TABLE_MAX:
-        if cv is None:
-            raise ValueError(f"larsen_test needs critical values for n={n}")
-        lo, _ = lookup_cv(cv, n, 0.025)
-        hi, _ = lookup_cv(cv, n, 0.975)
-        # strict for the same atom reason as the autocorrelation test
-        return TestOutcome("larsen", n, statistic=t,
-                           reject_at_5pct=(t < lo) or (t > hi))
-    p = float(2.0 * stats.norm.sf(abs(t)))
-    return TestOutcome("larsen", n, statistic=t, p_value=p,
-                       reject_at_5pct=p < 0.05)
-
-
-def obrien76_pivot_batch(bits_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise obrien76 pivots, grouping rows by (count, runs) so the Gamma
-    cdf is evaluated vectorised per group."""
-    b, width = bits_matrix.shape
-    n1 = bits_matrix.sum(axis=1)
-    n0 = width - n1
-    out = np.full(b, np.nan)
-    valid = np.minimum(n0, n1) >= 2
-    s2 = np.zeros(b)
-    n_runs = np.zeros(b, dtype=np.int64)
-    sym = (n1 >= n0).astype(np.int8)
-    for row in np.flatnonzero(valid):
-        lens = run_lengths(bits_matrix[row], int(sym[row]))
-        n_runs[row] = lens.size
-        s2[row] = _biased_var(lens.astype(np.float64)) if lens.size >= 2 else 0.0
-    valid &= n_runs >= 2
-    n_more = np.maximum(n0, n1)
-    for count, runs in {(int(a), int(r))
-                        for a, r in zip(n_more[valid], n_runs[valid])}:
-        match = _gamma_match(*run_variance_moments(count, runs))
-        rows = valid & (n_more == count) & (n_runs == runs)
-        if match is None:
-            valid[rows] = False
-            continue
-        c, nu = match
-        out[rows] = stats.gamma.cdf(c * s2[rows], a=nu / 2.0, scale=2.0)
-    return out, valid
+        return _tabled_outcome("larsen", n, t, cv)
+    return _normal_outcome("larsen", n, t, t)

@@ -6,23 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Minimum sample sizes below which a test is skipped rather than applied.
-# Centralised so the harness and the test functions agree on one set of floors.
-MIN_SAMPLE = {
-    "twos": 1,
-    "chi2": 14,
-    "g": 14,
-    "ks_discrete": 2,
-    "klp": 5,
-    "autocorr": 5,
-    "joint": 10,
-    "runs": 2,
-    "obrien76": 4,
-    "obrien85": 4,
-    "larsen": 3,
-}
-
-
 @dataclass(frozen=True)
 class TestOutcome:
     """One statistical test applied to one sample.

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .outcomes import TestOutcome, skipped_outcome
 from .series import TickSeries
@@ -106,12 +106,12 @@ def normal_gof_tests(
         return {k: skipped_outcome(k, m, reason) for k in ("ks", "cvm", "sm")}
 
     zs = np.sort(z)
-    grid = stats.norm.cdf(zs)
+    grid = special.ndtr(zs)
     steps = np.arange(1, m + 1) / m
     d_stat = math.sqrt(m) * float(
         np.maximum(grid - (steps - 1.0 / m), steps - grid).max()
     )
-    ks_p = float(stats.kstwobign.sf(d_stat))
+    ks_p = float(special.kolmogorov(d_stat))
     ks = TestOutcome("ks", m, statistic=d_stat, p_value=ks_p,
                      reject_at_5pct=d_stat > KS_CRIT_5PCT)
 
@@ -122,7 +122,7 @@ def normal_gof_tests(
                       reject_at_5pct=w2 > CVM_CRIT_5PCT)
 
     t = float(np.sum(z) / math.sqrt(m))
-    sm_p = float(2.0 * stats.norm.sf(abs(t)))
+    sm_p = float(2.0 * special.ndtr(-abs(t)))
     sm = TestOutcome("sm", m, statistic=t, p_value=sm_p,
                      reject_at_5pct=sm_p < 0.05)
     return {"ks": ks, "cvm": cvm, "sm": sm}
@@ -130,8 +130,6 @@ def normal_gof_tests(
 
 def _cvm_asymptotic_sf(w2: float) -> float:
     """Tail of the limiting one-sample Cramer-von Mises distribution."""
-    from scipy.special import gamma as gamma_fn, kv
-
     if w2 <= 0.0:
         return 1.0
     # Smirnov series; a handful of terms is ample at any testable w2.
@@ -139,11 +137,11 @@ def _cvm_asymptotic_sf(w2: float) -> float:
     for k in range(8):
         u = (4 * k + 1) ** 2 / (16.0 * w2)
         term = (
-            gamma_fn(k + 0.5)
-            / (gamma_fn(0.5) * gamma_fn(k + 1))
+            special.gamma(k + 0.5)
+            / (special.gamma(0.5) * special.gamma(k + 1))
             * math.sqrt(4 * k + 1)
             * math.exp(-u)
-            * kv(0.25, u)
+            * special.kv(0.25, u)
         )
         total += term
     cdf = total / (math.pi * math.sqrt(w2))

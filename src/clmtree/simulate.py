@@ -32,8 +32,7 @@ class ProcessSpec:
 
     kinds: "bm"; "bm_drift" (alpha); "ou" (alpha, sigma); "feller"
     (kappa, mu, sigma, with 2*kappa*mu/sigma**2 >= 1); "fbm" (hurst,
-    sigma2).  ``delta`` optionally records the crossing scale calibrated
-    for the process.
+    sigma2).
     """
 
     kind: str
@@ -43,7 +42,6 @@ class ProcessSpec:
     mu: float = 0.0
     hurst: float = 0.5
     sigma2: float = 1.0
-    delta: float | None = None
 
     def __post_init__(self):
         if self.kind not in ("bm", "bm_drift", "ou", "feller", "fbm"):
@@ -411,10 +409,7 @@ def _feller_first_hit(
     sq = math.sqrt(dt)
     for _ in range(MILSTEIN_MAX_STEPS):
         while True:
-            g = rng.standard_normal() * sq
-            x_new = (x + spec.kappa * (spec.mu - x) * dt
-                     + spec.sigma * math.sqrt(x) * g
-                     + spec.sigma**2 * (g * g - dt) / 4.0)
+            x_new = milstein_feller_step(spec, x, rng.standard_normal() * sq, dt)
             if x_new > 0.0:
                 break
         new_cell = math.floor(x_new / delta)
@@ -495,7 +490,7 @@ def _fgn_sqrt_eigenvalues(n: int, hurst: float) -> np.ndarray:
     while True:
         key = (m, round(hurst, 12))
         if key in _EMBED_CACHE:
-            return _EMBED_CACHE[key][:]
+            return _EMBED_CACHE[key]
         lags = np.arange(0, m // 2 + 1, dtype=np.float64)
         h2 = 2.0 * hurst
         r = 0.5 * ((lags + 1) ** h2 - 2 * lags**h2 + np.abs(lags - 1) ** h2)
@@ -504,8 +499,9 @@ def _fgn_sqrt_eigenvalues(n: int, hurst: float) -> np.ndarray:
         floor = -1e-8 * eig.max()
         if eig.min() >= floor:
             sqrt_eig = np.sqrt(np.maximum(eig, 0.0))
+            sqrt_eig.flags.writeable = False  # shared by every caller
             _EMBED_CACHE[key] = sqrt_eig
-            return sqrt_eig[:]
+            return sqrt_eig
         if m >= FBM_MAX_EMBED:
             raise ValueError(
                 f"circulant embedding not nonnegative definite below {FBM_MAX_EMBED}"

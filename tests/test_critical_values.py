@@ -5,8 +5,10 @@ import pytest
 from scipy import stats
 
 from clmtree.critical_values import (
-    DEFAULT_LENGTHS,
-    DEFAULT_QUANTILES,
+    SHIPPED_N_MC,
+    SHIPPED_SEED,
+    SHIPPED_TABLES,
+    TABLES,
     CriticalValueError,
     generate_cv_table,
     load_all_tables,
@@ -77,12 +79,46 @@ def test_load_table_dir_missing(tmp_path):
 
 
 def test_shipped_tables_cover_served_lengths():
-    for test_id, lengths in DEFAULT_LENGTHS.items():
+    for test_id in SHIPPED_TABLES:
         tab = shipped_table(test_id)
-        for q in DEFAULT_QUANTILES[test_id]:
-            for n in lengths:
+        for q in TABLES[test_id].quantiles:
+            for n in TABLES[test_id].lengths:
                 val, fb = lookup_cv(tab, n, q)
                 assert math.isfinite(val) and not fb
+
+
+# a few lengths per shipped table, the ends of its range among them
+REGENERATED_LENGTHS = {
+    "ks_discrete": (2, 50, 1000),
+    "chi2_geometric": (14, 39),
+    "autocorr": (5, 100),
+    "larsen": (3, 80),
+    "obrien76": (6, 20),
+}
+
+
+@pytest.mark.parametrize("test_id", sorted(REGENERATED_LENGTHS))
+def test_generator_reproduces_shipped_rows(test_id):
+    """The shipped seed and n_mc regenerate the shipped entries bit for bit,
+    so the batteries still simulate the statistics the tables were made
+    from."""
+    lengths = REGENERATED_LENGTHS[test_id]
+    quantiles = TABLES[test_id].quantiles
+    tab = generate_cv_table(test_id, lengths, quantiles,
+                            n_mc=SHIPPED_N_MC, seed=SHIPPED_SEED)
+    shipped = shipped_table(test_id)
+    assert (shipped.seed, shipped.n_mc) == (SHIPPED_SEED, SHIPPED_N_MC)
+    for key, value in tab.entries.items():
+        assert value == shipped.entries[key], key
+
+
+def test_shipped_ranges_start_at_the_serving_floors():
+    from clmtree import dist_tests, indep_tests
+
+    assert TABLES["chi2_geometric"].lengths.start == dist_tests.CHI2_MIN_N
+    assert TABLES["ks_discrete"].lengths.start == dist_tests.KS_MIN_N
+    assert TABLES["autocorr"].lengths.start == indep_tests.AUTOCORR_MIN_N
+    assert TABLES["larsen"].lengths.start == indep_tests.LARSEN_MIN_N
 
 
 def test_lookup_fallback_flag():
@@ -96,7 +132,8 @@ def test_lookup_fallback_flag():
 
 def test_load_all_tables_shipped_and_dir(tmp_path):
     tabs = load_all_tables()
-    assert set(tabs) == set(DEFAULT_LENGTHS)
+    assert set(tabs) == set(SHIPPED_TABLES)
+    assert "twos" in TABLES and "twos" not in tabs
     with pytest.raises(CriticalValueError):
         load_all_tables(str(tmp_path))
 

@@ -1,11 +1,13 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import clmtree
 from clmtree.calibrate import delta_mc
 from clmtree.harness import (
     ALL_TESTS,
@@ -87,6 +89,16 @@ class TestStudy:
             bm_cfg(tests=("nope",))
         with pytest.raises(ValueError, match="policy"):
             bm_cfg(delta0_policy="median")
+
+    def test_roster_entries_resolve(self):
+        from clmtree.critical_values import TABLES
+        from clmtree.harness import ROSTER
+
+        assert ALL_TESTS == tuple(ROSTER)
+        for test_id, entry in ROSTER.items():
+            assert callable(getattr(entry.module, entry.func)), test_id
+            assert entry.sample in ("counts", "twos", "excursions"), test_id
+            assert entry.table is None or TABLES[entry.table].lengths, test_id
 
     def test_simulator_failure_carries_path_index(self):
         cfg = bm_cfg(n_crossings=1)  # too short for any tree
@@ -184,9 +196,12 @@ class TestQvStudy:
 
 class TestCli:
     def run_cli(self, *args):
+        # the child imports the same clmtree as this process
+        root = os.path.dirname(os.path.dirname(clmtree.__file__))
+        path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
         return subprocess.run(
             [sys.executable, "-m", "clmtree.cli", *args],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
         )
 
     def test_type1_csv(self):
@@ -224,6 +239,24 @@ class TestCli:
                            "--seed", "3", "--out", str(tmp_path))
         assert out.returncode == 0
         assert list(tmp_path.glob("chi2_geometric__*.csv"))
+
+    def test_gen_cv_usage_errors(self, tmp_path, capsys):
+        from clmtree import cli
+
+        for argv in (["gen-cv", "--test", "bogus"],
+                     ["gen-cv", "--test", "twos", "--lengths", "10"],
+                     ["gen-cv", "--test", "twos", "--quantiles", "0.95"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main([*argv, "--out", str(tmp_path)])
+            assert exc.value.code == 2, argv
+        err = capsys.readouterr().err
+        assert "invalid choice: 'bogus'" in err
+        assert "no twos table ships" in err
+        assert not list(tmp_path.iterdir())
+        assert cli.main(["gen-cv", "--test", "twos", "--lengths", "10",
+                         "--quantiles", "0.95", "--n-mc", "10000",
+                         "--out", str(tmp_path)]) == 0
+        assert list(tmp_path.glob("twos__*.csv"))
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "study.cfg"

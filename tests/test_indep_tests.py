@@ -3,20 +3,19 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from clmtree.critical_values import shipped_table
 from clmtree.indep_tests import (
     _biased_var,
+    _gamma_match,
     indicator_of_twos,
     joint_dist_test,
     lag1_autocorr_batch,
-    lag1_autocorr_statistic,
     lag1_autocorr_test,
     larsen_batch,
     larsen_moments,
-    larsen_statistic,
     larsen_test,
-    obrien76_pivot,
     obrien76_pivot_batch,
     obrien76_test,
     obrien_dyck85_test,
@@ -51,6 +50,50 @@ def zs(values):
     return ZSample(np.asarray(values))
 
 
+# One-sample reference formulas for the batched statistics, written out
+# row by row as the definitions read.
+
+def ref_lag1_autocorr(values):
+    """Known-mean-4 numerator over the centred sum of squares; None when the
+    sample is constant."""
+    dev = values - 4.0
+    den = float(np.sum((values - values.mean()) ** 2))
+    if den == 0.0:
+        return None
+    return float(np.sum(dev[1:] * dev[:-1]) / den)
+
+
+def ref_larsen(bits):
+    """Standardised K1; 0 by convention when K1 is deterministic."""
+    n = bits.size
+    locs = np.flatnonzero(bits) + 1
+    n1 = locs.size
+    med = locs[(n1 + 1) // 2 - 1]
+    k1 = float(np.sum(np.abs(locs - med)))
+    mean, var = larsen_moments(n, n1)
+    if var == 0.0:
+        return 0.0
+    return (k1 - mean) / math.sqrt(var)
+
+
+def ref_obrien76_pivot(bits):
+    """Gamma-cdf pivot of the run-length variance of the more numerous
+    symbol; None when degenerate."""
+    n1 = int(bits.sum())
+    n0 = bits.size - n1
+    if min(n0, n1) < 2:
+        return None
+    lens = run_lengths(bits, 1 if n1 >= n0 else 0)
+    if lens.size < 2:
+        return None
+    match = _gamma_match(*run_variance_moments(max(n1, n0), lens.size))
+    if match is None:
+        return None
+    c, nu = match
+    s2 = _biased_var(lens.astype(np.float64))
+    return float(stats.gamma.cdf(c * s2, a=nu / 2.0, scale=2.0))
+
+
 class TestIndicator:
     def test_definition(self):
         out = indicator_of_twos(zs([2, 4, 2, 8]))
@@ -64,9 +107,11 @@ class TestIndicator:
 
 
 class TestAutocorr:
-    def test_hand_example(self):
-        stat = lag1_autocorr_statistic(np.array([2.0, 6, 2, 6, 2, 6]))
-        assert math.isclose(stat, -5.0 / 6.0)
+    def test_hand_example(self, ac_cv):
+        stat, valid = lag1_autocorr_batch(np.array([[2.0, 6, 2, 6, 2, 6]]))
+        assert valid[0] and math.isclose(stat[0], -5.0 / 6.0)
+        out = lag1_autocorr_test(zs([2, 6, 2, 6, 2, 6]), ac_cv)
+        assert out.statistic == stat[0]
 
     def test_constant_sample_errors(self, ac_cv):
         with pytest.raises(ValueError, match="constant"):
@@ -84,15 +129,18 @@ class TestAutocorr:
         out = lag1_autocorr_test(zs(2 * rng.geometric(0.5, size=400)), ac_cv)
         assert out.p_value is not None
 
-    def test_batch_matches_scalar(self):
+    def test_batch_matches_scalar(self, ac_cv):
         rng = np.random.default_rng(2)
         z = 2.0 * rng.geometric(0.5, size=(40, 30))
+        z[0] = 4.0  # one constant row
         stat, valid = lag1_autocorr_batch(z)
         for row, s, ok in zip(z, stat, valid):
-            ref = lag1_autocorr_statistic(row)
+            ref = ref_lag1_autocorr(row)
             assert ok == (ref is not None)
             if ok:
                 assert math.isclose(s, ref)
+                # the test is a batch of one: the reference to the bit
+                assert lag1_autocorr_test(zs(row.astype(int)), ac_cv).statistic == ref
 
 
 class TestJoint:
@@ -185,8 +233,9 @@ class TestObrien76:
         assert math.isclose(_biased_var(lens.astype(float)), 8.0 / 9.0)
 
     def test_equal_runs_sit_in_lower_tail(self):
-        u = obrien76_pivot(np.array([1, 1, 0, 1, 1, 0, 1, 1], dtype=np.int8))
-        assert u == 0.0  # zero variance -> cdf at zero
+        u, valid = obrien76_pivot_batch(
+            np.array([[1, 1, 0, 1, 1, 0, 1, 1]], dtype=np.int8))
+        assert valid[0] and u[0] == 0.0  # zero variance -> cdf at zero
 
     def test_skip_rules(self, ob76_cv):
         assert obrien76_test(bits([1, 1, 1, 1, 0, 1]), ob76_cv).skipped
@@ -201,16 +250,19 @@ class TestObrien76:
         out = obrien76_test(bits(rng.integers(0, 2, 60)), ob76_cv)
         assert out.applied and 0.0 <= out.p_value <= 1.0
 
-    def test_batch_matches_scalar(self):
+    def test_batch_matches_scalar(self, ob76_cv):
         rng = np.random.default_rng(7)
         mat = rng.integers(0, 2, size=(60, 25)).astype(np.int8)
+        mat[0] = [0] * 12 + [1] * 13  # one run of the more numerous symbol
         stat, valid = obrien76_pivot_batch(mat)
         for row, s, ok in zip(mat, stat, valid):
-            ref = obrien76_pivot(row) if min(row.sum(), 25 - row.sum()) >= 2 else None
+            ref = ref_obrien76_pivot(row)
             if ref is None:
                 assert not ok
             else:
                 assert ok and math.isclose(s, ref)
+                # the test is a batch of one: the reference to the bit
+                assert obrien76_test(bits(row), ob76_cv).statistic == ref
 
 
 class TestObrienDyck85:
@@ -235,14 +287,17 @@ class TestObrienDyck85:
 
 
 class TestLarsen:
-    def test_hand_example(self):
+    def test_hand_example(self, larsen_cv):
         b = np.array([0, 1, 1, 1, 0], dtype=np.int8)
         mean, var = larsen_moments(5, 3)
         expect = (2.0 - mean) / math.sqrt(var)
-        assert math.isclose(larsen_statistic(b), expect)
+        stat, valid = larsen_batch(b[None, :])
+        assert valid[0] and math.isclose(stat[0], expect)
+        assert math.isclose(larsen_test(bits(b), larsen_cv).statistic, expect)
 
     def test_single_success_is_zero(self):
-        assert larsen_statistic(np.array([0, 0, 1, 0], dtype=np.int8)) == 0.0
+        stat, valid = larsen_batch(np.array([[0, 0, 1, 0]], dtype=np.int8))
+        assert valid[0] and stat[0] == 0.0
 
     def test_moments_against_enumeration(self):
         for n, n1 in ((7, 3), (8, 4), (9, 5)):
@@ -267,15 +322,26 @@ class TestLarsen:
         large = larsen_test(bits(rng.integers(0, 2, 200)), larsen_cv)
         assert large.p_value is not None
 
-    def test_batch_matches_scalar(self):
+    def test_batch_matches_scalar(self, larsen_cv):
         rng = np.random.default_rng(10)
         mat = rng.integers(0, 2, size=(80, 33)).astype(np.int8)
+        mat[0] = 0  # no successes
         stat, valid = larsen_batch(mat)
         for row, s, ok in zip(mat, stat, valid):
             if row.sum() == 0:
                 assert not ok
             else:
-                assert ok and math.isclose(s, larsen_statistic(row))
+                ref = ref_larsen(row)
+                assert ok and math.isclose(s, ref)
+                # the test is a batch of one: the reference to the bit
+                assert larsen_test(bits(row), larsen_cv).statistic == ref
+
+    def test_moments_only_for_present_counts(self):
+        rng = np.random.default_rng(11)
+        row = rng.integers(0, 2, size=(1, 5003)).astype(np.int8)
+        larsen_moments.cache_clear()
+        larsen_batch(row)
+        assert larsen_moments.cache_info().currsize == 1
 
 
 def test_runs_count():

@@ -196,6 +196,39 @@ class TestFeller:
         b = simulate_feller_crossings(6.0, 0.2, 1.0, 0.028163, 100, seed=6)
         assert np.array_equal(a.values, b.values)
 
+    def test_first_hit_matches_scalar_milstein_reference(self):
+        """The first hit steps with the shared Milstein stepper and draws one
+        normal per try, so it lands where the scalar scheme written out
+        step by step does."""
+        from clmtree.simulate import _feller_first_hit
+
+        delta, dt = 0.028163, 1e-4
+        a = 2.0 * FELLER.kappa * FELLER.mu / FELLER.sigma**2
+        b = FELLER.sigma**2 / (2.0 * FELLER.kappa)
+
+        def reference(rng):
+            x = rng.gamma(shape=a, scale=b)
+            cell = math.floor(x / delta)
+            while True:
+                while True:
+                    g = rng.standard_normal() * math.sqrt(dt)
+                    x_new = (x + FELLER.kappa * (FELLER.mu - x) * dt
+                             + FELLER.sigma * math.sqrt(x) * g
+                             + FELLER.sigma**2 * (g * g - dt) / 4.0)
+                    if x_new > 0.0:
+                        break
+                new_cell = math.floor(x_new / delta)
+                if new_cell != cell:
+                    hit = cell + 1 if new_cell > cell else cell
+                    if hit >= 1:
+                        return hit
+                    cell = new_cell
+                x = x_new
+
+        for seed in range(20):
+            got = _feller_first_hit(FELLER, delta, np.random.default_rng(seed), dt)
+            assert got == reference(np.random.default_rng(seed))
+
 
 class TestFbm:
     def test_half_hurst_has_uncorrelated_increments(self):
@@ -228,6 +261,16 @@ class TestFbm:
         # Var X(t) = sigma2 * t^{2H}: check the terminal cross-section scale
         t_end = ts.times[-1]
         assert ts.values[-1] ** 2 < 25 * (1.0 / 250.0) * t_end**1.4
+
+    def test_cached_eigenvalues_are_read_only(self):
+        from clmtree.simulate import _fgn_sqrt_eigenvalues
+
+        first = _fgn_sqrt_eigenvalues(100, 0.7)
+        value = float(first[0])
+        with pytest.raises(ValueError):
+            first[0] = -99.0
+        again = _fgn_sqrt_eigenvalues(100, 0.7)
+        assert again is first and again[0] == value
 
     def test_determinism(self):
         a = simulate_fbm_path(0.7, 1.0, 500, 1e-3, seed=11)
