@@ -58,7 +58,6 @@ from .qv import (
 from .series import (
     InterpolatedPath,
     TickSeries,
-    interpolate_at,
     load_ticks,
     log_transform,
     save_ticks,
@@ -72,7 +71,6 @@ from .simulate import (
     hitting_prob,
     ou_stationary_lattice_law,
     simulate_fbm_path,
-    simulate_feller_crossings,
     simulate_markov_crossings,
 )
 from .tree import (

@@ -13,8 +13,7 @@ from scipy import signal, special
 from .simulate import (
     ProcessSpec,
     expected_crossing_time,
-    hitting_prob,
-    milstein_feller_step,
+    hitting_prob,  # unused here; bench/tracing.py patches this name
     ou_stationary_lattice_law,
 )
 
@@ -159,12 +158,20 @@ def _brownian_increments(rngs, n_roots, n_cols, root_step):
     return g
 
 
+def milstein_feller_step(spec: ProcessSpec, x, g, step: float):
+    """One Milstein step of the Feller diffusion from ``x`` with Brownian
+    increment ``g`` (variance ``step``); elementwise on arrays."""
+    return (x + spec.kappa * (spec.mu - x) * step
+            + spec.sigma * np.sqrt(x) * g
+            + spec.sigma**2 * (g * g - step) / 4.0)
+
+
 def _grid_block(spec, x, g, step, redraw):
     """Next ``len(g)`` grid values of every path from the values ``x``.
 
     ``g`` holds the Gaussian increments (variance ``step``), one row per
     step.  BM and OU are vectorised over time (OU through its exact AR(1)
-    transition); Feller runs the shared Milstein step row by row, redrawing
+    transition); Feller runs ``milstein_feller_step`` row by row, redrawing
     an increment from ``redraw`` wherever a step would land at or below 0.
     """
     if spec.kind in ("bm", "bm_drift"):
@@ -523,42 +530,3 @@ def _delta_scale_guess(spec: ProcessSpec, n: int, t0: float) -> float:
     if spec.kind == "ou":
         return spec.sigma * math.sqrt(target)
     return math.sqrt(target)
-
-
-def feller_stationary_duration_estimate(
-    kappa: float, mu: float, sigma: float, delta: float,
-    top_sds: float = 24.0,
-) -> float:
-    """Stationary-walk-weighted mean crossing duration for Feller.
-
-    Diagnostic only: the crossing walk of the stationary Feller process is
-    not itself stationary, so this systematically misses the simulated
-    window; the MC calibrator is authoritative.  The boundary site delta
-    (where the duration formula does not apply) is dropped and the weights
-    renormalised.
-    """
-    spec = ProcessSpec("feller", kappa=kappa, mu=mu, sigma=sigma)
-    a = 2.0 * kappa * mu / sigma**2
-    b = sigma**2 / (2.0 * kappa)
-    sd = math.sqrt(a) * b
-    top = max(int(math.ceil((mu + top_sds * sd) / delta)), 6)
-    p = np.empty(top + 1)
-    p[0] = np.nan
-    p[1] = 1.0
-    for i in range(2, top + 1):
-        p[i] = hitting_prob(spec, i * delta, delta)
-    p[top] = 0.0
-    logpi = np.zeros(top)  # sites 1..top
-    for i in range(1, top):
-        logpi[i] = logpi[i - 1] + math.log(p[i]) - math.log1p(-p[i + 1])
-    logpi -= logpi.max()
-    pi = np.exp(logpi)
-    pi /= pi.sum()
-    if pi[-1] > 1e-10:
-        raise ValueError("Feller lattice truncation too small")
-    w = np.array([
-        expected_crossing_time(spec, i * delta, delta)
-        for i in range(2, top + 1)
-    ])
-    weights = pi[1:] / pi[1:].sum()
-    return float(np.dot(weights, w))

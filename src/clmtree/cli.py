@@ -51,7 +51,6 @@ def _add_common_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="output file")
     p.add_argument("--format", default="text", choices=["text", "csv", "json"])
     p.add_argument("--log-transform", action="store_true")
-    p.add_argument("--milstein-step", type=float, default=1e-5)
     p.add_argument("--fbm-grid", type=float, default=1e-5)
     p.add_argument("--config", default=None,
                    help="key=value file of defaults; flags override")
@@ -75,7 +74,6 @@ def _config_from_args(args, dataset: str | None = None) -> StudyConfig:
         seed=args.seed,
         cv_dir=args.cv_dir,
         log_transform=args.log_transform,
-        milstein_step=args.milstein_step,
         fbm_grid=args.fbm_grid,
         qv_n_points=getattr(args, "n_points", 1250),
         qv_spacing=getattr(args, "spacing", 1.0 / 250.0),

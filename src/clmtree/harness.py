@@ -76,7 +76,6 @@ class StudyConfig:
     seed: int = 0
     cv_dir: str | None = None  # None: tables shipped with the package
     log_transform: bool = False
-    milstein_step: float = 1e-5
     fbm_grid: float = 1e-5
     qv_n_points: int = 1250
     qv_spacing: float = 1.0 / 250.0
@@ -172,8 +171,7 @@ def _simulate_series(cfg: StudyConfig, path_index: int) -> TickSeries:
         return simulate_fbm_path(spec.hurst, spec.sigma2, n_steps,
                                  cfg.fbm_grid, seed=[cfg.seed, path_index])
     values = simulate_crossings_batch(
-        spec, cfg.delta, cfg.n_crossings, 1, [cfg.seed, path_index],
-        milstein_step=cfg.milstein_step,
+        spec, cfg.delta, cfg.n_crossings, 1, [cfg.seed, path_index]
     )[0]
     times = np.arange(values.size, dtype=np.float64)
     return TickSeries(times=times, values=values, meta=f"{spec.kind} chain")
@@ -192,12 +190,12 @@ def tree_for_series(cfg: StudyConfig, series: TickSeries,
     of the coarse levels against mean-reverting alternatives.
     """
     if cfg.delta0_policy == "zero":
-        origin, start_after = 0.0, None
+        origin = 0.0
     elif cfg.delta0_policy == "first":
-        origin, start_after = float(series.values[0]), None
+        origin = float(series.values[0])
     else:
-        origin, start_after = lattice_median_anchor(series, delta), None
-    return build_tree(series.path(), delta, origin, start_after)
+        origin = lattice_median_anchor(series, delta)
+    return build_tree(series.path(), delta, origin)
 
 
 def lattice_median_anchor(series: TickSeries, delta: float) -> float:

@@ -77,11 +77,7 @@ class InterpolatedPath:
         return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
 
-def interpolate_at(path: InterpolatedPath, t: float) -> float:
-    return path.at(t)
-
-
-def load_ticks(path: str, fmt: str = "canonical") -> TickSeries:
+def load_ticks(path: str) -> TickSeries:
     """Load a tick file into a TickSeries.
 
     The canonical format is UTF-8 CSV with header ``time,value``, one
@@ -90,8 +86,6 @@ def load_ticks(path: str, fmt: str = "canonical") -> TickSeries:
     Duplicate timestamps collapse to the last value seen (latest quote wins);
     the collapse count is reported on the result.
     """
-    if fmt != "canonical":
-        raise ValueError(f"unknown tick format: {fmt!r}")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.read().split("\n")

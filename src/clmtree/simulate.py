@@ -1,19 +1,24 @@
-"""Exact and approximate samplers for crossing chains and sample paths.
+"""Exact samplers for crossing chains and sample paths.
 
-Diffusion crossing sequences are simulated exactly through the scale
-function (lattice hitting probabilities) and, where needed, the speed
-measure (expected crossing durations).  Fractional Brownian motion comes
-from circulant embedding of the increment covariance; a generic extractor
-turns any fine sample path into its level-0 crossing chain.
+Diffusion crossing chains are exact nearest-neighbour walks on the
+lattice of crossing lines.  One cached walk table per process and
+crossing size holds the up-step probabilities from the scale function;
+a chain starts from a point, from the OU equilibrium lattice law, or from
+the exact first hit of the stationary Feller Gamma law.  The speed
+measure gives expected crossing durations.  Nothing here steps time.
+Fractional Brownian motion comes from circulant embedding of the
+increment covariance; a generic extractor turns any fine sample path into
+its level-0 crossing chain.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 
 from .series import InterpolatedPath, TickSeries
 from .tree import lattice_events
@@ -22,7 +27,7 @@ QUAD_ABS_TOL = 1e-12  # hitting probabilities (normalised integrand)
 QUAD_REL_TOL = 1e-10
 DURATION_REL_TOL = 1e-9  # expected crossing times
 OU_TRUNCATION_SDS = 10.0
-MILSTEIN_MAX_STEPS = 10_000_000
+FELLER_START_TAIL = 1e-13  # stationary Gamma tail cut by the Feller table
 FBM_MAX_EMBED = 2 ** 26
 
 
@@ -126,12 +131,30 @@ def _check_interior(spec: ProcessSpec, x: float, delta: float) -> None:
         raise ValueError("interval [x-delta, x+delta] touches the boundary 0")
 
 
+def _scale_odds(spec: ProcessSpec, lo: float, x: float, hi: float) -> float:
+    """(S(x) - S(lo)) / (S(hi) - S(lo)) for the scale function S of an OU
+    or Feller spec: the probability that from x the process hits hi before
+    lo.  Adaptive quadrature of the scale density, evaluated in log space
+    and normalised by its maximum on [lo, hi]."""
+    log_sprime, _ = _log_scale_density(spec)
+    grid = np.linspace(lo, hi, 65)
+    peak = float(np.max(log_sprime(grid)))
+
+    def f(u):
+        return math.exp(log_sprime(u) - peak)
+
+    below, _ = integrate.quad(f, lo, x,
+                              epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL)
+    above, _ = integrate.quad(f, x, hi,
+                              epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL)
+    return below / (below + above)
+
+
 def hitting_prob(spec: ProcessSpec, x: float, delta: float) -> float:
     """P(next lattice hit is x + delta | currently at x).
 
-    Closed form from the scale function for BM and BM with drift; adaptive
-    quadrature of the scale density (evaluated in log space and normalised
-    by its maximum on the interval) for OU and Feller.
+    Closed form from the scale function for BM and BM with drift; the
+    scale-function odds of x in [x - delta, x + delta] for OU and Feller.
     """
     _check_interior(spec, x, delta)
     if spec.kind == "bm" or (spec.kind == "bm_drift" and spec.alpha == 0.0):
@@ -139,18 +162,7 @@ def hitting_prob(spec: ProcessSpec, x: float, delta: float) -> float:
     if spec.kind == "bm_drift":
         e = math.exp(2.0 * spec.alpha * delta)
         return (e - 1.0) / (e - math.exp(-2.0 * spec.alpha * delta))
-    log_sprime, _ = _log_scale_density(spec)
-    grid = np.linspace(x - delta, x + delta, 65)
-    peak = float(np.max(log_sprime(grid)))
-
-    def f(u):
-        return math.exp(log_sprime(u) - peak)
-
-    below, _ = integrate.quad(f, x - delta, x,
-                              epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL)
-    above, _ = integrate.quad(f, x, x + delta,
-                              epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL)
-    return below / (below + above)
+    return _scale_odds(spec, x - delta, x, x + delta)
 
 
 def expected_crossing_time(spec: ProcessSpec, x: float, delta: float) -> float:
@@ -193,39 +205,50 @@ def expected_crossing_time(spec: ProcessSpec, x: float, delta: float) -> float:
 # exact crossing chains via the lattice walk
 # ---------------------------------------------------------------------------
 
-class _OuLattice:
-    """Up-step probabilities of the OU crossing walk on a truncated lattice
-    i*delta, |i| <= half_width, with reflecting ends."""
+@functools.cache
+def _walk_table(spec: ProcessSpec, delta: float,
+                truncation_sds: float = OU_TRUNCATION_SDS,
+                ) -> tuple[int, np.ndarray]:
+    """Lowest site index and read-only up-step probabilities of the OU or
+    Feller crossing walk on a truncated lattice.
 
-    def __init__(self, spec: ProcessSpec, delta: float,
-                 truncation_sds: float = OU_TRUNCATION_SDS):
+    OU sites are i*delta with |i| * delta <= truncation_sds stationary sds
+    (rounded up); Feller sites run from delta up to two sites beyond the
+    stationary Gamma quantile 1 - FELLER_START_TAIL.  The end sites force
+    the walk inward: Feller never touches 0, and either law leaves
+    negligible mass beyond the truncation.
+    """
+    if spec.kind == "ou":
         sd = spec.sigma / math.sqrt(2.0 * spec.alpha)
-        self.half_width = max(int(math.ceil(truncation_sds * sd / delta)), 2)
-        self.delta = delta
-        idx = np.arange(-self.half_width, self.half_width + 1)
-        self.sites = idx * delta
-        self.p_up = np.array(
-            [hitting_prob(spec, float(s), delta) for s in self.sites]
-        )
-        self.p_up[0] = 1.0
-        self.p_up[-1] = 0.0
+        half = max(int(math.ceil(truncation_sds * sd / delta)), 2)
+        lo, hi = -half, half
+    else:
+        a, b = _gamma_shape_scale(spec)
+        q = special.gammainccinv(a, FELLER_START_TAIL) * b
+        lo, hi = 1, int(math.ceil(q / delta)) + 2
+    sites = np.arange(lo, hi + 1) * delta
+    p_up = np.empty(sites.size)
+    p_up[0], p_up[-1] = 1.0, 0.0
+    p_up[1:-1] = [hitting_prob(spec, float(x), delta) for x in sites[1:-1]]
+    p_up.flags.writeable = False  # shared by every caller
+    return lo, p_up
 
-    def stationary(self) -> np.ndarray:
-        if getattr(self, "_pi", None) is not None:
-            return self._pi
-        # detailed balance: pi[i+1] = pi[i] * p[i] / (1 - p[i+1])
-        logpi = np.zeros(self.sites.size)
-        for i in range(self.sites.size - 1):
-            logpi[i + 1] = (logpi[i] + math.log(self.p_up[i])
-                            - math.log1p(-self.p_up[i + 1]))
-        logpi -= logpi.max()
-        pi = np.exp(logpi)
-        pi /= pi.sum()
-        if pi[0] + pi[-1] > 1e-10:
-            raise ValueError("OU lattice truncation too small: boundary mass "
-                             f"{pi[0] + pi[-1]:.2e}")
-        object.__setattr__(self, "_pi", pi)
-        return pi
+
+def _stationary_law(p_up: np.ndarray) -> np.ndarray:
+    """Stationary law of the walk on its table, from detailed balance
+    pi[i+1] = pi[i] p[i] / (1 - p[i+1]); fails loudly when the truncation
+    leaves visible mass at the ends."""
+    logpi = np.zeros(p_up.size)
+    for i in range(p_up.size - 1):
+        logpi[i + 1] = (logpi[i] + math.log(p_up[i])
+                        - math.log1p(-p_up[i + 1]))
+    logpi -= logpi.max()
+    pi = np.exp(logpi)
+    pi /= pi.sum()
+    if pi[0] + pi[-1] > 1e-10:
+        raise ValueError("lattice truncation too small: boundary mass "
+                         f"{pi[0] + pi[-1]:.2e}")
+    return pi
 
 
 def ou_stationary_lattice_law(
@@ -238,51 +261,48 @@ def ou_stationary_lattice_law(
     truncation leaves visible mass at the ends.
     """
     spec = ProcessSpec("ou", alpha=alpha, sigma=sigma)
-    lat = _OuLattice(spec, delta, truncation_sds)
-    return lat.sites.copy(), lat.stationary()
+    lo, p_up = _walk_table(spec, delta, truncation_sds)
+    return (lo + np.arange(p_up.size)) * delta, _stationary_law(p_up)
 
 
-class _FellerLattice:
-    """Up-step probabilities of the Feller crossing walk on i*delta, i >= 1.
-
-    The process never touches 0, so the walk is forced up from the lowest
-    site.  The table grows on demand; growth is deterministic."""
-
-    def __init__(self, spec: ProcessSpec, delta: float, initial_top: int = 8):
-        self.spec = spec
-        self.delta = delta
-        self.p_up = [np.nan, 1.0]  # index 0 unused; forced up at delta
-        self.extend_to(initial_top)
-
-    def extend_to(self, top: int) -> None:
-        for i in range(len(self.p_up), top + 1):
-            self.p_up.append(
-                hitting_prob(self.spec, i * self.delta, self.delta)
-            )
-
-    def table(self, top: int) -> np.ndarray:
-        if top >= len(self.p_up):
-            self.extend_to(top)
-        return np.asarray(self.p_up)
+def _gamma_shape_scale(spec: ProcessSpec) -> tuple[float, float]:
+    """Shape and scale of the stationary Gamma law of a Feller spec."""
+    return (2.0 * spec.kappa * spec.mu / spec.sigma**2,
+            spec.sigma**2 / (2.0 * spec.kappa))
 
 
-def _walk_batch(start_idx: np.ndarray, uniforms: np.ndarray, table_fn) -> np.ndarray:
-    """Nearest-neighbour walk for a batch of paths.
+def _feller_first_hit(spec: ProcessSpec, delta: float, top: int,
+                      rng: np.random.Generator) -> int:
+    """First lattice site hit from a stationary Gamma draw, exactly.
 
-    ``table_fn(top)`` returns up-step probabilities indexed by lattice site,
-    valid at least through ``top``.  Shape: (batch, steps+1).
+    From x in the cell [i*delta, (i+1)*delta) the upper line is hit first
+    with the scale-function odds of x in the cell; below delta the first
+    hit is delta, since 0 is never reached.  The hit initialises the chain
+    and is not itself a crossing.
     """
+    a, b = _gamma_shape_scale(spec)
+    x = rng.gamma(shape=a, scale=b)
+    if x >= top * delta:
+        raise ValueError(f"stationary draw {x!r} lies above the top walk "
+                         f"site {top * delta!r}")
+    i = math.floor(x / delta)
+    if i == 0:
+        return 1
+    up = rng.random() < _scale_odds(spec, i * delta, x, (i + 1) * delta)
+    return i + 1 if up else i
+
+
+def _walk_batch(start_idx: np.ndarray, uniforms: np.ndarray,
+                p_up: np.ndarray) -> np.ndarray:
+    """Nearest-neighbour walk for a batch of paths over table indices;
+    ``p_up`` holds the up-step probability of each index.  Shape:
+    (batch, steps+1)."""
     batch, steps = uniforms.shape
     pos = np.empty((batch, steps + 1), dtype=np.int64)
     cur = start_idx.astype(np.int64).copy()
     pos[:, 0] = cur
-    table = table_fn(int(cur.max()) + 2)
     for k in range(steps):
-        top = int(cur.max()) + 1
-        if top >= table.size:
-            table = table_fn(top + 32)
-        up = uniforms[:, k] < table[cur]
-        cur = np.where(up, cur + 1, cur - 1)
+        cur = np.where(uniforms[:, k] < p_up[cur], cur + 1, cur - 1)
         pos[:, k + 1] = cur
     return pos
 
@@ -297,7 +317,7 @@ def simulate_markov_crossings(
     """n crossings of the exact lattice walk of a diffusion.
 
     ``start`` is a point mass (a value, snapped to the lattice) or
-    "stationary" for the OU equilibrium lattice law.  Deterministic given
+    "stationary" (see ``simulate_crossings_batch``).  Deterministic given
     the seed.
     """
     values = simulate_crossings_batch(spec, delta, n, 1, seed, start=start)[0]
@@ -311,13 +331,16 @@ def simulate_crossings_batch(
     n: int,
     n_paths: int,
     seed,
-    start: float | str | None = None,
-    milstein_step: float = 1e-5,
+    start: float | str = "stationary",
 ) -> list[np.ndarray]:
     """Value sequences of ``n_paths`` independent crossing chains.
 
-    Path i draws only from generator [seed, i], so results are identical
-    whether paths are simulated one at a time or in a batch.
+    ``start`` is a value, snapped to the lattice, or "stationary": the
+    equilibrium lattice law for OU, the first hit from the stationary
+    Gamma law for Feller, and 0 for BM, which has no stationary law.  A
+    start outside the walk table raises ValueError.  Path i draws only
+    from generator [seed, i], so results are identical whether paths are
+    simulated one at a time or in a batch.
     """
     if not spec.is_diffusion:
         raise ValueError("crossing chains require a diffusion spec")
@@ -325,8 +348,7 @@ def simulate_crossings_batch(
 
     if spec.kind in ("bm", "bm_drift"):
         p = hitting_prob(spec, 0.0, delta)
-        x0 = 0.0 if start is None or start == "stationary" else float(start)
-        base = round(x0 / delta)
+        base = 0 if start == "stationary" else round(float(start) / delta)
         out = []
         for rng in rngs:
             steps = np.where(rng.random(n) < p, 1, -1)
@@ -334,53 +356,26 @@ def simulate_crossings_batch(
             out.append(idx * delta)
         return out
 
-    if spec.kind == "ou":
-        lat = _ou_lattice_cached(spec.alpha, spec.sigma, delta)
-        if start is None or start == "stationary":
-            pi = lat.stationary()
-            cdf = np.cumsum(pi)
-            starts = np.array(
-                [int(np.searchsorted(cdf, rng.random())) for rng in rngs]
-            )
-        else:
-            site = round(float(start) / delta) + lat.half_width
-            starts = np.full(n_paths, site)
-        uniforms = np.stack([rng.random(n) for rng in rngs])
-        pos = _walk_batch(starts, uniforms, lambda top: lat.p_up)
-        return [(row - lat.half_width) * delta for row in pos]
-
-    # feller
-    lat = _feller_lattice_cached(spec.kappa, spec.mu, spec.sigma, delta)
-    if start is None:
-        starts = np.array([
-            _feller_first_hit(spec, delta, rng, milstein_step) for rng in rngs
-        ])
+    lo, p_up = _walk_table(spec, delta)
+    top = lo + p_up.size - 1
+    if start != "stationary":
+        site = round(float(start) / delta)
+        if not lo <= site <= top:
+            raise ValueError(f"start {start!r} lies outside the walk table "
+                             f"[{lo * delta!r}, {top * delta!r}]")
+        starts = np.full(n_paths, site - lo)
+    elif spec.kind == "ou":
+        cdf = np.cumsum(_stationary_law(p_up))
+        starts = np.array(
+            [int(np.searchsorted(cdf, rng.random())) for rng in rngs]
+        )
     else:
-        starts = np.full(n_paths, max(round(float(start) / delta), 1))
+        starts = np.array(
+            [_feller_first_hit(spec, delta, top, rng) - lo for rng in rngs]
+        )
     uniforms = np.stack([rng.random(n) for rng in rngs])
-    pos = _walk_batch(starts, uniforms, lat.table)
-    return [row * delta for row in pos]
-
-
-_LATTICE_CACHE: dict = {}
-
-
-def _ou_lattice_cached(alpha, sigma, delta) -> "_OuLattice":
-    key = ("ou", alpha, sigma, delta)
-    if key not in _LATTICE_CACHE:
-        _LATTICE_CACHE[key] = _OuLattice(
-            ProcessSpec("ou", alpha=alpha, sigma=sigma), delta
-        )
-    return _LATTICE_CACHE[key]
-
-
-def _feller_lattice_cached(kappa, mu, sigma, delta) -> "_FellerLattice":
-    key = ("feller", kappa, mu, sigma, delta)
-    if key not in _LATTICE_CACHE:
-        _LATTICE_CACHE[key] = _FellerLattice(
-            ProcessSpec("feller", kappa=kappa, mu=mu, sigma=sigma), delta
-        )
-    return _LATTICE_CACHE[key]
+    pos = _walk_batch(starts, uniforms, p_up)
+    return [(row + lo) * delta for row in pos]
 
 
 def _seed_key(seed) -> list:
@@ -389,88 +384,6 @@ def _seed_key(seed) -> list:
     if isinstance(seed, (list, tuple)):
         return [int(s) for s in seed]
     raise TypeError("seed must be an int or a sequence of ints")
-
-
-def _feller_first_hit(
-    spec: ProcessSpec, delta: float, rng: np.random.Generator,
-    milstein_step: float,
-) -> int:
-    """Milstein path from a stationary draw until the first lattice hit.
-
-    Steps landing at or below 0 redraw their Gaussian (kept rare by the
-    2*kappa*mu/sigma**2 >= 1 regime).  The hit initialises the chain and is
-    not itself a crossing.
-    """
-    a = 2.0 * spec.kappa * spec.mu / spec.sigma**2
-    b = spec.sigma**2 / (2.0 * spec.kappa)
-    x = rng.gamma(shape=a, scale=b)
-    cell = math.floor(x / delta)
-    dt = milstein_step
-    sq = math.sqrt(dt)
-    for _ in range(MILSTEIN_MAX_STEPS):
-        while True:
-            x_new = milstein_feller_step(spec, x, rng.standard_normal() * sq, dt)
-            if x_new > 0.0:
-                break
-        new_cell = math.floor(x_new / delta)
-        if new_cell != cell:
-            hit = cell + 1 if new_cell > cell else cell
-            if hit >= 1:
-                return hit
-            cell = new_cell  # hit would be the boundary; keep going
-            x = x_new
-            continue
-        x = x_new
-    raise RuntimeError("no lattice hit within the Milstein step budget")
-
-
-def simulate_feller_crossings(
-    kappa: float, mu: float, sigma: float, delta: float, n: int,
-    seed=0, milstein_step: float = 1e-5,
-) -> CrossingChain:
-    """Stationary-start Feller chain: Milstein first hit, then the exact
-    walk with the forced up-step at the lowest site."""
-    spec = ProcessSpec("feller", kappa=kappa, mu=mu, sigma=sigma)
-    values = simulate_crossings_batch(
-        spec, delta, n, 1, seed, milstein_step=milstein_step
-    )[0]
-    return CrossingChain(values=values, delta=delta, start_law="gamma-milstein")
-
-
-def milstein_feller_path(
-    spec: ProcessSpec, horizon: float, step: float, rng: np.random.Generator,
-    n_paths: int = 1,
-) -> np.ndarray:
-    """Discrete Milstein paths of the Feller diffusion from stationary
-    starts, shape (n_paths, n_steps+1).  Negative landings redraw from a
-    dedicated resample stream so draw order stays reproducible."""
-    a = 2.0 * spec.kappa * spec.mu / spec.sigma**2
-    b = spec.sigma**2 / (2.0 * spec.kappa)
-    n_steps = int(round(horizon / step))
-    x = rng.gamma(shape=a, scale=b, size=n_paths)
-    out = np.empty((n_paths, n_steps + 1))
-    out[:, 0] = x
-    sq = math.sqrt(step)
-    resample = np.random.default_rng(rng.integers(2**63))
-    for k in range(n_steps):
-        g = rng.standard_normal(n_paths) * sq
-        x_new = milstein_feller_step(spec, x, g, step)
-        bad = np.flatnonzero(x_new <= 0.0)
-        for i in bad:
-            while x_new[i] <= 0.0:
-                x_new[i] = milstein_feller_step(
-                    spec, x[i], resample.standard_normal() * sq, step)
-        x = x_new
-        out[:, k + 1] = x
-    return out
-
-
-def milstein_feller_step(spec: ProcessSpec, x, g, step: float):
-    """One Milstein step of the Feller diffusion from ``x`` with Brownian
-    increment ``g`` (variance ``step``); elementwise on arrays."""
-    return (x + spec.kappa * (spec.mu - x) * step
-            + spec.sigma * np.sqrt(x) * g
-            + spec.sigma**2 * (g * g - step) / 4.0)
 
 
 # ---------------------------------------------------------------------------

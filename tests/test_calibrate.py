@@ -5,11 +5,11 @@ import pytest
 
 from clmtree.calibrate import (
     _brownian_increments,
+    _grid_block,
     _mean_window_for_n_crossings,
     delta_closed_form,
     delta_mc,
     delta_ou,
-    feller_stationary_duration_estimate,
     ou_mean_crossing_duration,
 )
 from clmtree.simulate import ProcessSpec
@@ -165,9 +165,16 @@ class TestContinuousMonitoringEvidence:
         assert abs(w - 5.0) <= 3 * se
 
 
-def test_feller_stationary_estimate_is_biased_low():
-    # the labelled-inadequate diagnostic: the crossing walk of the
-    # stationary process is not walk-stationary, so this misses the
-    # simulated window; it should still be the right order of magnitude
-    w = feller_stationary_duration_estimate(6.0, 0.2, 1.0, 0.028163)
-    assert 0.001 < w < 0.01
+def test_feller_grid_block_keeps_stationary_mean():
+    # Milstein grid paths from stationary Gamma starts: the time-0 and
+    # time-1 cross-sections share the stationary mean mu
+    rng = np.random.default_rng(5)
+    step, n_paths = 1e-3, 400
+    a = 2.0 * FELLER.kappa * FELLER.mu / FELLER.sigma**2
+    x0 = rng.gamma(shape=a, scale=FELLER.sigma**2 / (2.0 * FELLER.kappa),
+                   size=n_paths)
+    g = rng.standard_normal((1000, n_paths)) * math.sqrt(step)
+    paths = _grid_block(FELLER, x0, g, step, np.random.default_rng(6))
+    assert paths.shape == (1000, n_paths) and np.all(paths > 0.0)
+    assert abs(x0.mean() - 0.2) < 0.02
+    assert abs(paths[-1].mean() - 0.2) < 0.02

@@ -54,7 +54,16 @@ def qv_report():
     return run_qv_study(cfg, (20.0, 60.0, 100.0, 140.0))
 
 
-REPORTS = {"type1": type1_report, "analyze": analyze_report, "qv": qv_report}
+def ou_report():
+    """c10's study: 25 OU chains from the stationary lattice law, so the
+    walk table, the start draw and the walk itself are pinned."""
+    cfg = StudyConfig(process=ProcessSpec("ou", alpha=8.0, sigma=1.0),
+                      n_paths=25, n_crossings=600, delta=0.063015, seed=1010)
+    return run_type1_study(cfg)
+
+
+REPORTS = {"type1": type1_report, "analyze": analyze_report, "qv": qv_report,
+           "ou": ou_report}
 
 
 def _path(name, fmt):

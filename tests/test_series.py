@@ -5,7 +5,6 @@ import pytest
 
 from clmtree.series import (
     TickSeries,
-    interpolate_at,
     load_ticks,
     log_transform,
     save_ticks,
@@ -97,10 +96,10 @@ def test_fx_like_fixture_drift_negligible():
 
 def test_interpolation_cases():
     p = TickSeries(times=np.array([0.0, 2.0]), values=np.array([0.0, 4.0])).path()
-    assert interpolate_at(p, 1.0) == 2.0
+    assert p.at(1.0) == 2.0
     p2 = TickSeries(times=np.array([0.0, 1.0]), values=np.array([1.0, 3.0])).path()
-    assert interpolate_at(p2, 0.25) == 1.5
-    assert interpolate_at(p2, 1.0) == 3.0  # stored timestamp -> stored value
+    assert p2.at(0.25) == 1.5
+    assert p2.at(1.0) == 3.0  # stored timestamp -> stored value
 
 
 def test_interpolation_out_of_range():

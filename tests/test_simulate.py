@@ -15,7 +15,6 @@ from clmtree.simulate import (
     ou_stationary_lattice_law,
     simulate_crossings_batch,
     simulate_fbm_path,
-    simulate_feller_crossings,
     simulate_markov_crossings,
 )
 
@@ -128,6 +127,15 @@ class TestOuLattice:
         with pytest.raises(ValueError, match="truncation"):
             ou_stationary_lattice_law(8.0, 1.0, 0.063015, truncation_sds=2.0)
 
+    def test_point_start_outside_the_table_raises(self):
+        d = 0.063015  # the table ends 40 sites below 0
+        chain = simulate_markov_crossings(OU, d, 1, start=-40 * d, seed=1)
+        assert np.allclose(chain.values / d, [-40, -39])  # forced inward
+        with pytest.raises(ValueError, match="outside the walk table"):
+            simulate_markov_crossings(OU, d, 2, start=-41 * d, seed=1)
+        with pytest.raises(ValueError, match="outside the walk table"):
+            simulate_crossings_batch(FELLER, 0.028163, 2, 1, 1, start=0.0)
+
     def test_ergodic_occupation(self):
         d = 0.063015
         sites, pi = ou_stationary_lattice_law(8.0, 1.0, d)
@@ -170,64 +178,63 @@ class TestChains:
 
 class TestFeller:
     def test_forced_up_from_lowest_site(self):
-        from clmtree.simulate import _FellerLattice
+        from clmtree.simulate import _walk_table
 
-        lat = _FellerLattice(FELLER, 0.028163)
-        assert lat.p_up[1] == 1.0
-        table = lat.table(30)
-        assert np.all((table[2:] > 0) & (table[2:] < 1))
+        lo, p_up = _walk_table(FELLER, 0.028163)
+        assert lo == 1 and p_up[0] == 1.0 and p_up[-1] == 0.0
+        assert np.all((p_up[1:-1] > 0) & (p_up[1:-1] < 1))
+        with pytest.raises(ValueError):
+            p_up[1] = 0.5  # the cached table is shared
 
     def test_chain_stays_positive_and_hits_mean(self):
-        chain = simulate_feller_crossings(6.0, 0.2, 1.0, 0.028163, 20000, seed=4)
+        chain = simulate_markov_crossings(FELLER, 0.028163, 20000,
+                                          start="stationary", seed=4)
         assert chain.values.min() >= 0.028163 - 1e-12
         assert abs(chain.values.mean() - 0.2) < 0.08
 
-    def test_milstein_stationary_mean(self):
-        from clmtree.simulate import milstein_feller_path
-
-        rng = np.random.default_rng(5)
-        paths = milstein_feller_path(FELLER, 1.0, 1e-3, rng, n_paths=400)
-        # stationary start: the time-0 and time-1 cross-sections share mean mu
-        assert abs(paths[:, 0].mean() - 0.2) < 0.02
-        assert abs(paths[:, -1].mean() - 0.2) < 0.02
-
     def test_determinism(self):
-        a = simulate_feller_crossings(6.0, 0.2, 1.0, 0.028163, 100, seed=6)
-        b = simulate_feller_crossings(6.0, 0.2, 1.0, 0.028163, 100, seed=6)
+        a = simulate_markov_crossings(FELLER, 0.028163, 100,
+                                      start="stationary", seed=6)
+        b = simulate_markov_crossings(FELLER, 0.028163, 100,
+                                      start="stationary", seed=6)
         assert np.array_equal(a.values, b.values)
 
-    def test_first_hit_matches_scalar_milstein_reference(self):
-        """The first hit steps with the shared Milstein stepper and draws one
-        normal per try, so it lands where the scalar scheme written out
-        step by step does."""
+    def test_stationary_start_is_the_batch_default(self):
+        chain = simulate_markov_crossings(FELLER, 0.028163, 100,
+                                          start="stationary", seed=6)
+        assert chain.start_law == "stationary"
+        batch = simulate_crossings_batch(FELLER, 0.028163, 100, 2, 6)
+        assert np.array_equal(batch[0], chain.values)
+
+    @pytest.mark.parametrize("kappa,delta", [(8.0, 0.02833), (6.0, 0.02799)])
+    def test_first_hit_matches_oracle_start_law(self, kappa, delta):
+        """Sampled first hits of the stationary start follow the law the
+        calibration oracle integrates (chi-square over 20k draws)."""
+        from scipy import stats
+
+        from clmtree.simulate import _feller_first_hit, _walk_table
+        from oracle_calibration import _start_law
+
+        spec = ProcessSpec("feller", kappa=kappa, mu=0.2, sigma=1.0)
+        lo, p_up = _walk_table(spec, delta)
+        top = lo + p_up.size - 1
+        law = _start_law(spec, delta, top)
+        rng = np.random.default_rng(20091127)
+        n = 20_000
+        hits = [_feller_first_hit(spec, delta, top, rng) for _ in range(n)]
+        observed = np.bincount(hits, minlength=top + 1)
+        expected = n * law / law.sum()
+        keep = expected >= 5.0
+        pvalue = stats.chisquare(
+            np.r_[observed[keep], observed[~keep].sum()],
+            np.r_[expected[keep], expected[~keep].sum()]).pvalue
+        assert pvalue > 0.01
+
+    def test_draw_above_the_table_raises(self):
         from clmtree.simulate import _feller_first_hit
 
-        delta, dt = 0.028163, 1e-4
-        a = 2.0 * FELLER.kappa * FELLER.mu / FELLER.sigma**2
-        b = FELLER.sigma**2 / (2.0 * FELLER.kappa)
-
-        def reference(rng):
-            x = rng.gamma(shape=a, scale=b)
-            cell = math.floor(x / delta)
-            while True:
-                while True:
-                    g = rng.standard_normal() * math.sqrt(dt)
-                    x_new = (x + FELLER.kappa * (FELLER.mu - x) * dt
-                             + FELLER.sigma * math.sqrt(x) * g
-                             + FELLER.sigma**2 * (g * g - dt) / 4.0)
-                    if x_new > 0.0:
-                        break
-                new_cell = math.floor(x_new / delta)
-                if new_cell != cell:
-                    hit = cell + 1 if new_cell > cell else cell
-                    if hit >= 1:
-                        return hit
-                    cell = new_cell
-                x = x_new
-
-        for seed in range(20):
-            got = _feller_first_hit(FELLER, delta, np.random.default_rng(seed), dt)
-            assert got == reference(np.random.default_rng(seed))
+        with pytest.raises(ValueError, match="top walk site"):
+            _feller_first_hit(FELLER, 0.028163, 1, np.random.default_rng(0))
 
 
 class TestFbm:
