@@ -63,15 +63,12 @@ from .series import (
     save_ticks,
 )
 from .simulate import (
-    CrossingChain,
     ProcessSpec,
     expected_crossing_time,
-    extract_crossings,
     fgn,
     hitting_prob,
     ou_stationary_lattice_law,
     simulate_fbm_path,
-    simulate_markov_crossings,
 )
 from .tree import (
     Crossing,

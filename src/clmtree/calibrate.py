@@ -3,6 +3,7 @@ number of level-0 crossings per time window."""
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -58,12 +59,7 @@ def delta_closed_form(spec: ProcessSpec, n_crossings: int, t0: float) -> float:
     if spec.kind != "bm_drift":
         raise ValueError("closed-form calibration covers bm and bm_drift only")
 
-    a = spec.alpha
-
-    def mean_duration(d: float) -> float:
-        e = math.exp(2.0 * a * d)
-        return d * (e - 1.0) / (a * (e + 1.0))
-
+    mean_duration = functools.partial(expected_crossing_time, spec, 0.0)
     lo, hi = 0.5 * math.sqrt(target), 2.0 * math.sqrt(target)
     f_lo, f_hi = mean_duration(lo), mean_duration(hi)
     for _ in range(64):

@@ -5,7 +5,13 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .calibrate import delta_closed_form, delta_mc, delta_ou
+from .calibrate import (
+    CalibrationResult,
+    _spec_params,
+    delta_closed_form,
+    delta_mc,
+    delta_ou,
+)
 from .critical_values import (
     SHIPPED_N_MC,
     SHIPPED_SEED,
@@ -91,30 +97,44 @@ def _emit(report, args) -> None:
         print(f"wrote {args.out}")
 
 
-def _apply_config_file(argv: list[str]) -> list[str]:
-    """Prepend key=value pairs from --config as flags, so explicit flags
-    override the file."""
-    if "--config" not in argv:
+def _apply_config_file(argv: list[str],
+                       parser: argparse.ArgumentParser) -> list[str]:
+    """Prepend key=value pairs from --config PATH (or --config=PATH) as
+    flags, so explicit flags override the file."""
+    for idx, arg in enumerate(argv):
+        if arg == "--config":
+            path = argv[idx + 1] if idx + 1 < len(argv) else ""
+            rest = argv[1:idx] + argv[idx + 2 :]
+            break
+        if arg.startswith("--config="):
+            path = arg.partition("=")[2]
+            rest = argv[1:idx] + argv[idx + 1 :]
+            break
+    else:
         return argv
-    idx = argv.index("--config")
-    path = argv[idx + 1]
+    if not path:
+        parser.error("argument --config: expected one argument")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        parser.error(f"argument --config: can't open {path!r}: "
+                     f"{exc.strerror}")
     extra: list[str] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, val = line.partition("=")
-            flag = "--" + key.strip().replace("_", "-")
-            val = val.strip()
-            if val.lower() in ("true", "false"):
-                if val.lower() == "true":
-                    extra.append(flag)
-            else:
-                extra.extend([flag, val])
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, _, val = line.partition("=")
+        flag = "--" + key.strip().replace("_", "-")
+        val = val.strip()
+        if val.lower() in ("true", "false"):
+            if val.lower() == "true":
+                extra.append(flag)
+        else:
+            extra.extend([flag, val])
     # keep the subcommand first; file values precede remaining flags so
     # explicit flags win
-    rest = argv[1:idx] + argv[idx + 2 :]
     return argv[:1] + extra + rest
 
 
@@ -167,7 +187,7 @@ def main(argv=None) -> int:
                        help="comma list or lo:hi range; default per test")
     p_gen.add_argument("--quantiles", default=None, help="comma list")
 
-    args = parser.parse_args(_apply_config_file(argv))
+    args = parser.parse_args(_apply_config_file(argv, parser))
 
     if args.command in ("type1", "power"):
         cfg = _config_from_args(args)
@@ -185,18 +205,18 @@ def main(argv=None) -> int:
         return 0
     if args.command == "calibrate":
         spec = _spec_from_args(args)
-        if spec.kind in ("bm", "bm_drift"):
-            report = delta_closed_form(spec, args.n_crossings, args.t0)
-            print(f"delta = {report!r}")
-            return 0
-        if spec.kind == "ou":
-            report = delta_ou(spec.alpha, spec.sigma, args.n_crossings, args.t0)
-            print(f"delta = {report!r}")
-            return 0
-        exps = tuple(int(m) for m in args.step_exponents.split(","))
-        result = delta_mc(spec, args.n_crossings, args.t0,
-                          step_exponents=exps, n_paths=args.n_paths,
-                          seed=args.seed)
+        if spec.kind in ("bm", "bm_drift", "ou"):
+            delta = (delta_ou(spec.alpha, spec.sigma, args.n_crossings, args.t0)
+                     if spec.kind == "ou" else
+                     delta_closed_form(spec, args.n_crossings, args.t0))
+            result = CalibrationResult(
+                kind=spec.kind, n_crossings=args.n_crossings, t0=args.t0,
+                delta=delta, params=_spec_params(spec))
+        else:
+            exps = tuple(int(m) for m in args.step_exponents.split(","))
+            result = delta_mc(spec, args.n_crossings, args.t0,
+                              step_exponents=exps, n_paths=args.n_paths,
+                              seed=args.seed)
         _emit(result, args)
         return 0
     if args.command == "gen-cv":

@@ -1,14 +1,15 @@
 """Exact samplers for crossing chains and sample paths.
 
 Diffusion crossing chains are exact nearest-neighbour walks on the
-lattice of crossing lines.  One cached walk table per process and
-crossing size holds the up-step probabilities from the scale function;
-a chain starts from a point, from the OU equilibrium lattice law, or from
-the exact first hit of the stationary Feller Gamma law.  The speed
-measure gives expected crossing durations.  Nothing here steps time.
-Fractional Brownian motion comes from circulant embedding of the
-increment covariance; a generic extractor turns any fine sample path into
-its level-0 crossing chain.
+lattice of crossing lines, walked one path at a time from that path's own
+generator.  One cached walk table per process and crossing size holds the
+up-step probabilities from the scale function; a chain starts from a
+point, from the OU equilibrium lattice law, or from the exact first hit
+of the stationary Feller Gamma law.  The speed measure gives expected
+crossing durations.  Nothing here steps time.  Fractional Brownian motion
+comes from circulant embedding of the increment covariance.  The
+crossings of any other sample path are the tree's level 0
+(``tree.lattice_events``).
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, special
 
-from .series import InterpolatedPath, TickSeries
-from .tree import lattice_events
+from .series import TickSeries
 
 QUAD_ABS_TOL = 1e-12  # hitting probabilities (normalised integrand)
 QUAD_REL_TOL = 1e-10
@@ -64,36 +64,6 @@ class ProcessSpec:
     @property
     def is_diffusion(self) -> bool:
         return self.kind in ("bm", "bm_drift", "ou", "feller")
-
-
-@dataclass(frozen=True)
-class CrossingChain:
-    """Consecutive lattice values differing by exactly +-delta.
-
-    Chain-based samplers leave ``durations`` as None (the tree tests need
-    only counts and orientations); path-based extraction fills them.
-    """
-
-    values: np.ndarray
-    delta: float
-    durations: np.ndarray | None = None
-    start_law: str = "point"
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "values", v)
-        steps = np.abs(np.diff(v))
-        if steps.size and not np.allclose(steps, self.delta, rtol=1e-9):
-            raise ValueError("chain steps must all have size delta")
-
-    def __len__(self) -> int:
-        return int(self.values.size)
-
-    def as_series(self) -> TickSeries:
-        times = (np.arange(self.values.size, dtype=np.float64)
-                 if self.durations is None
-                 else np.concatenate([[0.0], np.cumsum(self.durations)]))
-        return TickSeries(times=times, values=self.values, meta="crossing-chain")
 
 
 # ---------------------------------------------------------------------------
@@ -292,37 +262,20 @@ def _feller_first_hit(spec: ProcessSpec, delta: float, top: int,
     return i + 1 if up else i
 
 
-def _walk_batch(start_idx: np.ndarray, uniforms: np.ndarray,
-                p_up: np.ndarray) -> np.ndarray:
-    """Nearest-neighbour walk for a batch of paths over table indices;
-    ``p_up`` holds the up-step probability of each index.  Shape:
-    (batch, steps+1)."""
-    batch, steps = uniforms.shape
-    pos = np.empty((batch, steps + 1), dtype=np.int64)
-    cur = start_idx.astype(np.int64).copy()
-    pos[:, 0] = cur
-    for k in range(steps):
-        cur = np.where(uniforms[:, k] < p_up[cur], cur + 1, cur - 1)
-        pos[:, k + 1] = cur
-    return pos
-
-
-def simulate_markov_crossings(
-    spec: ProcessSpec,
-    delta: float,
-    n: int,
-    start: float | str = 0.0,
-    seed=0,
-) -> CrossingChain:
-    """n crossings of the exact lattice walk of a diffusion.
-
-    ``start`` is a point mass (a value, snapped to the lattice) or
-    "stationary" (see ``simulate_crossings_batch``).  Deterministic given
-    the seed.
-    """
-    values = simulate_crossings_batch(spec, delta, n, 1, seed, start=start)[0]
-    law = "stationary" if start == "stationary" else "point"
-    return CrossingChain(values=values, delta=delta, start_law=law)
+def _walk(start: int, uniforms: np.ndarray, p_up: np.ndarray) -> np.ndarray:
+    """Nearest-neighbour walk over table indices from ``start``: up when
+    the uniform falls below the up-step probability ``p_up`` of the
+    current index, down otherwise.  Length: len(uniforms) + 1."""
+    probs = p_up.tolist()
+    # one allocation: a list grown by append leaves its outgrown buffers
+    # in the malloc heap, which raised a power study's peak RSS by 12 MB
+    # in some runs
+    pos = [start] * (uniforms.size + 1)
+    cur = start
+    for k, u in enumerate(uniforms.tolist(), 1):
+        cur = cur + 1 if u < probs[cur] else cur - 1
+        pos[k] = cur
+    return np.array(pos, dtype=np.int64)
 
 
 def simulate_crossings_batch(
@@ -333,24 +286,26 @@ def simulate_crossings_batch(
     seed,
     start: float | str = "stationary",
 ) -> list[np.ndarray]:
-    """Value sequences of ``n_paths`` independent crossing chains.
+    """Value sequences of ``n_paths`` independent crossing chains of n
+    crossings each.
 
     ``start`` is a value, snapped to the lattice, or "stationary": the
     equilibrium lattice law for OU, the first hit from the stationary
     Gamma law for Feller, and 0 for BM, which has no stationary law.  A
-    start outside the walk table raises ValueError.  Path i draws only
-    from generator [seed, i], so results are identical whether paths are
-    simulated one at a time or in a batch.
+    start outside the walk table raises ValueError.  Path i draws its
+    start and then its steps from generator [seed, i] alone, so a path
+    is the same whatever the batch it is simulated in.
     """
     if not spec.is_diffusion:
         raise ValueError("crossing chains require a diffusion spec")
-    rngs = [np.random.default_rng(_seed_key(seed) + [i]) for i in range(n_paths)]
+    key = _seed_key(seed)
+    out = []
 
     if spec.kind in ("bm", "bm_drift"):
         p = hitting_prob(spec, 0.0, delta)
         base = 0 if start == "stationary" else round(float(start) / delta)
-        out = []
-        for rng in rngs:
+        for i in range(n_paths):
+            rng = np.random.default_rng(key + [i])
             steps = np.where(rng.random(n) < p, 1, -1)
             idx = base + np.concatenate([[0], np.cumsum(steps)])
             out.append(idx * delta)
@@ -363,19 +318,19 @@ def simulate_crossings_batch(
         if not lo <= site <= top:
             raise ValueError(f"start {start!r} lies outside the walk table "
                              f"[{lo * delta!r}, {top * delta!r}]")
-        starts = np.full(n_paths, site - lo)
     elif spec.kind == "ou":
         cdf = np.cumsum(_stationary_law(p_up))
-        starts = np.array(
-            [int(np.searchsorted(cdf, rng.random())) for rng in rngs]
-        )
-    else:
-        starts = np.array(
-            [_feller_first_hit(spec, delta, top, rng) - lo for rng in rngs]
-        )
-    uniforms = np.stack([rng.random(n) for rng in rngs])
-    pos = _walk_batch(starts, uniforms, p_up)
-    return [(row + lo) * delta for row in pos]
+    for i in range(n_paths):
+        rng = np.random.default_rng(key + [i])
+        if start != "stationary":
+            first = site
+        elif spec.kind == "ou":
+            first = lo + int(np.searchsorted(cdf, rng.random()))
+        else:
+            first = _feller_first_hit(spec, delta, top, rng)
+        pos = _walk(first - lo, rng.random(n), p_up)
+        out.append((pos + lo) * delta)
+    return out
 
 
 def _seed_key(seed) -> list:
@@ -457,27 +412,3 @@ def simulate_fbm_path(
     values = np.concatenate([[0.0], np.cumsum(inc)]) * grid**hurst
     times = grid * np.arange(n + 1, dtype=np.float64)
     return TickSeries(times=times, values=values, meta=f"fbm H={hurst}")
-
-
-# ---------------------------------------------------------------------------
-# generic path-based extraction
-# ---------------------------------------------------------------------------
-
-def extract_crossings(
-    path: InterpolatedPath, delta: float, origin: float = 0.0
-) -> CrossingChain:
-    """Level-0 crossing chain of any interpolated path, with durations.
-
-    Shares the first-passage kernel used by the tree builder, so the values
-    agree with the tree's level-0 layer exactly.
-    """
-    s = path.series
-    hit_t, hit_k = lattice_events(s.times, s.values, delta, origin)
-    if hit_k.size < 2:
-        raise ValueError("path completes no crossings at this scale")
-    return CrossingChain(
-        values=origin + hit_k * delta,
-        delta=delta,
-        durations=np.diff(hit_t),
-        start_law="path",
-    )

@@ -20,6 +20,7 @@ from clmtree.harness import (
     StudyConfig,
     analyze_series,
     render_report,
+    run_power_study,
     run_qv_study,
     run_type1_study,
 )
@@ -62,8 +63,18 @@ def ou_report():
     return run_type1_study(cfg)
 
 
+def feller_report():
+    """c05's process and crossing size on 20 paths: pins the Feller walk
+    table, the exact first hit of the stationary start and the walk."""
+    cfg = StudyConfig(process=ProcessSpec("feller", kappa=8.0, mu=0.2,
+                                          sigma=1.0),
+                      n_paths=20, n_crossings=5000, delta=0.028330, seed=505,
+                      tests=("joint",))
+    return run_power_study(cfg)
+
+
 REPORTS = {"type1": type1_report, "analyze": analyze_report, "qv": qv_report,
-           "ou": ou_report}
+           "ou": ou_report, "feller": feller_report}
 
 
 def _path(name, fmt):

@@ -233,6 +233,19 @@ class TestCli:
         assert out.returncode == 0
         assert "0.0632455532" in out.stdout
 
+    def test_calibrate_writes_out_in_the_chosen_format(self, tmp_path, capsys):
+        from clmtree import cli
+
+        out = tmp_path / "cal.json"
+        assert cli.main(["calibrate", "--process", "bm_drift", "--alpha", "1",
+                         "--n-crossings", "1250", "--t0", "5",
+                         "--out", str(out), "--format", "json"]) == 0
+        assert capsys.readouterr().out == f"wrote {out}\n"
+        payload = json.loads(out.read_text())
+        assert payload["kind"] == "bm_drift"
+        assert payload["params"] == {"alpha": 1.0}
+        assert payload["delta"] == 0.06328774783918434
+
     def test_gen_cv(self, tmp_path):
         out = self.run_cli("gen-cv", "--test", "chi2_geometric",
                            "--lengths", "14,15", "--n-mc", "10000",
@@ -265,6 +278,30 @@ class TestCli:
         out = self.run_cli("type1", "--config", str(cfg), "--format", "csv")
         assert out.returncode == 0
         assert out.stdout.startswith("test,level")  # flag overrode the file
+
+    def test_config_file_in_equals_spelling(self, tmp_path, capsys):
+        from clmtree import cli
+
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text("tests=twos\nformat=csv\n")
+        assert cli.main(["type1", f"--config={cfg}", "--n-paths", "2",
+                         "--n-crossings", "150", "--delta", "0.0632"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("test,level")
+        assert {row.split(",")[0] for row in out.splitlines()[1:]} == {"twos"}
+
+    def test_config_usage_errors(self, tmp_path, capsys):
+        from clmtree import cli
+
+        missing = str(tmp_path / "missing.cfg")
+        for argv in (["type1", "--config"], ["type1", "--config="],
+                     ["type1", "--config", missing]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 2, argv
+        err = capsys.readouterr().err
+        assert "--config: expected one argument" in err
+        assert f"--config: can't open {missing!r}" in err
 
 
 def test_calibration_report_render(tmp_path):

@@ -6,17 +6,15 @@ from scipy.special import erfi
 
 from clmtree.series import TickSeries
 from clmtree.simulate import (
-    CrossingChain,
     ProcessSpec,
     expected_crossing_time,
-    extract_crossings,
     fgn,
     hitting_prob,
     ou_stationary_lattice_law,
     simulate_crossings_batch,
     simulate_fbm_path,
-    simulate_markov_crossings,
 )
+from clmtree.tree import lattice_events
 
 OU = ProcessSpec("ou", alpha=8.0, sigma=1.0)
 FELLER = ProcessSpec("feller", kappa=6.0, mu=0.2, sigma=1.0)
@@ -129,10 +127,10 @@ class TestOuLattice:
 
     def test_point_start_outside_the_table_raises(self):
         d = 0.063015  # the table ends 40 sites below 0
-        chain = simulate_markov_crossings(OU, d, 1, start=-40 * d, seed=1)
-        assert np.allclose(chain.values / d, [-40, -39])  # forced inward
+        chain = simulate_crossings_batch(OU, d, 1, 1, 1, start=-40 * d)[0]
+        assert np.allclose(chain / d, [-40, -39])  # forced inward
         with pytest.raises(ValueError, match="outside the walk table"):
-            simulate_markov_crossings(OU, d, 2, start=-41 * d, seed=1)
+            simulate_crossings_batch(OU, d, 2, 1, 1, start=-41 * d)
         with pytest.raises(ValueError, match="outside the walk table"):
             simulate_crossings_batch(FELLER, 0.028163, 2, 1, 1, start=0.0)
 
@@ -148,31 +146,32 @@ class TestOuLattice:
 
 class TestChains:
     def test_steps_are_exactly_one_delta(self):
-        chain = simulate_markov_crossings(ProcessSpec("bm"), 0.1, 500, seed=1)
-        steps = np.round(np.diff(chain.values) / 0.1).astype(int)
+        chain = simulate_crossings_batch(ProcessSpec("bm"), 0.1, 500, 1, 1,
+                                         start=0.0)[0]
+        steps = np.round(np.diff(chain) / 0.1).astype(int)
         assert set(np.unique(steps)) <= {-1, 1}
 
     def test_determinism_and_batch_equivalence(self):
         for spec, d in ((ProcessSpec("bm"), 0.1), (OU, 0.063015)):
-            a = simulate_markov_crossings(spec, d, 300, start="stationary"
-                                          if spec.kind == "ou" else 0.0, seed=5)
-            b = simulate_markov_crossings(spec, d, 300, start="stationary"
-                                          if spec.kind == "ou" else 0.0, seed=5)
-            assert np.array_equal(a.values, b.values)
+            start = "stationary" if spec.kind == "ou" else 0.0
+            a = simulate_crossings_batch(spec, d, 300, 1, 5, start=start)[0]
+            b = simulate_crossings_batch(spec, d, 300, 1, 5, start=start)[0]
+            assert np.array_equal(a, b)
             batch = simulate_crossings_batch(spec, d, 300, 3, 5)
-            assert np.array_equal(batch[0], a.values)
+            assert np.array_equal(batch[0], a)
 
     def test_bm_up_fraction(self):
-        chain = simulate_markov_crossings(ProcessSpec("bm"), 0.1, 4000, seed=2)
-        up = np.mean(np.diff(chain.values) > 0)
+        chain = simulate_crossings_batch(ProcessSpec("bm"), 0.1, 4000, 1, 2,
+                                         start=0.0)[0]
+        up = np.mean(np.diff(chain) > 0)
         assert abs(up - 0.5) < 0.025
 
     def test_drift_up_fraction_matches_hitting_prob(self):
         spec = ProcessSpec("bm_drift", alpha=1.0)
         d = 0.0633
         p = hitting_prob(spec, 0.0, d)
-        chain = simulate_markov_crossings(spec, d, 20000, seed=3)
-        up = np.mean(np.diff(chain.values) > 0)
+        chain = simulate_crossings_batch(spec, d, 20000, 1, 3, start=0.0)[0]
+        up = np.mean(np.diff(chain) > 0)
         assert abs(up - p) < 0.01
 
 
@@ -187,24 +186,23 @@ class TestFeller:
             p_up[1] = 0.5  # the cached table is shared
 
     def test_chain_stays_positive_and_hits_mean(self):
-        chain = simulate_markov_crossings(FELLER, 0.028163, 20000,
-                                          start="stationary", seed=4)
-        assert chain.values.min() >= 0.028163 - 1e-12
-        assert abs(chain.values.mean() - 0.2) < 0.08
+        chain = simulate_crossings_batch(FELLER, 0.028163, 20000, 1, 4,
+                                         start="stationary")[0]
+        assert chain.min() >= 0.028163 - 1e-12
+        assert abs(chain.mean() - 0.2) < 0.08
 
     def test_determinism(self):
-        a = simulate_markov_crossings(FELLER, 0.028163, 100,
-                                      start="stationary", seed=6)
-        b = simulate_markov_crossings(FELLER, 0.028163, 100,
-                                      start="stationary", seed=6)
-        assert np.array_equal(a.values, b.values)
+        a = simulate_crossings_batch(FELLER, 0.028163, 100, 1, 6,
+                                     start="stationary")[0]
+        b = simulate_crossings_batch(FELLER, 0.028163, 100, 1, 6,
+                                     start="stationary")[0]
+        assert np.array_equal(a, b)
 
     def test_stationary_start_is_the_batch_default(self):
-        chain = simulate_markov_crossings(FELLER, 0.028163, 100,
-                                          start="stationary", seed=6)
-        assert chain.start_law == "stationary"
+        chain = simulate_crossings_batch(FELLER, 0.028163, 100, 1, 6,
+                                         start="stationary")[0]
         batch = simulate_crossings_batch(FELLER, 0.028163, 100, 2, 6)
-        assert np.array_equal(batch[0], chain.values)
+        assert np.array_equal(batch[0], chain)
 
     @pytest.mark.parametrize("kappa,delta", [(8.0, 0.02833), (6.0, 0.02799)])
     def test_first_hit_matches_oracle_start_law(self, kappa, delta):
@@ -286,23 +284,13 @@ class TestFbm:
 
 
 class TestExtractCrossings:
+    """Level-0 crossings of a sample path, from ``tree.lattice_events``."""
+
     def test_identity_on_lattice_paths(self):
         vals = np.array([0.0, 1, 2, 1, 2, 3, 4])
-        s = TickSeries(times=np.arange(7.0), values=vals)
-        chain = extract_crossings(s.path(), 1.0, 0.0)
-        assert np.array_equal(chain.values, vals)
-        assert np.allclose(chain.durations, 1.0)
-
-    def test_level0_agrees_with_tree(self):
-        from clmtree.tree import build_tree
-
-        rng = np.random.default_rng(12)
-        vals = np.cumsum(rng.standard_normal(2000)) * 0.05
-        s = TickSeries(times=np.arange(2000.0), values=vals)
-        chain = extract_crossings(s.path(), 0.1, 0.0)
-        tree = build_tree(s.path(), 0.1, 0.0)
-        assert np.allclose(chain.values,
-                           tree.origin + tree.hit_index[0] * 0.1)
+        times, k = lattice_events(np.arange(7.0), vals, 1.0, 0.0)
+        assert np.array_equal(k, vals)
+        assert np.allclose(np.diff(times), 1.0)
 
     def test_mean_duration_near_square_law_on_fine_bm(self):
         # grid fine relative to the crossing size, so the first-passage
@@ -313,27 +301,19 @@ class TestExtractCrossings:
         durs = []
         for i in range(10):
             inc = rng.standard_normal(750_000) * math.sqrt(dt)
-            s = TickSeries(times=dt * np.arange(750_001),
-                           values=np.r_[0, np.cumsum(inc)])
-            durs.append(extract_crossings(s.path(), d, 0.0).durations.mean())
+            times, _ = lattice_events(dt * np.arange(750_001),
+                                      np.r_[0, np.cumsum(inc)], d, 0.0)
+            durs.append(np.diff(times).mean())
         assert abs(np.mean(durs) - d * d) < 0.06 * d * d
-
-    def test_no_crossings_error(self):
-        s = TickSeries(times=np.array([0.0, 1.0]), values=np.array([0.2, 0.3]))
-        with pytest.raises(ValueError, match="no crossings"):
-            extract_crossings(s.path(), 1.0, 0.0)
 
 
 def test_chain_exports_canonical_ticks(tmp_path):
     from clmtree.series import load_ticks, save_ticks
 
-    chain = simulate_markov_crossings(ProcessSpec("bm"), 0.25, 64, seed=21)
+    chain = simulate_crossings_batch(ProcessSpec("bm"), 0.25, 64, 1, 21,
+                                     start=0.0)[0]
     path = str(tmp_path / "chain.csv")
-    save_ticks(chain.as_series(), path)
+    save_ticks(TickSeries(times=np.arange(chain.size, dtype=np.float64),
+                          values=chain), path)
     back = load_ticks(path)
-    assert np.array_equal(back.values, chain.values)
-
-
-def test_chain_validation():
-    with pytest.raises(ValueError, match="size delta"):
-        CrossingChain(values=np.array([0.0, 0.1, 0.3]), delta=0.1)
+    assert np.array_equal(back.values, chain)

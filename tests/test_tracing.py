@@ -11,10 +11,15 @@ TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "bench", "tracing.py")
 
 
-def test_tracer_installs_and_removes():
+def _tracing():
     spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_tracer_installs_and_removes():
+    tracing = _tracing()
     originals = (simulate.hitting_prob, calibrate.hitting_prob,
                  harness.simulate_crossings_batch)
     tracer = tracing.Tracer()
@@ -26,3 +31,21 @@ def test_tracer_installs_and_removes():
         tracer.remove()
     assert (simulate.hitting_prob, calibrate.hitting_prob,
             harness.simulate_crossings_batch) == originals
+
+
+def test_tracer_counts_the_chain_calls_of_a_study():
+    """The tracer reads (spec, delta, n, n_paths) of each
+    simulate_crossings_batch call by position."""
+    cfg = harness.StudyConfig(
+        process=simulate.ProcessSpec("ou", alpha=10.0, sigma=1.0),
+        n_paths=2, n_crossings=300, delta=0.062945, seed=1, tests=("chi2",))
+    tracer = _tracing().Tracer()
+    tracer.install()
+    try:
+        harness.run_power_study(cfg)
+    finally:
+        tracer.remove()
+    metrics = tracer.metrics()
+    assert metrics["simulate.chain.calls"] == 2
+    assert metrics["simulate.chain.crossings"] == 600
+    assert metrics["simulate.chain.ou_s"] > 0
