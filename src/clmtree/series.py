@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,20 +82,25 @@ def load_ticks(path: str) -> TickSeries:
     """Load a tick file into a TickSeries.
 
     The canonical format is UTF-8 CSV with header ``time,value``, one
-    observation per row, '.' decimal separator and LF line endings.  Leading
-    '#' comment lines (e.g. an epoch declaration) are kept in ``meta``.
-    Duplicate timestamps collapse to the last value seen (latest quote wins);
-    the collapse count is reported on the result.
+    observation per row, '.' decimal separator and LF line endings.  Every
+    '#' line, before or after the header (e.g. an epoch declaration), is
+    kept in ``meta``.  Duplicate timestamps collapse to the last value seen
+    (latest quote wins); the collapse count is reported on the result.
+
+    Data rows are parsed by numpy's C reader.  Only a file it refuses goes
+    to the loop over the lines, which accepts the same inputs, to the same
+    bits, and names the line of a malformed row.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = fh.read().split("\n")
+            fast = _loadtxt_rows(fh)
+            fh.seek(0)
+            raw = [] if fast else fh.read().split("\n")
     except OSError as exc:
         raise OSError(f"cannot read tick file {path}: {exc}") from exc
 
-    comments = []
-    rows = []
-    header_seen = False
+    rows, comments = fast or ([], [])
+    header_seen = bool(fast)
     for lineno, line in enumerate(raw, start=1):
         line = line.strip()
         if not line:
@@ -136,11 +142,35 @@ def load_ticks(path: str) -> TickSeries:
     return TickSeries(times=arr[:, 0], values=arr[:, 1], meta=meta, collapsed=collapsed)
 
 
+def _loadtxt_rows(fh):
+    """(rows, comments) with the rows read by ``np.loadtxt``, or None."""
+    comments = []
+    for line in iter(fh.readline, ""):
+        line = line.strip()
+        if line.startswith("#"):
+            comments.append(line.lstrip("# "))
+        elif line == CANONICAL_HEADER:
+            break
+        elif line:
+            return None
+    # comments=None: the reader refuses any '#' after the header as no number,
+    # and a file with no header or no rows by its "no data" warning.
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(fh, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+    except (ValueError, Warning):
+        return None
+    return (rows, comments) if rows.shape[1] == 2 else None
+
+
 def save_ticks(series: TickSeries, path: str) -> None:
-    """Write the canonical tick format; round-trips bit-exactly via repr."""
+    """Write the canonical tick format; round-trips bit-exactly via repr.
+    Each nonblank line of ``meta`` becomes one '#' line."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         if series.meta and "," not in series.meta and series.meta != path:
-            fh.write(f"# {series.meta}\n")
+            fh.writelines(f"# {line}\n" for line in series.meta.splitlines()
+                          if line.strip())
         fh.write(CANONICAL_HEADER + "\n")
         for t, v in zip(series.times, series.values):
             fh.write(f"{float(t)!r},{float(v)!r}\n")

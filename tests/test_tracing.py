@@ -5,7 +5,10 @@ here, not only in a traced benchmark run."""
 import importlib.util
 import os
 
+import numpy as np
+
 from clmtree import calibrate, harness, simulate
+from clmtree.series import TickSeries, save_ticks
 
 TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "bench", "tracing.py")
@@ -49,3 +52,21 @@ def test_tracer_counts_the_chain_calls_of_a_study():
     assert metrics["simulate.chain.calls"] == 2
     assert metrics["simulate.chain.crossings"] == 600
     assert metrics["simulate.chain.ou_s"] > 0
+
+
+def test_tracer_times_the_tick_load(tmp_path):
+    """The tracer times harness.load_ticks, the name analyze_dataset calls."""
+    rng = np.random.default_rng(13)
+    values = np.exp(np.cumsum(rng.standard_normal(3000)) * 1e-3)
+    path = str(tmp_path / "ticks.csv")
+    save_ticks(TickSeries(times=np.arange(values.size, dtype=float),
+                          values=values), path)
+    tracer = _tracing().Tracer()
+    tracer.install()
+    try:
+        harness.analyze_dataset(path, harness.StudyConfig(tests=("chi2",)))
+    finally:
+        tracer.remove()
+    metrics = tracer.metrics()
+    assert metrics["series.ticks"] == values.size
+    assert metrics["series.load_s"] > 0
