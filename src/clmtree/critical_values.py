@@ -16,6 +16,8 @@ from importlib import resources
 
 import numpy as np
 
+from .outcomes import Segments
+
 GENERATOR_VERSION = 1
 
 # Seeds used for the tables shipped with the package.
@@ -96,28 +98,29 @@ def _stats_ks_discrete(n: int, n_mc: int, rng) -> np.ndarray:
     return ks_statistic_from_counts(counts, n)
 
 
-def _stats_autocorr(n: int, n_mc: int, rng) -> np.ndarray:
-    from .indep_tests import lag1_autocorr_batch
-
-    z = _geometric_counts(rng, n, n_mc).astype(np.float64)
-    stat, valid = lag1_autocorr_batch(z)
+def _valid_rows(statistic, matrix: np.ndarray) -> np.ndarray:
+    stat, valid = statistic(Segments.rows(matrix))
     return stat[valid]
+
+
+def _stats_autocorr(n: int, n_mc: int, rng) -> np.ndarray:
+    from .indep_tests import lag1_autocorr_statistic
+
+    return _valid_rows(lag1_autocorr_statistic, _geometric_counts(rng, n, n_mc))
 
 
 def _stats_obrien76(n: int, n_mc: int, rng) -> np.ndarray:
-    from .indep_tests import obrien76_pivot_batch
+    from .indep_tests import obrien76_pivot
 
     bits = rng.integers(0, 2, size=(n_mc, n), dtype=np.int8)
-    stat, valid = obrien76_pivot_batch(bits)
-    return stat[valid]
+    return _valid_rows(obrien76_pivot, bits)
 
 
 def _stats_larsen(n: int, n_mc: int, rng) -> np.ndarray:
-    from .indep_tests import larsen_batch
+    from .indep_tests import larsen_statistic
 
     bits = rng.integers(0, 2, size=(n_mc, n), dtype=np.int8)
-    stat, valid = larsen_batch(bits)
-    return stat[valid]
+    return _valid_rows(larsen_statistic, bits)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -13,7 +13,7 @@ from . import dist_tests as dt
 from . import indep_tests as it
 from .calibrate import CalibrationResult
 from .critical_values import load_all_tables
-from .outcomes import BitSequence, TestOutcome, ZSample, skipped_outcome
+from .outcomes import SegmentOutcomes, Segments, TestOutcome, ZSample
 from .qv import estimate_qv, normal_gof_tests, select_increment, time_change_increments
 from .series import TickSeries, load_ticks, log_transform
 from .simulate import ProcessSpec, simulate_crossings_batch, simulate_fbm_path
@@ -30,9 +30,10 @@ from .tree import (
 
 @dataclass(frozen=True)
 class RosterEntry:
-    """One test id: the function that runs it (looked up on ``module`` at
-    call time), the level sample it reads ("counts" Z, their "twos"
-    indicator bits or the "excursions" bits) and its table id, if any."""
+    """One test id: the segmented function that runs it (looked up on
+    ``module`` at call time), the level sample it reads ("counts" Z, their
+    "twos" indicator bits or the "excursions" bits) and its table id, if
+    any."""
 
     module: object
     func: str
@@ -41,21 +42,21 @@ class RosterEntry:
 
 
 ROSTER = {
-    "chi2": RosterEntry(dt, "chi2_geometric_test", "counts", "chi2_geometric"),
-    "twos": RosterEntry(dt, "twos_test", "counts"),
-    "g": RosterEntry(dt, "g_test", "counts"),
-    "ks_discrete": RosterEntry(dt, "ks_discrete_test", "counts", "ks_discrete"),
-    "klp": RosterEntry(dt, "klp_nb_test", "counts"),
-    "joint": RosterEntry(it, "joint_dist_test", "counts"),
-    "autocorr": RosterEntry(it, "lag1_autocorr_test", "counts", "autocorr"),
-    "runs": RosterEntry(it, "wald_wolfowitz_runs", "twos"),
-    "larsen": RosterEntry(it, "larsen_test", "twos", "larsen"),
-    "obrien76": RosterEntry(it, "obrien76_test", "twos", "obrien76"),
-    "obrien85": RosterEntry(it, "obrien_dyck85_test", "twos"),
-    "runs_ud": RosterEntry(it, "wald_wolfowitz_runs", "excursions"),
-    "larsen_ud": RosterEntry(it, "larsen_test", "excursions", "larsen"),
-    "obrien76_ud": RosterEntry(it, "obrien76_test", "excursions", "obrien76"),
-    "obrien85_ud": RosterEntry(it, "obrien_dyck85_test", "excursions"),
+    "chi2": RosterEntry(dt, "chi2_geometric_segments", "counts", "chi2_geometric"),
+    "twos": RosterEntry(dt, "twos_segments", "counts"),
+    "g": RosterEntry(dt, "g_segments", "counts"),
+    "ks_discrete": RosterEntry(dt, "ks_discrete_segments", "counts", "ks_discrete"),
+    "klp": RosterEntry(dt, "klp_nb_segments", "counts"),
+    "joint": RosterEntry(it, "joint_dist_segments", "counts"),
+    "autocorr": RosterEntry(it, "lag1_autocorr_segments", "counts", "autocorr"),
+    "runs": RosterEntry(it, "wald_wolfowitz_segments", "twos"),
+    "larsen": RosterEntry(it, "larsen_segments", "twos", "larsen"),
+    "obrien76": RosterEntry(it, "obrien76_segments", "twos", "obrien76"),
+    "obrien85": RosterEntry(it, "obrien_dyck85_segments", "twos"),
+    "runs_ud": RosterEntry(it, "wald_wolfowitz_segments", "excursions"),
+    "larsen_ud": RosterEntry(it, "larsen_segments", "excursions", "larsen"),
+    "obrien76_ud": RosterEntry(it, "obrien76_segments", "excursions", "obrien76"),
+    "obrien85_ud": RosterEntry(it, "obrien_dyck85_segments", "excursions"),
 }
 ALL_TESTS = tuple(ROSTER)
 
@@ -96,6 +97,26 @@ class StudyConfig:
             raise ValueError(f"unknown tests: {sorted(unknown)}")
 
 
+def level_samples(counts: list, excursions: list) -> dict[str, Segments]:
+    """One level's samples of many trees, one segment per tree: the
+    subcrossing counts, their twos-indicator bits and the excursion bits."""
+    z = Segments.of(counts)
+    return {"counts": z, "twos": z.over((z.values == 2).astype(np.int8)),
+            "excursions": Segments.of(excursions)}
+
+
+def run_test(test_id: str, samples: dict, tables: dict) -> SegmentOutcomes:
+    """One roster test on every segment of one level.  A bit test on a
+    segment without bits is skipped."""
+    entry = ROSTER[test_id]
+    sample = samples[entry.sample]
+    args = (sample,) if entry.table is None else (sample, tables[entry.table])
+    res = getattr(entry.module, entry.func)(*args)
+    if entry.sample != "counts":
+        res.skipped[sample.lengths == 0] = "no bits at this level"
+    return res
+
+
 def apply_tests_to_tree(
     tree: CrossingTree, roster, tables: dict
 ) -> dict[int, dict[str, TestOutcome]]:
@@ -106,33 +127,15 @@ def apply_tests_to_tree(
     level.  A bit test on a level without bits, and any test that finds
     its sample degenerate (e.g. constant counts), is skipped.
     """
-    out: dict[int, dict[str, TestOutcome]] = {}
-    for level in range(1, tree.max_level + 1):
-        z = ZSample(tree.counts[level], level=level)
-        samples = {
-            "counts": z,
-            "twos": it.indicator_of_twos(z) if len(z) else None,
-            "excursions": BitSequence(tree.excursions[level],
-                                      origin="excursions"),
-        }
-        row: dict[str, TestOutcome] = {}
-        for test_id in roster:
-            entry = ROSTER[test_id]
-            sample = samples[entry.sample]
-            if entry.sample != "counts" and (sample is None or len(sample) == 0):
-                row[test_id] = skipped_outcome(test_id, 0, "no bits at this level")
-                continue
-            args = (sample,) if entry.table is None else (
-                sample, tables[entry.table])
-            try:
-                res = getattr(entry.module, entry.func)(*args)
-            except ValueError as exc:
-                res = skipped_outcome(test_id, len(z), f"degenerate: {exc}")
-            if res.test_id != test_id:
-                res = replace(res, test_id=test_id)
-            row[test_id] = res
-        out[level] = row
-    return out
+    levels = range(1, tree.max_level + 1)
+    if not levels:
+        return {}
+    # the tree's levels are the segments: one call per test
+    samples = level_samples([tree.counts[l] for l in levels],
+                            [tree.excursions[l] for l in levels])
+    res = {test_id: run_test(test_id, samples, tables) for test_id in roster}
+    return {level: {test_id: res[test_id].outcome(i, test_id) for test_id in roster}
+            for i, level in enumerate(levels)}
 
 
 @dataclass
@@ -207,30 +210,33 @@ def lattice_median_anchor(series: TickSeries, delta: float) -> float:
 
 
 def run_study(cfg: StudyConfig, label: str) -> StudyReport:
-    """Simulate n_paths crossing records, build trees, run the roster, and
-    tally rejections per test and level."""
+    """Simulate n_paths crossing records and build their trees, then run
+    each roster test once per level over all paths and tally rejections
+    per test and level."""
     tables = load_all_tables(cfg.cv_dir)
-    cells: dict = {}
-    max_level_seen = 0
+    trees = []  # per path: (counts, excursions) of levels 1, 2, ...
     for i in range(cfg.n_paths):
         try:
             series = _simulate_series(cfg, i)
             tree = tree_for_series(cfg, series, cfg.delta)
         except (TreeError, ValueError) as exc:
             raise RuntimeError(f"path {i}: {exc}") from exc
-        outcomes = apply_tests_to_tree(tree, cfg.tests, tables)
-        max_level_seen = max(max_level_seen, tree.max_level)
-        for level, row in outcomes.items():
-            for test_id, res in row.items():
-                cell = cells.setdefault((test_id, level), [0, 0])
-                if res.applied:
-                    cell[1] += 1
-                    cell[0] += bool(res.reject_at_5pct)
+        trees.append((tree.counts[1:], tree.excursions[1:]))
+    cells: dict = {}
+    max_level = max(len(counts) for counts, _ in trees)
+    for level in range(1, max_level + 1):
+        deep = [t for t in trees if len(t[0]) >= level]
+        samples = level_samples([c[level - 1] for c, _ in deep],
+                                [e[level - 1] for _, e in deep])
+        for test_id in cfg.tests:
+            res = run_test(test_id, samples, tables)
+            cells[(test_id, level)] = [int(res.rejected.sum()),
+                                       int(res.applied.sum())]
     return StudyReport(
         label=label,
         config=_config_summary(cfg),
         n_paths=cfg.n_paths,
-        levels=list(range(1, max_level_seen + 1)),
+        levels=list(range(1, max_level + 1)),
         cells=cells,
         test_order=cfg.tests,
     )

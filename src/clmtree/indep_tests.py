@@ -16,7 +16,8 @@ from scipy import special
 from scipy.special import gammaln
 
 from .critical_values import TABLES, CriticalValueTable, lookup_cv
-from .outcomes import BitSequence, TestOutcome, ZSample, skipped_outcome
+from .outcomes import (DEGENERATE, BitSequence, SegmentOutcomes, Segments, ZSample,
+                       per_unique, pymin, single_sample)
 
 # Exact enumeration of the run-count distribution is used up to this length;
 # beyond it the normal approximation with continuity correction takes over.
@@ -35,66 +36,83 @@ def indicator_of_twos(z: ZSample) -> BitSequence:
     return BitSequence((z.values == 2).astype(np.int8), origin="twos-indicator")
 
 
-def _tabled_outcome(test_id: str, n: int, stat: float,
-                    cv: CriticalValueTable | None) -> TestOutcome:
-    """Two-sided 5% decision outside the tabulated 0.025 and 0.975 quantiles.
+def _tabled(res: SegmentOutcomes, test_id: str, n_max: int, stat: np.ndarray,
+            cv: CriticalValueTable | None) -> np.ndarray:
+    """Two-sided 5% decision outside the tabulated 0.025 and 0.975 quantiles
+    up to length n_max; returns the longer applied segments.
 
     The comparisons are strict: at small n the statistic has atoms, and
     an empirical quantile can sit on one; inclusive cutoffs would then
     reject the whole atom and overshoot the level.
     """
-    if cv is None:
-        raise ValueError(f"the {test_id} test needs critical values for n={n}")
-    lo, _ = lookup_cv(cv, n, 0.025)
-    hi, _ = lookup_cv(cv, n, 0.975)
-    return TestOutcome(test_id, n, statistic=stat,
-                       reject_at_5pct=(stat < lo) or (stat > hi))
+    rows = res.applied & (res.n_used <= n_max)
+    n = res.n_used[rows]
+    if n.size:
+        if cv is None:
+            raise ValueError(f"the {test_id} test needs critical values for n={n[0]}")
+        lo = per_unique(lambda m: lookup_cv(cv, m, 0.025)[0], n)
+        hi = per_unique(lambda m: lookup_cv(cv, m, 0.975)[0], n)
+        res.decide(rows, stat[rows], (stat[rows] < lo) | (stat[rows] > hi))
+    return res.applied & ~rows
 
 
-def _normal_outcome(test_id: str, n: int, stat: float,
-                    zscore: float) -> TestOutcome:
+def _normal(res: SegmentOutcomes, rows: np.ndarray, stat: np.ndarray,
+            zscore: np.ndarray) -> None:
     """Two-sided p-value of a zscore that is N(0,1) under the null."""
-    p = float(2.0 * special.ndtr(-abs(zscore)))
-    return TestOutcome(test_id, n, statistic=stat, p_value=p,
-                       reject_at_5pct=p < 0.05)
+    if not rows.any():
+        return
+    p = 2.0 * special.ndtr(-np.abs(zscore))
+    res.decide(rows, stat, p < 0.05, p)
 
 
 # ---------------------------------------------------------------------------
 # lag-1 autocorrelation
 # ---------------------------------------------------------------------------
 
+def lag1_autocorr_statistic(z: Segments) -> tuple[np.ndarray, np.ndarray]:
+    """Per segment: the known-mean-4 lag-1 numerator over the centred sum
+    of squares; constant segments are invalid.  Segments of equal length
+    are reduced as the rows of one matrix, so each sum runs as it does on
+    one sample."""
+    out = np.full(len(z), np.nan)
+    for m in np.unique(z.lengths[z.lengths >= 2]):
+        rows = np.flatnonzero(z.lengths == m)
+        x = z.take(rows).values.reshape(rows.size, m).astype(np.float64, copy=False)
+        dev = x - 4.0
+        num = np.sum(dev[:, 1:] * dev[:, :-1], axis=1)
+        cen = x - x.mean(axis=1, keepdims=True)
+        den = np.sum(cen * cen, axis=1)
+        valid = den > 0
+        out[rows[valid]] = num[valid] / den[valid]
+    return out, ~np.isnan(out)
+
+
 def lag1_autocorr_batch(z_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row: the known-mean-4 lag-1 numerator over the centred sum of
-    squares; constant rows are invalid."""
-    dev = z_matrix - 4.0
-    num = np.sum(dev[:, 1:] * dev[:, :-1], axis=1)
-    cen = z_matrix - z_matrix.mean(axis=1, keepdims=True)
-    den = np.sum(cen * cen, axis=1)
-    valid = den > 0
-    out = np.full(z_matrix.shape[0], np.nan)
-    out[valid] = num[valid] / den[valid]
-    return out, valid
+    """``lag1_autocorr_statistic`` of the rows of a matrix."""
+    return lag1_autocorr_statistic(Segments.rows(z_matrix))
 
 
 AUTOCORR_MIN_N = 5
 
 
-def lag1_autocorr_test(z: ZSample, cv: CriticalValueTable | None) -> TestOutcome:
+def lag1_autocorr_segments(z: Segments,
+                           cv: CriticalValueTable | None) -> SegmentOutcomes:
     """Two-sided lag-1 autocorrelation test.
 
     Empirical quantiles decide for 5 <= n <= 100; beyond that sqrt(n) times
     the statistic is referred to N(0,1).
     """
-    n = len(z)
-    if n < AUTOCORR_MIN_N:
-        return skipped_outcome("autocorr", n, f"n={n} below floor {AUTOCORR_MIN_N}")
-    stat, valid = lag1_autocorr_batch(z.values[None, :].astype(np.float64))
-    if not valid[0]:
-        raise ValueError("constant sample: autocorrelation undefined")
-    stat = float(stat[0])
-    if n <= AUTOCORR_TABLE_MAX:
-        return _tabled_outcome("autocorr", n, stat, cv)
-    return _normal_outcome("autocorr", n, stat, math.sqrt(n) * stat)
+    n = z.lengths
+    res = SegmentOutcomes(n)
+    res.floor(AUTOCORR_MIN_N)
+    stat, valid = lag1_autocorr_statistic(z)
+    res.skip(~valid, DEGENERATE + "constant sample: autocorrelation undefined")
+    large = _tabled(res, "autocorr", AUTOCORR_TABLE_MAX, stat, cv)
+    _normal(res, large, stat[large], np.sqrt(n[large]) * stat[large])
+    return res
+
+
+lag1_autocorr_test = single_sample(lag1_autocorr_segments, "autocorr")
 
 
 # ---------------------------------------------------------------------------
@@ -104,41 +122,63 @@ def lag1_autocorr_test(z: ZSample, cv: CriticalValueTable | None) -> TestOutcome
 JOINT_MIN_N = 10
 
 
-def joint_dist_test(z: ZSample) -> TestOutcome:
+def joint_dist_segments(z: Segments) -> SegmentOutcomes:
     """Chi-square on consecutive pairs against the product geometric law.
 
     d = 3 with tail pooling in both coordinates; valid from n >= 10.
     """
-    n = len(z)
-    if n < JOINT_MIN_N:
-        return skipped_outcome("joint", n, f"n={n} below floor {JOINT_MIN_N}")
+    n = z.lengths
+    res = SegmentOutcomes(n)
+    res.floor(JOINT_MIN_N)
+    ok = res.applied
     m = n // 2
-    i = np.minimum(z.values[: 2 * m : 2] // 2, 3) - 1
-    j = np.minimum(z.values[1 : 2 * m : 2] // 2, 3) - 1
-    obs = np.bincount(3 * i + j, minlength=9).reshape(3, 3).astype(np.float64)
+    pos = np.arange(z.values.size) - z.starts[z.ids]
+    at = np.flatnonzero((pos % 2 == 0) & (pos + 1 < 2 * m[z.ids]))
+    cell = (3 * np.minimum(z.values[at] // 2, 3)
+            + np.minimum(z.values[at + 1] // 2, 3) - 4)
+    obs = np.bincount(z.ids[at] * 9 + cell, minlength=9 * len(z))
     marg = np.array([0.5, 0.25, 0.25])
-    exp = m * np.outer(marg, marg)
-    stat = float(np.sum((obs - exp) ** 2 / exp))
-    p = float(special.chdtrc(8, stat))
-    return TestOutcome("joint", n, statistic=stat, p_value=p,
-                       reject_at_5pct=p < 0.05)
+    exp = m[ok, None] * np.outer(marg, marg).ravel()
+    obs = obs.reshape(len(z), 9)[ok].astype(np.float64)
+    stat = np.sum((obs - exp) ** 2 / exp, axis=1)
+    p = special.chdtrc(8, stat)
+    res.decide(ok, stat, p < 0.05, p)
+    return res
+
+
+joint_dist_test = single_sample(joint_dist_segments, "joint")
 
 
 # ---------------------------------------------------------------------------
-# run helpers
+# runs
 # ---------------------------------------------------------------------------
 
-def run_lengths(bits: np.ndarray, symbol: int) -> np.ndarray:
-    """Lengths of the maximal runs of ``symbol``."""
-    mask = np.concatenate([[0], (bits == symbol).astype(np.int8), [0]])
-    d = np.diff(mask)
-    starts = np.flatnonzero(d == 1)
-    ends = np.flatnonzero(d == -1)
-    return ends - starts
+def bit_runs(b: Segments) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per maximal run of equal bits, in order: its segment, its symbol and
+    its length."""
+    v = b.values
+    first = np.ones(v.size, dtype=bool)
+    first[1:] = v[1:] != v[:-1]
+    first[b.starts[b.lengths > 0]] = True
+    at = np.flatnonzero(first)
+    return b.ids[at], v[at], np.diff(np.append(at, v.size))
 
 
-def runs_count(bits: np.ndarray) -> int:
-    return int(1 + np.count_nonzero(np.diff(bits)))
+def _run_length_vars(seg: np.ndarray, lengths: np.ndarray,
+                     n_segments: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per segment: how many of the given runs (in order) it holds, and the
+    biased variance of their lengths (0 below two runs).  Equal run counts
+    are reduced as the rows of one matrix, so each sum runs as it does on
+    one sample."""
+    k = np.bincount(seg, minlength=n_segments)
+    first = k.cumsum() - k
+    var = np.zeros(n_segments)
+    for m in np.unique(k[k >= 2]).tolist():
+        rows = np.flatnonzero(k == m)
+        x = lengths[first[rows, None] + np.arange(m)].astype(np.float64)
+        dev = x - x.sum(axis=1, keepdims=True) / m
+        var[rows] = np.sum(dev * dev, axis=1) / m
+    return k, var
 
 
 @lru_cache(maxsize=4096)
@@ -171,30 +211,44 @@ def _runs_pmf(n0: int, n1: int) -> tuple[np.ndarray, np.ndarray]:
     return rs[keep], p
 
 
-def wald_wolfowitz_runs(b: BitSequence) -> TestOutcome:
+@lru_cache(maxsize=65536)
+def _runs_exact_p(n0: int, n1: int, r: int) -> float:
+    """Sum of the probabilities of run counts no more likely than r."""
+    rs, pmf = _runs_pmf(n0, n1)
+    p_obs = float(pmf[rs == r][0])
+    return min(1.0, float(pmf[pmf <= p_obs * (1.0 + 1e-12)].sum()))
+
+
+def wald_wolfowitz_segments(b: Segments) -> SegmentOutcomes:
     """Run-count test.
 
     Exact conditional two-sided p-value up to length 50 (summing the
     probabilities of run counts no more likely than the observed one);
     normal approximation with continuity correction beyond.
     """
-    n = len(b)
-    n1, n0 = b.n_ones, b.n_zeros
-    if n0 == 0 or n1 == 0:
-        return skipped_outcome("runs", n, "single-symbol sequence")
-    r = runs_count(b.bits)
-    if n <= RUNS_EXACT_MAX:
-        rs, pmf = _runs_pmf(n0, n1)
-        p_obs = float(pmf[rs == r][0])
-        p = min(1.0, float(pmf[pmf <= p_obs * (1.0 + 1e-12)].sum()))
-    else:
-        mu = 1.0 + 2.0 * n0 * n1 / n
-        var = 2.0 * n0 * n1 * (2.0 * n0 * n1 - n) / (n * n * (n - 1.0))
-        shift = -0.5 if r > mu else 0.5
-        zscore = (r - mu + shift) / math.sqrt(var)
-        p = min(1.0, float(2.0 * special.ndtr(-abs(zscore))))
-    return TestOutcome("runs", n, statistic=float(r), p_value=p,
-                       reject_at_5pct=p < 0.05)
+    n = b.lengths
+    n1 = b.counts(b.values == 1)
+    n0 = n - n1
+    res = SegmentOutcomes(n)
+    res.skip((n0 == 0) | (n1 == 0), "single-symbol sequence")
+    r = np.bincount(bit_runs(b)[0], minlength=len(b))
+    exact = res.applied & (n <= RUNS_EXACT_MAX)
+    if exact.any():
+        p = per_unique(_runs_exact_p, n0[exact], n1[exact], r[exact])
+        res.decide(exact, r[exact], p < 0.05, p)
+    big = res.applied & ~exact
+    if not big.any():
+        return res
+    n0, n1, n, r = n0[big], n1[big], n[big], r[big]
+    mu = 1.0 + 2.0 * n0 * n1 / n
+    var = 2.0 * n0 * n1 * (2.0 * n0 * n1 - n) / (n * n * (n - 1.0))
+    zscore = (r - mu + np.where(r > mu, -0.5, 0.5)) / np.sqrt(var)
+    p = pymin(1.0, 2.0 * special.ndtr(-np.abs(zscore)))
+    res.decide(big, r, p < 0.05, p)
+    return res
+
+
+wald_wolfowitz_runs = single_sample(wald_wolfowitz_segments, "runs")
 
 
 # ---------------------------------------------------------------------------
@@ -231,72 +285,62 @@ def run_variance_moments(n_sym: int, r: int) -> tuple[float, float]:
     return mean, max(second - mean * mean, 0.0)
 
 
-def _gamma_match(mean: float, var: float) -> tuple[float, float] | None:
-    """(c, nu) such that c * s2 is approximately chi-square with fractional
-    degrees of freedom nu, by matching the first two moments."""
+def gamma_match(n_sym: int, r: int) -> tuple[float, float]:
+    """(c, nu) such that c * s2, s2 the biased variance of the r run lengths
+    of a symbol occurring n_sym times, is approximately chi-square with
+    fractional degrees of freedom nu, by matching the first two moments;
+    NaN where the variance is degenerate."""
+    mean, var = run_variance_moments(n_sym, r)
     if var <= 0.0 or mean <= 0.0:
-        return None
+        return math.nan, math.nan
     return 2.0 * mean / var, 2.0 * mean * mean / var
 
 
-def _biased_var(x: np.ndarray) -> float:
-    return float(np.mean((x - x.mean()) ** 2))
-
-
-def obrien76_pivot_batch(bits_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row, the Gamma-cdf pivot of the run-length variance of the more
-    numerous symbol given its run count: uniform on [0,1] under the null
-    up to the Gamma approximation.  Rows are grouped by (count, runs);
-    rows with < 2 of a symbol or < 2 runs of the pivot symbol are invalid."""
-    b, width = bits_matrix.shape
-    n1 = bits_matrix.sum(axis=1)
-    n0 = width - n1
-    out = np.full(b, np.nan)
-    valid = np.minimum(n0, n1) >= 2
-    s2 = np.zeros(b)
-    n_runs = np.zeros(b, dtype=np.int64)
-    sym = (n1 >= n0).astype(np.int8)
-    for row in np.flatnonzero(valid):
-        lens = run_lengths(bits_matrix[row], int(sym[row]))
-        n_runs[row] = lens.size
-        s2[row] = _biased_var(lens.astype(np.float64)) if lens.size >= 2 else 0.0
-    valid &= n_runs >= 2
-    n_more = np.maximum(n0, n1)
-    for count, runs in {(int(a), int(r))
-                        for a, r in zip(n_more[valid], n_runs[valid])}:
-        match = _gamma_match(*run_variance_moments(count, runs))
-        rows = valid & (n_more == count) & (n_runs == runs)
-        if match is None:
-            valid[rows] = False
-            continue
-        c, nu = match
-        out[rows] = special.gammainc(nu / 2.0, c * s2[rows] / 2.0)
+def obrien76_pivot(b: Segments) -> tuple[np.ndarray, np.ndarray]:
+    """Per segment, the Gamma-cdf pivot of the run-length variance of the
+    more numerous symbol given its run count: uniform on [0,1] under the
+    null up to the Gamma approximation.  Segments with < 2 of a symbol or
+    < 2 runs of the pivot symbol are invalid."""
+    n1 = b.counts(b.values == 1)
+    n0 = b.lengths - n1
+    seg, symbol, lengths = bit_runs(b)
+    mine = symbol == (n1 >= n0)[seg]
+    runs, s2 = _run_length_vars(seg[mine], lengths[mine], len(b))
+    valid = (np.minimum(n0, n1) >= 2) & (runs >= 2)
+    c, nu = np.full((2, len(b)), np.nan)
+    c[valid], nu[valid] = per_unique(
+        gamma_match, np.maximum(n0, n1)[valid], runs[valid]).reshape(-1, 2).T
+    valid &= ~np.isnan(c)
+    out = np.full(len(b), np.nan)
+    out[valid] = special.gammainc(nu[valid] / 2.0, c[valid] * s2[valid] / 2.0)
     return out, valid
 
 
-def obrien76_test(b: BitSequence, cv: CriticalValueTable | None) -> TestOutcome:
+def obrien76_segments(b: Segments,
+                      cv: CriticalValueTable | None) -> SegmentOutcomes:
     """Run-length-variance clustering test for the more numerous symbol.
 
     For short sequences (n <= 20, where both symbol counts can be small)
     empirical quantiles of the pivot replace the nominal 0.025/0.975
     cutoffs.
     """
-    n = len(b)
-    if min(b.n_ones, b.n_zeros) < 2:
-        return skipped_outcome("obrien76", n, "less numerous symbol count < 2")
-    u, valid = obrien76_pivot_batch(b.bits[None, :])
-    u = float(u[0])
-    if not valid[0]:
-        return skipped_outcome("obrien76", n, "fewer than 2 runs of the "
-                                              "more numerous symbol")
-    if n <= OBRIEN76_TABLE_MAX:
-        return _tabled_outcome("obrien76", n, u, cv)
-    p = min(1.0, 2.0 * min(u, 1.0 - u))
-    return TestOutcome("obrien76", n, statistic=u, p_value=p,
-                       reject_at_5pct=p < 0.05)
+    n = b.lengths
+    n1 = b.counts(b.values == 1)
+    res = SegmentOutcomes(n)
+    res.skip(np.minimum(n1, n - n1) < 2, "less numerous symbol count < 2")
+    u, valid = obrien76_pivot(b)
+    res.skip(~valid, "fewer than 2 runs of the more numerous symbol")
+    large = _tabled(res, "obrien76", OBRIEN76_TABLE_MAX, u, cv)
+    if large.any():
+        p = pymin(1.0, 2.0 * pymin(u[large], 1.0 - u[large]))
+        res.decide(large, u[large], p < 0.05, p)
+    return res
 
 
-def obrien_dyck85_test(b: BitSequence) -> TestOutcome:
+obrien76_test = single_sample(obrien76_segments, "obrien76")
+
+
+def obrien_dyck85_segments(b: Segments) -> SegmentOutcomes:
     """Weighted sum of the two run-length variances.
 
     Given the run counts the two variances are exactly independent, each
@@ -304,25 +348,29 @@ def obrien_dyck85_test(b: BitSequence) -> TestOutcome:
     referred to a Gamma with shape (nu0 + nu1)/2 and scale 2; two-sided
     decision at 5%.
     """
-    n = len(b)
-    lens1 = run_lengths(b.bits, 1)
-    lens0 = run_lengths(b.bits, 0)
-    if lens1.size < 2 or lens0.size < 2:
-        return skipped_outcome("obrien85", n, "fewer than 2 runs of a symbol")
-    match1 = _gamma_match(*run_variance_moments(b.n_ones, lens1.size))
-    match0 = _gamma_match(*run_variance_moments(b.n_zeros, lens0.size))
-    if match1 is None or match0 is None:
-        return skipped_outcome("obrien85", n, "degenerate run-length variance")
-    c1, nu1 = match1
-    c0, nu0 = match0
-    t = (c0 * _biased_var(lens0.astype(np.float64))
-         + c1 * _biased_var(lens1.astype(np.float64)))
+    n = b.lengths
+    n1 = b.counts(b.values == 1)
+    seg, symbol, lengths = bit_runs(b)
+    ones = symbol == 1
+    k1, var1 = _run_length_vars(seg[ones], lengths[ones], len(b))
+    k0, var0 = _run_length_vars(seg[~ones], lengths[~ones], len(b))
+    res = SegmentOutcomes(n)
+    res.skip((k1 < 2) | (k0 < 2), "fewer than 2 runs of a symbol")
+    ok = res.applied
+    c1, nu1, c0, nu0 = np.full((4, len(b)), np.nan)
+    c1[ok], nu1[ok] = per_unique(gamma_match, n1[ok], k1[ok]).reshape(-1, 2).T
+    c0[ok], nu0[ok] = per_unique(gamma_match, (n - n1)[ok], k0[ok]).reshape(-1, 2).T
+    res.skip(np.isnan(c1) | np.isnan(c0), "degenerate run-length variance")
+    ok = res.applied
+    t = c0[ok] * var0[ok] + c1[ok] * var1[ok]
     # cdf and sf at t of the Gamma law with shape a and scale 2
-    a, x = (nu0 + nu1) / 2.0, t / 2.0
-    tail = min(special.gammainc(a, x), special.gammaincc(a, x))
-    p = min(1.0, 2.0 * float(tail))
-    return TestOutcome("obrien85", n, statistic=t, p_value=p,
-                       reject_at_5pct=p < 0.05)
+    a, x = (nu0[ok] + nu1[ok]) / 2.0, t / 2.0
+    p = pymin(1.0, 2.0 * pymin(special.gammainc(a, x), special.gammaincc(a, x)))
+    res.decide(ok, t, p < 0.05, p)
+    return res
+
+
+obrien_dyck85_test = single_sample(obrien_dyck85_segments, "obrien85")
 
 
 # ---------------------------------------------------------------------------
@@ -352,39 +400,40 @@ def larsen_moments(n: int, n1: int) -> tuple[float, float]:
     return mean, max(scale * s, 0.0)
 
 
-def larsen_batch(bits_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Standardised K1 per row, 0 by convention where K1 is deterministic;
-    rows without successes are invalid.  Moments are built only for the
-    success counts present."""
-    b, n = bits_matrix.shape
-    n1 = bits_matrix.sum(axis=1)
+def larsen_statistic(b: Segments) -> tuple[np.ndarray, np.ndarray]:
+    """Standardised K1 per segment, 0 by convention where K1 is
+    deterministic; segments without successes are invalid.  Moments are
+    built only for the (length, success count) pairs present."""
+    ones = np.flatnonzero(b.values == 1)
+    seg = b.ids[ones]
+    n1 = np.bincount(seg, minlength=len(b))
     valid = n1 >= 1
-    cum = np.cumsum(bits_matrix, axis=1)
-    m = (n1 + 1) // 2
-    med_col = np.argmax(cum >= np.maximum(m, 1)[:, None], axis=1) + 1
-    cols = np.arange(1, n + 1)
-    k1 = np.sum(bits_matrix * np.abs(cols[None, :] - med_col[:, None]), axis=1)
-    means = np.zeros(n + 1)
-    sds = np.zeros(n + 1)
-    for count in np.unique(n1[valid]):
-        mu, var = larsen_moments(n, int(count))
-        means[count], sds[count] = mu, math.sqrt(var)
-    out = np.zeros(b)
-    ok = valid & (sds[n1] > 0)
-    out[ok] = (k1[ok] - means[n1[ok]]) / sds[n1[ok]]
+    loc = ones - b.starts[seg] + 1
+    med = np.zeros(len(b), dtype=np.int64)
+    med[valid] = loc[(n1.cumsum() - n1 + (n1 + 1) // 2 - 1)[valid]]
+    k1 = np.bincount(seg, weights=np.abs(loc - med[seg]), minlength=len(b))
+    mean, sd = np.zeros((2, len(b)))
+    mean[valid], var = per_unique(
+        larsen_moments, b.lengths[valid], n1[valid]).reshape(-1, 2).T
+    sd[valid] = np.sqrt(var)
+    out = np.zeros(len(b))
+    ok = sd > 0
+    out[ok] = (k1[ok] - mean[ok]) / sd[ok]
     return out, valid
 
 
 LARSEN_MIN_N = 3
 
 
-def larsen_test(b: BitSequence, cv: CriticalValueTable | None) -> TestOutcome:
+def larsen_segments(b: Segments, cv: CriticalValueTable | None) -> SegmentOutcomes:
     """Two-sided test of the standardised absolute-deviation statistic."""
-    n = len(b)
-    if n < LARSEN_MIN_N or b.n_ones == 0:
-        return skipped_outcome("larsen", n, f"no successes or n < {LARSEN_MIN_N}")
-    t, _ = larsen_batch(b.bits[None, :])
-    t = float(t[0])
-    if n <= LARSEN_TABLE_MAX:
-        return _tabled_outcome("larsen", n, t, cv)
-    return _normal_outcome("larsen", n, t, t)
+    n = b.lengths
+    t, valid = larsen_statistic(b)
+    res = SegmentOutcomes(n)
+    res.skip((n < LARSEN_MIN_N) | ~valid, f"no successes or n < {LARSEN_MIN_N}")
+    large = _tabled(res, "larsen", LARSEN_TABLE_MAX, t, cv)
+    _normal(res, large, t[large], t[large])
+    return res
+
+
+larsen_test = single_sample(larsen_segments, "larsen")

@@ -154,14 +154,24 @@ def _loadtxt_rows(fh):
         elif line:
             return None
     # comments=None: the reader refuses any '#' after the header as no number,
-    # and a file with no header or no rows by its "no data" warning.
+    # and a file with no header or no rows by its "no data" warning.  It
+    # refuses a whitespace-only line too, which the loop skips as blank, so
+    # a refused file is read once more without such lines.
+    start = fh.tell()
+    rows = _read_rows(fh)
+    if rows is None:
+        fh.seek(start)
+        rows = _read_rows(line for line in fh if not line.isspace())
+    return (rows, comments) if rows is not None and rows.shape[1] == 2 else None
+
+
+def _read_rows(lines):
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rows = np.loadtxt(fh, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+            return np.loadtxt(lines, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
     except (ValueError, Warning):
         return None
-    return (rows, comments) if rows.shape[1] == 2 else None
 
 
 def save_ticks(series: TickSeries, path: str) -> None:

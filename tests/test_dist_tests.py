@@ -5,17 +5,16 @@ import pytest
 
 from clmtree.critical_values import shipped_table
 from clmtree.dist_tests import (
-    _bin_geometric,
+    binned_counts,
     chi2_geometric_test,
     chi2_stationarity,
     g_test,
     klp_nb_test,
     klp_statistic,
     ks_discrete_test,
-    ks_statistic_geometric,
     twos_test,
 )
-from clmtree.outcomes import ZSample
+from clmtree.outcomes import Segments, ZSample
 
 
 @pytest.fixture(scope="module")
@@ -97,15 +96,15 @@ def test_tail_pooling_conserves_mass():
     rng = np.random.default_rng(4)
     for n, d in ((20, 3), (100, 5), (37, 4)):
         values = 2 * rng.geometric(0.5, size=n)
-        obs, exp = _bin_geometric(values, d)
+        obs, exp = binned_counts(Segments.of([values]), d)
         assert obs.sum() == n
         assert math.isclose(exp.sum(), n, rel_tol=1e-12)
 
 
 class TestKsDiscrete:
     def test_hand_example(self, ks_cv):
-        stat = ks_statistic_geometric(np.array([2, 2, 4, 8]))
-        assert math.isclose(stat, 0.25)
+        out = ks_discrete_test(zs([2, 2, 4, 8]), ks_cv)
+        assert math.isclose(out.statistic, 0.25)
 
     def test_reject_all_twos(self, ks_cv):
         out = ks_discrete_test(zs([2] * 50), ks_cv)
@@ -122,8 +121,8 @@ class TestKlp:
         # E[Y]=2 and E[Y(Y-1)]=4 under the null make the ratio 1, so the
         # statistic concentrates near 0 for large samples
         rng = np.random.default_rng(2)
-        stat = klp_statistic(2 * rng.geometric(0.5, size=200_000))
-        assert abs(stat) < 3.5
+        stat = klp_statistic(Segments.of([2 * rng.geometric(0.5, size=200_000)]))
+        assert abs(stat[0]) < 3.5
 
     def test_constant_sample_rejects(self):
         out = klp_nb_test(zs([2] * 40))
@@ -135,7 +134,7 @@ class TestKlp:
     def test_null_distribution_close_to_standard_normal(self):
         rng = np.random.default_rng(3)
         y = rng.geometric(0.5, size=(4000, 2000))
-        stats_ = np.array([klp_statistic(2 * row) for row in y])
+        stats_ = klp_statistic(Segments.rows(2 * y))
         assert abs(stats_.mean()) < 0.08
         assert 0.93 < stats_.std() < 1.07
 

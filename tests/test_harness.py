@@ -100,6 +100,30 @@ class TestStudy:
             assert entry.sample in ("counts", "twos", "excursions"), test_id
             assert entry.table is None or TABLES[entry.table].lengths, test_id
 
+    @pytest.mark.parametrize("cfg", [
+        bm_cfg(n_paths=12, n_crossings=600),
+        StudyConfig(process=ProcessSpec("ou", alpha=8.0, sigma=1.0), n_paths=8,
+                    n_crossings=600, delta=0.063015, seed=3),
+    ], ids=["bm", "ou"])
+    def test_cells_tally_the_per_tree_outcomes(self, cfg):
+        """A study decides each level of all paths in one call per test; its
+        cells equal a tally of the per-tree outcomes."""
+        from clmtree.critical_values import load_all_tables
+        from clmtree.harness import (_simulate_series, apply_tests_to_tree,
+                                     run_study, tree_for_series)
+
+        tables = load_all_tables()
+        cells = {}
+        for i in range(cfg.n_paths):
+            tree = tree_for_series(cfg, _simulate_series(cfg, i), cfg.delta)
+            for level, row in apply_tests_to_tree(tree, cfg.tests, tables).items():
+                for test_id, res in row.items():
+                    cell = cells.setdefault((test_id, level), [0, 0])
+                    if res.applied:
+                        cell[1] += 1
+                        cell[0] += bool(res.reject_at_5pct)
+        assert run_study(cfg, "tally").cells == cells
+
     def test_simulator_failure_carries_path_index(self):
         cfg = bm_cfg(n_crossings=1)  # too short for any tree
         with pytest.raises(RuntimeError, match="path 0"):

@@ -7,24 +7,21 @@ from scipy import stats
 
 from clmtree.critical_values import shipped_table
 from clmtree.indep_tests import (
-    _biased_var,
-    _gamma_match,
+    gamma_match,
     indicator_of_twos,
     joint_dist_test,
     lag1_autocorr_batch,
     lag1_autocorr_test,
-    larsen_batch,
     larsen_moments,
+    larsen_statistic,
     larsen_test,
-    obrien76_pivot_batch,
+    obrien76_pivot,
     obrien76_test,
     obrien_dyck85_test,
-    run_lengths,
     run_variance_moments,
-    runs_count,
     wald_wolfowitz_runs,
 )
-from clmtree.outcomes import BitSequence, ZSample
+from clmtree.outcomes import BitSequence, Segments, ZSample
 
 
 @pytest.fixture(scope="module")
@@ -50,8 +47,27 @@ def zs(values):
     return ZSample(np.asarray(values))
 
 
-# One-sample reference formulas for the batched statistics, written out
+def larsen_batch(mat):
+    return larsen_statistic(Segments.rows(mat))
+
+
+def obrien76_pivot_batch(mat):
+    return obrien76_pivot(Segments.rows(mat))
+
+
+# One-sample reference formulas for the segmented statistics, written out
 # row by row as the definitions read.
+
+def run_lengths(bits, symbol):
+    """Lengths of the maximal runs of ``symbol``."""
+    mask = np.concatenate([[0], (bits == symbol).astype(np.int8), [0]])
+    d = np.diff(mask)
+    return np.flatnonzero(d == -1) - np.flatnonzero(d == 1)
+
+
+def _biased_var(x):
+    return float(np.mean((x - x.mean()) ** 2))
+
 
 def ref_lag1_autocorr(values):
     """Known-mean-4 numerator over the centred sum of squares; None when the
@@ -86,10 +102,9 @@ def ref_obrien76_pivot(bits):
     lens = run_lengths(bits, 1 if n1 >= n0 else 0)
     if lens.size < 2:
         return None
-    match = _gamma_match(*run_variance_moments(max(n1, n0), lens.size))
-    if match is None:
+    c, nu = gamma_match(max(n1, n0), lens.size)
+    if math.isnan(c):
         return None
-    c, nu = match
     s2 = _biased_var(lens.astype(np.float64))
     return float(stats.gamma.cdf(c * s2, a=nu / 2.0, scale=2.0))
 
@@ -180,6 +195,9 @@ class TestRuns:
         out = wald_wolfowitz_runs(bits([0] * 5 + [1] * 5))
         assert out.statistic == 2
         assert out.reject_at_5pct
+
+    def test_statistic_counts_runs(self):
+        assert wald_wolfowitz_runs(bits([0, 1, 1, 0, 0, 0, 1])).statistic == 4
 
     def test_single_symbol_skips(self):
         assert wald_wolfowitz_runs(bits([1, 1, 1])).skipped
@@ -343,6 +361,3 @@ class TestLarsen:
         larsen_batch(row)
         assert larsen_moments.cache_info().currsize == 1
 
-
-def test_runs_count():
-    assert runs_count(np.array([0, 1, 1, 0, 0, 0, 1], dtype=np.int8)) == 4

@@ -119,12 +119,23 @@ def test_reader_matches_line_loop(tmp_path):
         text = preamble + "time,value" + eol + eol.join(lines)
         path.write_bytes((text + (eol if last_eol else "")).encode("utf-8"))
         assert _outcome(str(path)) == _loop_outcome(str(path))
-        # the reader takes empty lines but refuses whitespace-only ones
-        if any(lines) and not any(line.isspace() for line in lines):
+        # the reader takes every file with a row, blank lines and
+        # whitespace-only lines among them
+        if any(line.strip() for line in lines):
             with open(path, encoding="utf-8") as fh:
                 assert series._loadtxt_rows(fh) is not None
 
     check()
+
+
+def test_whitespace_only_lines_stay_with_the_reader(tmp_path):
+    path = tmp_path / "ws.csv"
+    path.write_text("time,value\n \t\n0,1.5\n  \n1,2.5\n\t", encoding="utf-8")
+    with open(path, encoding="utf-8") as fh:
+        rows, _ = series._loadtxt_rows(fh)
+    assert rows.tolist() == [[0.0, 1.5], [1.0, 2.5]]
+    s = load_ticks(str(path))
+    assert s.times.tolist() == [0.0, 1.0] and s.values.tolist() == [1.5, 2.5]
 
 
 def test_comment_after_value_is_malformed(tmp_path):
