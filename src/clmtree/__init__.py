@@ -51,7 +51,6 @@ from .qv import (
     QvPath,
     estimate_qv,
     normal_gof_tests,
-    qv_test_pipeline,
     select_increment,
     time_change_increments,
 )
@@ -71,11 +70,9 @@ from .simulate import (
     simulate_fbm_path,
 )
 from .tree import (
-    Crossing,
     CrossingTree,
     build_tree,
     export_tree,
-    latticised_mean,
     level_stats,
     multiple_crossing_shares,
     select_base_scale,

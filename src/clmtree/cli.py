@@ -22,6 +22,7 @@ from .critical_values import (
 )
 from .harness import (
     ALL_TESTS,
+    DELTA0_POLICIES,
     StudyConfig,
     analyze_dataset,
     render_report,
@@ -48,7 +49,7 @@ def _add_common_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n-paths", type=int, default=1000)
     p.add_argument("--delta", type=float, default=None)
     p.add_argument("--delta0-policy", default="latticed",
-                   choices=["zero", "first", "latticed"])
+                   choices=DELTA0_POLICIES)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tests", default=",".join(ALL_TESTS),
                    help="comma-separated test roster")
@@ -85,7 +86,6 @@ def _config_from_args(args, dataset: str | None = None) -> StudyConfig:
         qv_spacing=getattr(args, "spacing", 1.0 / 250.0),
         qv_process=getattr(args, "qv_process", "bm"),
         qv_drop_last=getattr(args, "drop_last", False),
-        chi2_splits=getattr(args, "chi2_splits", 0),
     )
 
 
@@ -159,8 +159,6 @@ def main(argv=None) -> int:
     p_an.add_argument("dataset")
     _add_process_args(p_an)
     _add_common_args(p_an)
-    p_an.add_argument("--chi2-splits", type=int, default=0,
-                      help="split-sample chi-square stationarity variant")
 
     p_qv = sub.add_parser("qv", help="quadratic-variation c-sweep study")
     _add_process_args(p_qv)

@@ -15,8 +15,7 @@ import numpy as np
 from scipy import special, stats
 
 from .critical_values import TABLES, CriticalValueTable, lookup_cv
-from .outcomes import (SegmentOutcomes, Segments, TestOutcome, ZSample, per_unique,
-                       pymin, single_sample)
+from .outcomes import SegmentOutcomes, Segments, per_unique, pymin, single_sample
 
 # Delta-method variance of n**0.5 * (c_hat - 1) for Y = Z/2 under the null
 # (moments of Geometric_1(1/2): E Y = 2, E Y(Y-1) = 4, Var Y(Y-1) = 88,
@@ -223,23 +222,3 @@ chi2_geometric_test = single_sample(chi2_geometric_segments, "chi2")
 g_test = single_sample(g_segments, "g")
 ks_discrete_test = single_sample(ks_discrete_segments, "ks_discrete")
 klp_nb_test = single_sample(klp_nb_segments, "klp")
-
-
-def chi2_stationarity(z: ZSample, parts: int) -> TestOutcome:
-    """Split-sample variant: sum of per-part chi-square statistics.
-
-    Harness-side diagnostic only; chi2_{parts*(d-1)} under the null.
-    """
-    n = len(z)
-    if parts < 2 or n // parts < CHI2_MIN_N:
-        return TestOutcome("chi2_split", n, skipped="parts too short")
-    size = n // parts
-    d = max(_bin_count(size), 2)
-    split = Segments(z.values[: size * parts], np.full(parts, size))
-    total = 0.0
-    for stat in pearson_statistic(*binned_counts(split, d)).tolist():
-        total += stat
-    df = parts * (d - 1)
-    p = float(special.chdtrc(df, total))
-    return TestOutcome("chi2_split", size * parts, statistic=total, p_value=p,
-                       reject_at_5pct=p < 0.05)

@@ -13,7 +13,7 @@ from . import dist_tests as dt
 from . import indep_tests as it
 from .calibrate import CalibrationResult
 from .critical_values import load_all_tables
-from .outcomes import SegmentOutcomes, Segments, TestOutcome, ZSample
+from .outcomes import SegmentOutcomes, Segments, TestOutcome
 from .qv import estimate_qv, normal_gof_tests, select_increment, time_change_increments
 from .series import TickSeries, load_ticks, log_transform
 from .simulate import ProcessSpec, simulate_crossings_batch, simulate_fbm_path
@@ -82,7 +82,6 @@ class StudyConfig:
     qv_spacing: float = 1.0 / 250.0
     qv_process: str = "bm"
     qv_drop_last: bool = False
-    chi2_splits: int = 0  # stationarity variant; 0 disables
     fbm_horizon: float | None = None  # None: scaling-rule guess with margin
 
     def __post_init__(self):
@@ -285,10 +284,6 @@ def analyze_series(series: TickSeries, cfg: StudyConfig,
             "ge4_pct": shares[level]["ge4_pct"],
             "outcomes": outcomes.get(level, {}),
         }
-        if cfg.chi2_splits >= 2 and level >= 1:
-            row["chi2_split"] = dt.chi2_stationarity(
-                ZSample(tree.counts[level], level=level), cfg.chi2_splits
-            )
         rows.append(row)
     return LevelReport(
         label=label,

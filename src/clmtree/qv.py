@@ -146,17 +146,3 @@ def _cvm_asymptotic_sf(w2: float) -> float:
         total += term
     cdf = total / (math.pi * math.sqrt(w2))
     return float(min(max(1.0 - cdf, 0.0), 1.0))
-
-
-def qv_test_pipeline(
-    series: TickSeries, c: float, drop_last: bool = False
-) -> tuple[dict[str, TestOutcome], int]:
-    """Full baseline: QV, increment selection, inversion, three tests.
-
-    Returns the outcomes and the number of normalised increments tested.
-    """
-    qv = estimate_qv(series)
-    inc = select_increment(qv, c)
-    norm = time_change_increments(series, qv, inc)
-    m = norm.z.size - (1 if drop_last else 0)
-    return normal_gof_tests(norm, drop_last=drop_last), m

@@ -18,27 +18,18 @@ from .series import InterpolatedPath, TickSeries
 
 logger = logging.getLogger(__name__)
 
-# Points this close to a lattice line (relative to the line index) snap onto
-# it, so simulated inputs that land exactly on lattice points are recognised
-# despite float round-trip error.
+# Points this close to a lattice line snap onto it, so inputs that land
+# exactly on lattice points are recognised despite float round-trip error:
+# SNAP_TOL relative to the line index, plus SNAP_ULPS rounding units of the
+# origin, which ``values - origin`` inherits when the origin is far from 0.
 SNAP_TOL = 2.0 ** -40
+SNAP_ULPS = 64
 
 MAX_LEVELS = 62
 
 
 class TreeError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class Crossing:
-    """One first-passage segment: from start_value to start_value +- size."""
-
-    start_time: float
-    end_time: float
-    start_value: float
-    orientation: int
-    level: int
 
 
 def lattice_events(times, values, delta: float, origin: float):
@@ -56,7 +47,8 @@ def lattice_events(times, values, delta: float, origin: float):
         raise TreeError("crossing size must be positive")
     u = (values - origin) / delta
     r = np.round(u)
-    snap = np.abs(u - r) <= SNAP_TOL * np.maximum(1.0, np.abs(r))
+    far = SNAP_ULPS * np.finfo(np.float64).eps * abs(origin) / delta
+    snap = np.abs(u - r) <= SNAP_TOL * np.maximum(1.0, np.abs(r)) + far
     u = np.where(snap, r, u)
 
     a, b = u[:-1], u[1:]
@@ -117,22 +109,6 @@ class CrossingTree:
         self._check_level(level)
         return np.diff(self.hit_index[level]).astype(np.int64)
 
-    def crossing_list(self, level: int) -> list:
-        self._check_level(level)
-        t = self.hit_times[level]
-        k = self.hit_index[level]
-        size = self.delta * (2.0 ** level)
-        return [
-            Crossing(
-                start_time=float(t[i]),
-                end_time=float(t[i + 1]),
-                start_value=self.origin + float(k[i]) * size,
-                orientation=int(k[i + 1] - k[i]),
-                level=level,
-            )
-            for i in range(k.size - 1)
-        ]
-
     def durations(self, level: int) -> np.ndarray:
         self._check_level(level)
         return np.diff(self.hit_times[level])
@@ -152,28 +128,16 @@ class CrossingTree:
 
 
 def build_tree(
-    path: InterpolatedPath,
-    delta: float,
-    origin: float = 0.0,
-    start_after: float | None = None,
+    path: InterpolatedPath, delta: float, origin: float = 0.0
 ) -> CrossingTree:
     """Construct the crossing tree of the interpolated path.
 
-    Level-0 crossings start from the first hit of ``origin + delta * Z`` at
-    or after ``start_after`` (that hit initialises the position and is not
-    itself a crossing); incomplete trailing crossings are discarded at every
-    level.
+    Level-0 crossings start from the first hit of ``origin + delta * Z``
+    (that hit initialises the position and is not itself a crossing);
+    incomplete trailing crossings are discarded at every level.
     """
     s = path.series
-    times, values = s.times, s.values
-    if start_after is not None and start_after > times[0]:
-        if start_after >= times[-1]:
-            raise TreeError("no data after start_after")
-        pos = int(np.searchsorted(times, start_after, side="right"))
-        times = np.concatenate([[start_after], times[pos:]])
-        values = np.concatenate([[path.at(start_after)], s.values[pos:]])
-
-    hit_t, hit_k = lattice_events(times, values, delta, origin)
+    hit_t, hit_k = lattice_events(s.times, s.values, delta, origin)
     if hit_k.size == 0:
         raise TreeError("path never hits the lattice")
     if hit_k.size < 3:
@@ -257,25 +221,6 @@ def select_base_scale(series: TickSeries) -> float:
     return delta
 
 
-def latticised_mean(
-    series: TickSeries, delta: float, n_warmup: int = 30
-) -> tuple[float, float]:
-    """Lattice offset from the first ``n_warmup`` crossings of ``0 + delta*Z``.
-
-    Returns ``(origin, consumed_through)``: the mean of the warm-up crossing
-    values and the end time of the last warm-up crossing, so the analysis
-    tree can start strictly after the data used here.
-    """
-    hit_t, hit_k = lattice_events(series.times, series.values, delta, 0.0)
-    if hit_k.size < n_warmup + 1:
-        raise TreeError(
-            f"only {max(hit_k.size - 1, 0)} warm-up crossings available, "
-            f"need {n_warmup}"
-        )
-    origin = float(np.mean(hit_k[1 : n_warmup + 1])) * delta
-    return origin, float(hit_t[n_warmup])
-
-
 def level_stats(tree: CrossingTree, level: int) -> dict:
     """Counts available to the tests at one level plus the temporal scale."""
     if not 0 <= level <= tree.max_level:
@@ -323,12 +268,15 @@ def export_tree(tree: CrossingTree, out_dir: str) -> list[str]:
         with open(fname, "w", encoding="utf-8", newline="\n") as fh:
             cols = "k,start_time,end_time,start_value,orientation"
             fh.write(cols + (",subcrossings\n" if level >= 1 else "\n"))
-            z = tree.counts[level] if level >= 1 else None
-            for i, c in enumerate(tree.crossing_list(level), start=1):
+            t = tree.hit_times[level].tolist()
+            k = tree.hit_index[level].tolist()
+            z = tree.counts[level].tolist() if level >= 1 else None
+            size = tree.delta * (2.0 ** level)
+            for i in range(len(k) - 1):
                 row = (
-                    f"{i},{c.start_time!r},{c.end_time!r},"
-                    f"{c.start_value!r},{c.orientation}"
+                    f"{i + 1},{t[i]!r},{t[i + 1]!r},"
+                    f"{tree.origin + float(k[i]) * size!r},{k[i + 1] - k[i]}"
                 )
-                fh.write(row + (f",{int(z[i - 1])}\n" if level >= 1 else "\n"))
+                fh.write(row + (f",{z[i]}\n" if level >= 1 else "\n"))
         written.append(fname)
     return written

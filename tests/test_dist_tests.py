@@ -7,7 +7,6 @@ from clmtree.critical_values import shipped_table
 from clmtree.dist_tests import (
     binned_counts,
     chi2_geometric_test,
-    chi2_stationarity,
     g_test,
     klp_nb_test,
     klp_statistic,
@@ -146,11 +145,3 @@ def test_all_twos_rejected_by_every_applicable_test(chi2_cv, ks_cv):
     assert g_test(sample).reject_at_5pct
     assert ks_discrete_test(sample, ks_cv).reject_at_5pct
     assert klp_nb_test(sample).reject_at_5pct
-
-
-def test_chi2_stationarity_variant():
-    rng = np.random.default_rng(5)
-    sample = zs(2 * rng.geometric(0.5, size=120))
-    out = chi2_stationarity(sample, 4)
-    assert out.applied and out.p_value > 0.001
-    assert chi2_stationarity(zs([2] * 20), 4).skipped

@@ -1,4 +1,5 @@
-"""Rendered reports compared byte for byte with committed golden files.
+"""Rendered reports, and the level files ``export_tree`` writes, compared
+byte for byte with committed golden files.
 
 The goldens pin every decision, p-value and skip of the whole roster on
 fixed seeds, so a refactor of the test layer that changes any of them
@@ -26,6 +27,7 @@ from clmtree.harness import (
 )
 from clmtree.series import TickSeries
 from clmtree.simulate import ProcessSpec
+from clmtree.tree import build_tree, export_tree
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 FORMATS = ("text", "csv")
@@ -41,12 +43,12 @@ def type1_report():
 
 def analyze_report():
     """One seeded BM grid path of 10^5 steps: level 1 holds more than
-    1000 counts (the KS fallback), and the split chi-square is on."""
+    1000 counts (the KS fallback)."""
     rng = np.random.default_rng(12)
     values = np.r_[0.0, np.cumsum(rng.standard_normal(100_000) * 0.1)]
     series = TickSeries(times=np.arange(values.size, dtype=float),
                         values=values)
-    cfg = StudyConfig(delta=0.25, tests=ALL_TESTS, chi2_splits=2)
+    cfg = StudyConfig(delta=0.25, tests=ALL_TESTS)
     return analyze_series(series, cfg, label="bm-path")
 
 
@@ -77,6 +79,20 @@ REPORTS = {"type1": type1_report, "analyze": analyze_report, "qv": qv_report,
            "ou": ou_report, "feller": feller_report}
 
 
+def export_level_files(out_dir):
+    """Every level file ``export_tree`` writes for one seeded BM grid path
+    on the lattice 0.1 + 0.25 Z: pins the start values off the origin and
+    the ``repr`` digits of every time and value."""
+    rng = np.random.default_rng(14)
+    values = np.r_[0.0, np.cumsum(rng.standard_normal(2_000) * 0.1)]
+    series = TickSeries(times=np.arange(values.size, dtype=float),
+                        values=values)
+    return export_tree(build_tree(series.path(), 0.25, 0.1), out_dir)
+
+
+EXPORT_GOLDEN = os.path.join(GOLDEN, "export")
+
+
 def _path(name, fmt):
     return os.path.join(GOLDEN, f"{name}.{fmt}")
 
@@ -90,6 +106,16 @@ def test_report_matches_golden(name):
         assert render_report(report, fmt) == expected, f"{name}.{fmt}"
 
 
+def test_export_tree_matches_golden(tmp_path):
+    written = export_level_files(str(tmp_path))
+    names = [os.path.basename(f) for f in written]
+    assert sorted(names) == sorted(os.listdir(EXPORT_GOLDEN))
+    for name in names:
+        with open(os.path.join(EXPORT_GOLDEN, name), "rb") as fh:
+            expected = fh.read()
+        assert (tmp_path / name).read_bytes() == expected, name
+
+
 if __name__ == "__main__":
     os.makedirs(GOLDEN, exist_ok=True)
     for name, make in sorted(REPORTS.items()):
@@ -97,3 +123,5 @@ if __name__ == "__main__":
         for fmt in FORMATS:
             render_report(report, fmt, out_path=_path(name, fmt))
             print(f"wrote {_path(name, fmt)}", file=sys.stderr)
+    for fname in export_level_files(EXPORT_GOLDEN):
+        print(f"wrote {fname}", file=sys.stderr)

@@ -175,13 +175,6 @@ class TestAnalyze:
         text = render_report(rep, "text")
         assert "--" in text  # skipped cells are marked, never shown as 0%
 
-    def test_chi2_split_option(self):
-        rng = np.random.default_rng(14)
-        vals = np.cumsum(np.r_[0, rng.choice([-1.0, 1.0], 30_000)])
-        series = TickSeries(times=np.arange(vals.size, dtype=float), values=vals)
-        rep = analyze_series(series, bm_cfg(delta=1.0, chi2_splits=3))
-        assert rep.rows[1]["chi2_split"].applied
-
 
 class TestQvStudy:
     def test_single_c_single_row(self):
@@ -327,6 +320,24 @@ class TestCli:
         assert "--config: expected one argument" in err
         assert f"--config: can't open {missing!r}" in err
 
+    def test_removed_chi2_splits_option_is_a_usage_error(self, tmp_path, capsys):
+        from clmtree import cli
+
+        rng = np.random.default_rng(14)
+        vals = np.cumsum(np.r_[0.0, rng.choice([-1.0, 1.0], 3000)])
+        ticks = str(tmp_path / "t.csv")
+        save_ticks(TickSeries(times=np.arange(vals.size, dtype=float),
+                              values=vals), ticks)
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text("chi2_splits=2\n")
+        for argv in (["analyze", ticks, "--chi2-splits", "2"],
+                     ["analyze", ticks, "--config", str(cfg)]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 2, argv
+        err = capsys.readouterr().err
+        assert err.count("unrecognized arguments: --chi2-splits") == 2
+
 
 def test_calibration_report_render(tmp_path):
     res = delta_mc(ProcessSpec("bm"), 200, 0.8, step_exponents=(3,),
@@ -336,42 +347,6 @@ def test_calibration_report_render(tmp_path):
     assert (tmp_path / "cal.txt").read_text() == text
     parsed = json.loads(render_report(res, "json"))
     assert parsed["kind"] == "bm"
-
-
-def test_latticised_mean_warmup_leaves_type1_unchanged():
-    """On continuous (grid) BM paths the warm-up-mean anchor is usable
-    as-is (fractional offsets are harmless off-lattice), and the null
-    rejection matches the plain zero-anchor rate on the same paths -- any
-    residual discrete-sampling artifact cancels in the comparison."""
-    import math as _math
-
-    from clmtree.critical_values import load_all_tables
-    from clmtree.harness import apply_tests_to_tree
-    from clmtree.tree import build_tree, latticised_mean
-
-    rng = np.random.default_rng(77)
-    tables = load_all_tables()
-    delta = 0.1
-    dt = 1e-5
-    rates = {"warmup": [0, 0], "zero": [0, 0]}
-    for i in range(150):
-        inc = rng.standard_normal(240_000) * _math.sqrt(dt)
-        series = TickSeries(times=dt * np.arange(240_001),
-                            values=np.r_[0, np.cumsum(inc)])
-        origin, consumed = latticised_mean(series, delta, 30)
-        for key, tree in (
-            ("warmup", build_tree(series.path(), delta, origin, consumed)),
-            ("zero", build_tree(series.path(), delta, 0.0, None)),
-        ):
-            out = apply_tests_to_tree(tree, ("chi2", "joint"), tables)
-            for res in out.get(1, {}).values():
-                if res.applied:
-                    rates[key][1] += 1
-                    rates[key][0] += bool(res.reject_at_5pct)
-    r_warm = rates["warmup"][0] / rates["warmup"][1]
-    r_zero = rates["zero"][0] / rates["zero"][1]
-    assert abs(r_warm - r_zero) < 0.045, (r_warm, r_zero)
-    assert r_warm < 0.15
 
 
 def test_permuting_counts_collapses_joint_rejection():
@@ -394,7 +369,7 @@ def test_permuting_counts_collapses_joint_rejection():
                           delta=d, seed=1)
         tree = build_tree(series.path(), d,
                           __import__("clmtree.harness", fromlist=["x"])
-                          .lattice_median_anchor(series, d), None)
+                          .lattice_median_anchor(series, d))
         if tree.max_level < 3 or tree.counts[3].size < 10:
             continue
         used += 1

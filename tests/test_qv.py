@@ -6,7 +6,6 @@ import pytest
 from clmtree.qv import (
     estimate_qv,
     normal_gof_tests,
-    qv_test_pipeline,
     select_increment,
     time_change_increments,
 )
@@ -161,12 +160,3 @@ class TestNormalGof:
                                    drop_last=True)
         assert dropped["sm"].n_used == full["sm"].n_used - 1
 
-
-def test_pipeline_wrapper():
-    rng = np.random.default_rng(7)
-    h = 1.0 / 250.0
-    inc = rng.standard_normal(1250) * math.sqrt(h)
-    s = grid_series(np.r_[0, np.cumsum(inc)], spacing=h)
-    res, m = qv_test_pipeline(s, 60.0)
-    assert set(res) == {"ks", "cvm", "sm"}
-    assert m == res["sm"].n_used

@@ -7,7 +7,6 @@ from clmtree.tree import (
     build_tree,
     export_tree,
     lattice_events,
-    latticised_mean,
     level_stats,
     multiple_crossing_shares,
     select_base_scale,
@@ -51,26 +50,6 @@ class TestBaseScale:
             select_base_scale(s)
 
 
-class TestLatticisedMean:
-    def test_alternating_values(self):
-        s = walk_series(np.array([0.0, 1.0] * 16)[:31])
-        origin, consumed = latticised_mean(s, 1.0, 30)
-        assert origin == 0.5
-        assert consumed == 30.0
-
-    def test_too_few_crossings(self):
-        s = walk_series([0.0, 1.0, 0.0, 1.0])
-        with pytest.raises(TreeError, match="warm-up"):
-            latticised_mean(s, 1.0, 30)
-
-    def test_mean_formula_on_walk(self):
-        rng = np.random.default_rng(5)
-        s = walk_series(np.cumsum(np.r_[0, rng.choice([-1, 1], 200)]).astype(float))
-        origin, consumed = latticised_mean(s, 1.0, 30)
-        _, hits = lattice_events(s.times, s.values, 1.0, 0.0)
-        assert origin == np.mean(hits[1:31])
-
-
 class TestBuildTree:
     def test_seven_point_example(self):
         t = build_tree(SEVEN.path(), 1.0, 0.0)
@@ -100,15 +79,6 @@ class TestBuildTree:
             build_tree(flat.path(), 1.0, 0.6)
         with pytest.raises(TreeError, match="fewer than 2"):
             build_tree(walk_series([0, 1]).path(), 1.0, 0.0)
-        with pytest.raises(TreeError, match="no data"):
-            build_tree(SEVEN.path(), 1.0, 0.0, start_after=99.0)
-
-    def test_start_after_consumes_warmup(self):
-        rng = np.random.default_rng(1)
-        s = walk_series(np.cumsum(np.r_[0, rng.choice([-1, 1], 400)]).astype(float))
-        full = build_tree(s.path(), 1.0, 0.0)
-        part = build_tree(s.path(), 1.0, 0.0, start_after=30.0)
-        assert part.n_crossings(0) == full.n_crossings(0) - 30
 
     def test_touch_counts_as_hit(self):
         # local maximum exactly on a lattice point
@@ -121,6 +91,71 @@ class TestBuildTree:
         s = walk_series([0.0, 1.0 - eps, 0.0 + eps, 1.0])
         _, hits = lattice_events(s.times, s.values, 1.0, 0.0)
         assert hits.tolist() == [0, 1, 0, 1]
+
+
+class TestSnapFarFromZero:
+    """The rounding error of ``(value - origin) / delta`` grows with the
+    magnitudes of the value and the origin, not with the line index, so a
+    value on a line next to a far origin must still snap onto it."""
+
+    def test_pip_prices_around_the_anchor(self):
+        # prices written to the pip, lattice anchored on 106.96 as the
+        # latticed policy does (a whole number of deltas)
+        k = 10695 + np.array([0, 1, 0, -1, -2, -1, 0, 1, 2, 3, 2, 1, 0])
+        prices = np.array([float(f"{p:.2f}") for p in k * 0.01])
+        _, hits = lattice_events(np.arange(k.size, dtype=float), prices,
+                                 0.01, 10696 * 0.01)
+        assert hits.tolist() == [-1, 0, -1, -2, -3, -2, -1, 0, 1, 2, 1, 0, -1]
+
+    @pytest.mark.parametrize("delta", [0.1, 0.037, 3.3e-7])
+    def test_integer_walk_2_pow_40_units_out(self, delta):
+        walk = np.array([0, 1, 0, -1, 0, 1, 2, 1, 0])
+        k = 2**40 + 3
+        _, hits = lattice_events(np.arange(walk.size, dtype=float),
+                                 (k + walk) * delta, delta, k * delta)
+        assert hits.tolist() == walk.tolist()
+
+
+def test_tree_matches_oracle_on_shifted_lattices():
+    """Property: integer walks with steps in {-1, 0, +1} (flat segments and
+    repeated touches), scaled by delta and shifted to the origin k * delta
+    with |k| up to 2**40, give the oracle's tree at every level.  The walk
+    may start on any line or half a unit off the first one."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    far = st.sampled_from([2**30, 2**40, -(2**40)])
+
+    @hypothesis.settings(max_examples=200)
+    @hypothesis.given(
+        steps=st.lists(st.sampled_from([-1, 0, 1]), min_size=2, max_size=200),
+        start=st.integers(-4, 4),
+        k=st.one_of(far, st.integers(-(2**40), 2**40)),
+        delta=st.sampled_from([1.0, 0.0625, 0.1, 0.037, 0.01, 3.3e-7]),
+        lead=st.sampled_from([0.0, 0.5, -0.5]))
+    def check(steps, start, k, delta, lead):
+        walk = start + np.cumsum(np.r_[0, steps])
+        units = (k + walk).astype(np.float64)
+        if lead:  # a first point half a unit off the walk's first line
+            units = np.r_[k + start + lead, units]
+        series = TickSeries(times=np.arange(units.size, dtype=float),
+                            values=units * delta)
+        ref = brute_tree(walk)
+        if not ref or len(ref[0]["times"]) < 3:
+            with pytest.raises(TreeError):
+                build_tree(series.path(), delta, k * delta)
+            return
+        t = build_tree(series.path(), delta, k * delta)
+        assert t.max_level == len(ref) - 1
+        shift = 1.0 if lead else 0.0
+        for level, r in enumerate(ref):
+            assert np.array_equal(t.hit_times[level],
+                                  np.asarray(r["times"]) + shift)
+            assert np.array_equal(t.hit_index[level] * 2**level, r["values"])
+            if level >= 1:
+                assert np.array_equal(t.counts[level], r["counts"])
+                assert np.array_equal(t.excursions[level], r["excursions"])
+
+    check()
 
 
 class TestLevelStats:
@@ -252,5 +287,5 @@ def test_origin_shift_changes_lattice():
     # lattice 0.5 + Z: init at 0.5, then first passages to 1.5, 2.5, 3.5
     # (the 2 -> 1 -> 2 excursion re-touches 1.5 without a new passage)
     assert t.n_crossings(0) == 3
-    vals = [c.start_value for c in t.crossing_list(0)]
+    vals = t.origin + t.delta * t.hit_index[0][:-1]
     assert all(abs((v - 0.5) % 1.0) < 1e-12 for v in vals)
