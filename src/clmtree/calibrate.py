@@ -167,8 +167,17 @@ def _grid_block(spec, x, g, step, redraw):
 
     ``g`` holds the Gaussian increments (variance ``step``), one row per
     step.  BM and OU are vectorised over time (OU through its exact AR(1)
-    transition); Feller runs ``milstein_feller_step`` row by row, redrawing
-    an increment from ``redraw`` wherever a step would land at or below 0.
+    transition).  Feller takes ``milstein_feller_step`` row by row, in
+    place in the output block and in that function's order of operations,
+    so every value keeps its bits: the x-free term sigma**2 (g**2 - step) / 4
+    is filled in for all rows at once, and the rest of the sum is built in
+    two buffers and added to it.  A step that lands at or below 0 has its
+    increment redrawn from ``redraw`` until it lands above 0.  Positivity
+    is checked once per block: after stepping through the block, the first
+    row holding a value <= 0 has those values redrawn in index order from
+    the row before it, exactly as a check after every step would, and the
+    block is stepped again from the next row.  (A NaN, which only a
+    negative or non-finite start gives, is never redrawn.)
     """
     if spec.kind in ("bm", "bm_drift"):
         drift = spec.alpha if spec.kind == "bm_drift" else 0.0
@@ -179,15 +188,43 @@ def _grid_block(spec, x, g, step, redraw):
         return signal.lfilter([1.0], [1.0, -rho], sd * g, axis=0,
                               zi=rho * x[None, :])[0]
     out = np.empty_like(g)
+    # the constants as arrays: a ufunc converts a Python float on every call
+    mu, kappa, h, sigma = (np.full(x.shape, v) for v in
+                           (spec.mu, spec.kappa, step, spec.sigma))
+    head, noise = np.empty(x.shape), np.empty(x.shape)
     sq = math.sqrt(step)
-    for k in range(g.shape[0]):
-        x_new = milstein_feller_step(spec, x, g[k], step)
-        if not (x_new > 0.0).all():
-            for i in np.flatnonzero(x_new <= 0.0):
-                while x_new[i] <= 0.0:
-                    x_new[i] = milstein_feller_step(
-                        spec, x[i], redraw.standard_normal() * sq, step)
-        out[k] = x = x_new
+    start = 0
+    while start < len(g):
+        # the x-free term of every row still to step
+        rows = out[start:]
+        np.multiply(g[start:], g[start:], out=rows)
+        rows -= step
+        rows *= spec.sigma**2
+        rows /= 4.0
+        prev = x if start == 0 else out[start - 1]
+        with np.errstate(invalid="ignore"):
+            for row, g_k in zip(rows, g[start:]):
+                # x + kappa (mu - x) step + sigma sqrt(x) g, then the term
+                np.subtract(mu, prev, head)
+                np.multiply(head, kappa, head)
+                np.multiply(head, h, head)
+                np.add(head, prev, head)
+                np.sqrt(prev, noise)
+                np.multiply(noise, sigma, noise)
+                np.multiply(noise, g_k, noise)
+                np.add(head, noise, head)
+                np.add(row, head, row)
+                prev = row
+        low = (rows <= 0.0).any(axis=1)
+        if not low.any():
+            break
+        k = start + int(np.argmax(low))
+        prev, row = (x if k == 0 else out[k - 1]), out[k]
+        for i in np.flatnonzero(row <= 0.0):
+            while row[i] <= 0.0:
+                row[i] = milstein_feller_step(
+                    spec, prev[i], redraw.standard_normal() * sq, step)
+        start = k + 1
     return out
 
 
@@ -344,13 +381,11 @@ def _mean_window_for_n_crossings(
         # steps that touch a line, path by path in time order; each passes
         # a run of consecutive lines, and a re-touch of the line hit last
         # is not a new passage
-        k, path = np.nonzero((c_prev != c_nxt) | lo | hi)
+        path, k = np.nonzero(((c_prev != c_nxt) | lo | hi).T)
         x, t_block = nxt[-1], t_start
         t_start += block * step
         if path.size == 0:
             continue
-        order = np.argsort(path, kind="stable")
-        k, path = k[order], path[order]
         a, b = prev[k, path], nxt[k, path]
         ca, cb = c_prev[k, path], c_nxt[k, path]
         lo_k, hi_k = lo[k, path], hi[k, path]
@@ -489,7 +524,7 @@ def delta_mc(
                 fit = (float(intercept), float(slope), rms)
             else:
                 tail = 10.0 ** (slope * exps[-1] + intercept) / (1.0 - ratio)
-                final = deltas[exps[-1]] + tail
+                final = deltas[exps[-1]] + float(tail)
                 fit = (float(intercept), float(slope), rms)
         return CalibrationResult(
             kind=spec.kind, n_crossings=n_crossings, t0=t0,

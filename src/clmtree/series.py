@@ -59,24 +59,6 @@ class InterpolatedPath:
 
     series: TickSeries
 
-    @property
-    def t_min(self) -> float:
-        return float(self.series.times[0])
-
-    @property
-    def t_max(self) -> float:
-        return float(self.series.times[-1])
-
-    def at(self, t):
-        """Exact piecewise-linear value at time(s) t within the observed span."""
-        t_arr = np.asarray(t, dtype=np.float64)
-        if np.any(t_arr < self.t_min) or np.any(t_arr > self.t_max):
-            raise ValueError(
-                f"time outside observed span [{self.t_min}, {self.t_max}]"
-            )
-        out = np.interp(t_arr, self.series.times, self.series.values)
-        return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
-
 
 def load_ticks(path: str) -> TickSeries:
     """Load a tick file into a TickSeries.

@@ -17,6 +17,11 @@ exact crossing walk, step by step.
 
 Independent of ``clmtree.calibrate``: it shares only the scale-function
 quadratures of ``clmtree.simulate``.
+
+``feller_grid_reference`` is the other reference here: the Feller grid
+stepped one ``milstein_feller_step`` call at a time, with a positivity
+check after every step, which ``calibrate._grid_block`` must reproduce bit
+for bit.
 """
 
 import math
@@ -24,6 +29,7 @@ import math
 import numpy as np
 from scipy import integrate, special
 
+from clmtree.calibrate import milstein_feller_step
 from clmtree.simulate import ProcessSpec, expected_crossing_time, hitting_prob
 
 START_TAIL = 1e-13  # stationary mass left above the truncated lattice
@@ -123,3 +129,19 @@ def feller_delta_exact(kappa, mu, sigma, n_crossings, t0, rel_tol=1e-10):
             return math.exp(x1)
         x0, x1, f0 = x1, x1 - f1 * (x1 - x0) / (f1 - f0), f1
     raise RuntimeError("secant iteration did not converge")
+
+
+def feller_grid_reference(spec, x, g, step, redraw):
+    """Milstein grid values of every path, one row of ``g`` per step; a
+    step that lands at or below 0 is redrawn at once from ``redraw``."""
+    out = np.empty_like(g)
+    sq = math.sqrt(step)
+    for k in range(g.shape[0]):
+        x_new = milstein_feller_step(spec, x, g[k], step)
+        if not (x_new > 0.0).all():
+            for i in np.flatnonzero(x_new <= 0.0):
+                while x_new[i] <= 0.0:
+                    x_new[i] = milstein_feller_step(
+                        spec, x[i], redraw.standard_normal() * sq, step)
+        out[k] = x = x_new
+    return out

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from clmtree.calibrate import (
+    WINDOW_BLOCK_VALUES,
     _brownian_increments,
     _grid_block,
     _mean_window_for_n_crossings,
@@ -12,19 +13,16 @@ from clmtree.calibrate import (
     delta_ou,
     ou_mean_crossing_duration,
 )
+from clmtree.harness import render_report
 from clmtree.simulate import ProcessSpec
 
-from oracle_calibration import feller_delta_exact, feller_mean_window
+from oracle_calibration import (
+    feller_delta_exact,
+    feller_grid_reference,
+    feller_mean_window,
+)
 
 FELLER = ProcessSpec("feller", kappa=6.0, mu=0.2, sigma=1.0)
-
-
-@pytest.fixture(scope="module")
-def feller_coarse():
-    """Coarse three-level Feller calibration shared by the structure and
-    oracle tests."""
-    return delta_mc(FELLER, 300, 1.2, step_exponents=(2, 3, 4), n_paths=120,
-                    seed=4)
 
 
 class TestClosedForm:
@@ -88,6 +86,10 @@ class TestDeltaMc:
             < res.deltas_by_step[4] < res.delta
         assert res.fit_slope is not None and res.fit_slope < 0
         assert abs(res.achieved_mean_window - 1.2) <= 0.03 * 1.2
+
+    def test_extrapolated_delta_is_a_python_float(self, feller_coarse):
+        assert type(feller_coarse.delta) is float
+        assert "np.float64" not in render_report(feller_coarse, "text")
 
     def test_two_steps_refuse_extrapolation(self):
         res = delta_mc(ProcessSpec("feller", kappa=6.0, mu=0.2, sigma=1.0),
@@ -178,3 +180,54 @@ def test_feller_grid_block_keeps_stationary_mean():
     assert paths.shape == (1000, n_paths) and np.all(paths > 0.0)
     assert abs(x0.mean() - 0.2) < 0.02
     assert abs(paths[-1].mean() - 0.2) < 0.02
+
+
+class TestFellerGridBlock:
+    """``_grid_block``'s Feller stepper against the per-step reference of
+    ``oracle_calibration``: the same values and the same redraws."""
+
+    @staticmethod
+    def _both(spec, x, g, step):
+        ref_rng, rng = np.random.default_rng(6), np.random.default_rng(6)
+        with np.errstate(invalid="ignore"):  # sqrt of a negative start
+            ref = feller_grid_reference(spec, x, g, step, ref_rng)
+        out = _grid_block(spec, x, g, step, rng)
+        assert np.array_equal(out, ref, equal_nan=True)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        return ref, rng
+
+    @pytest.mark.parametrize("n_paths", [40, 500])
+    def test_matches_per_step_reference(self, n_paths):
+        # one calibration block of stationary starts at step 1e-4
+        step = 1e-4
+        rng = np.random.default_rng(n_paths)
+        a = 2.0 * FELLER.kappa * FELLER.mu / FELLER.sigma**2
+        x0 = rng.gamma(shape=a, scale=FELLER.sigma**2 / (2.0 * FELLER.kappa),
+                       size=n_paths)
+        g = rng.standard_normal((WINDOW_BLOCK_VALUES // n_paths, n_paths)) \
+            * math.sqrt(step)
+        self._both(FELLER, x0, g, step)
+
+    def test_redraws_match_per_step_reference(self):
+        # 2 kappa mu / sigma**2 = 1.  A step from x lands at
+        # (sqrt(x) + sigma g / 2)**2 + (kappa mu - sigma**2 / 4 - kappa x) h,
+        # which is > 0 for x < 0.05 (so starts near 0 never redraw) and <= 0
+        # for x > 0.05 and g = -2 sqrt(x) / sigma: such increments are set
+        # at row 0 and at row 100.  A negative start gives a NaN path.
+        spec = ProcessSpec("feller", kappa=5.0, mu=0.1, sigma=1.0)
+        step = 1e-2
+        rng = np.random.default_rng(7)
+        x0 = rng.gamma(1.0, 0.1, size=40)
+        x0[:3] = [1e-8, 2e-8, 5e-9]
+        x0[3:6] = [0.3, 0.5, 0.8]
+        x0[6] = -1e-3
+        g = rng.standard_normal((300, 40)) * math.sqrt(step)
+        g[0, 3:6] = -2.0 * np.sqrt(x0[3:6]) / spec.sigma
+        ref, _ = self._both(spec, x0, g, step)
+        high = np.flatnonzero(ref[99] > 0.1)[:3]
+        assert high.size
+        g[100, high] = -2.0 * np.sqrt(ref[99, high]) / spec.sigma
+        ref, rng = self._both(spec, x0, g, step)
+        assert np.all(ref[:, 6] != ref[:, 6])
+        assert rng.bit_generator.state \
+            != np.random.default_rng(6).bit_generator.state

@@ -3,7 +3,9 @@ byte for byte with committed golden files.
 
 The goldens pin every decision, p-value and skip of the whole roster on
 fixed seeds, so a refactor of the test layer that changes any of them
-shows here.  Regenerate them (only when a change is meant to alter
+shows here.  Two ``delta_mc`` calibrations, rendered as JSON, pin the
+Monte Carlo calibrator's grid paths, crossing counts and secant passes
+the same way.  Regenerate them (only when a change is meant to alter
 reports, and say so) with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -16,6 +18,7 @@ import sys
 import numpy as np
 import pytest
 
+from clmtree.calibrate import delta_mc
 from clmtree.harness import (
     ALL_TESTS,
     StudyConfig,
@@ -79,6 +82,13 @@ REPORTS = {"type1": type1_report, "analyze": analyze_report, "qv": qv_report,
            "ou": ou_report, "feller": feller_report}
 
 
+def calibrate_ou_report():
+    """A single-resolution OU calibration: pins the exact AR(1) grid and
+    the crossing count of a non-Feller kind."""
+    spec = ProcessSpec("ou", alpha=8.0, sigma=1.0)
+    return delta_mc(spec, 300, 1.2, step_exponents=(3,), n_paths=40, seed=2)
+
+
 def export_level_files(out_dir):
     """Every level file ``export_tree`` writes for one seeded BM grid path
     on the lattice 0.1 + 0.25 Z: pins the start values off the origin and
@@ -106,6 +116,24 @@ def test_report_matches_golden(name):
         assert render_report(report, fmt) == expected, f"{name}.{fmt}"
 
 
+def _assert_json_golden(name, report):
+    # calibrations are pinned as JSON, which writes every float as a number
+    with open(_path(name, "json"), encoding="utf-8", newline="\n") as fh:
+        expected = fh.read()
+    assert render_report(report, "json") == expected, name
+
+
+def test_feller_calibration_matches_golden(feller_coarse):
+    """The shared coarse three-level Feller calibration: pins the Milstein
+    grid, its positivity redraws, the bridge touches, the secant passes at
+    every step size and the extrapolated delta."""
+    _assert_json_golden("calibrate_feller", feller_coarse)
+
+
+def test_ou_calibration_matches_golden():
+    _assert_json_golden("calibrate_ou", calibrate_ou_report())
+
+
 def test_export_tree_matches_golden(tmp_path):
     written = export_level_files(str(tmp_path))
     names = [os.path.basename(f) for f in written]
@@ -123,5 +151,10 @@ if __name__ == "__main__":
         for fmt in FORMATS:
             render_report(report, fmt, out_path=_path(name, fmt))
             print(f"wrote {_path(name, fmt)}", file=sys.stderr)
+    from conftest import coarse_feller_calibration
+    for name, report in (("calibrate_feller", coarse_feller_calibration()),
+                         ("calibrate_ou", calibrate_ou_report())):
+        render_report(report, "json", out_path=_path(name, "json"))
+        print(f"wrote {_path(name, 'json')}", file=sys.stderr)
     for fname in export_level_files(EXPORT_GOLDEN):
         print(f"wrote {fname}", file=sys.stderr)

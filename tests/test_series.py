@@ -207,41 +207,6 @@ def test_fx_like_fixture_drift_negligible():
     assert abs(inc.mean()) / inc.std() < 0.01
 
 
-def test_interpolation_cases():
-    p = TickSeries(times=np.array([0.0, 2.0]), values=np.array([0.0, 4.0])).path()
-    assert p.at(1.0) == 2.0
-    p2 = TickSeries(times=np.array([0.0, 1.0]), values=np.array([1.0, 3.0])).path()
-    assert p2.at(0.25) == 1.5
-    assert p2.at(1.0) == 3.0  # stored timestamp -> stored value
-
-
-def test_interpolation_out_of_range():
-    p = TickSeries(times=np.array([0.0, 1.0]), values=np.array([0.0, 1.0])).path()
-    with pytest.raises(ValueError):
-        p.at(1.5)
-    with pytest.raises(ValueError):
-        p.at(-0.1)
-
-
-def test_stored_points_reproduced_exactly():
-    rng = np.random.default_rng(8)
-    ts = TickSeries(times=np.cumsum(rng.random(200) + 0.01),
-                    values=rng.standard_normal(200))
-    path = ts.path()
-    out = path.at(ts.times)
-    assert np.array_equal(out, ts.values)
-
-
-def test_monotone_on_segments():
-    ts = TickSeries(times=np.array([0.0, 1.0, 2.0]),
-                    values=np.array([0.0, 5.0, -1.0]))
-    p = ts.path()
-    grid = np.linspace(0.0, 1.0, 50)
-    assert np.all(np.diff(p.at(grid)) >= 0)
-    grid = np.linspace(1.0, 2.0, 50)
-    assert np.all(np.diff(p.at(grid)) <= 0)
-
-
 def test_validation():
     with pytest.raises(ValueError):
         TickSeries(times=np.array([0.0, 0.0]), values=np.array([1.0, 2.0]))
