@@ -78,8 +78,18 @@ def feller_report():
     return run_power_study(cfg)
 
 
+def fbm_report():
+    """c06's process, crossing size and tests on 3 fBm paths of horizon 1
+    (10^5 grid steps): pins the circulant-embedding draws, the fGn
+    transform and the latticed tree of a long path."""
+    cfg = StudyConfig(process=ProcessSpec("fbm", hurst=0.7, sigma2=1.0 / 250.0),
+                      n_paths=3, delta=0.0010176, seed=606, fbm_horizon=1.0,
+                      tests=("chi2", "twos", "g", "ks_discrete"))
+    return run_power_study(cfg)
+
+
 REPORTS = {"type1": type1_report, "analyze": analyze_report, "qv": qv_report,
-           "ou": ou_report, "feller": feller_report}
+           "ou": ou_report, "feller": feller_report, "fbm": fbm_report}
 
 
 def calibrate_ou_report():
