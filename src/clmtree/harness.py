@@ -25,6 +25,7 @@ from .tree import (
     level_stats,
     multiple_crossing_shares,
     select_base_scale,
+    tree_from_hits,
 )
 
 
@@ -184,28 +185,45 @@ def tree_for_series(cfg: StudyConfig, series: TickSeries,
     """Anchor the lattice per the configured policy and build the tree.
 
     The latticed policy centres the lattice on the series: the median of
-    the crossing values of a scratch tree anchored at 0, snapped to the
-    nearest multiple of delta.  Snapping keeps every level-0 crossing of
+    the crossing values of a scan anchored at 0, snapped to the nearest
+    multiple of delta.  Snapping keeps every level-0 crossing of
     exact-chain inputs (a fractional offset would merge the chain's
     one-step excursions into single passages), and a location estimate
     tight to within about one crossing size is what preserves the power
-    of the coarse levels against mean-reverting alternatives.
+    of the coarse levels against mean-reverting alternatives.  The origin
+    m * delta lies on the scanned lattice, so the tree is built from that
+    scan's hits shifted by m, without a second scan.  Its hit times are
+    those of a scan at m * delta to within a few ulps.
     """
+    if cfg.delta0_policy == "latticed":
+        hit_t, hit_k = lattice_events(series.times, series.values, delta, 0.0)
+        m = _median_line(hit_k)
+        return tree_from_hits(hit_t, hit_k - m, delta, m * delta)
+    return build_tree(series.path(), delta, anchor_origin(cfg, series, delta))
+
+
+def anchor_origin(cfg: StudyConfig, series: TickSeries, delta: float) -> float:
+    """The lattice origin of the configured policy."""
     if cfg.delta0_policy == "zero":
-        origin = 0.0
-    elif cfg.delta0_policy == "first":
-        origin = float(series.values[0])
-    else:
-        origin = lattice_median_anchor(series, delta)
-    return build_tree(series.path(), delta, origin)
+        return 0.0
+    if cfg.delta0_policy == "first":
+        return float(series.values[0])
+    return lattice_median_anchor(series, delta)
+
+
+def _median_line(hits: np.ndarray) -> int:
+    """Median crossing value of 0-anchored hits, in whole lattice units."""
+    if hits.size < 2:
+        raise TreeError("no crossings to anchor the lattice on")
+    return round(float(np.median(hits[1:])))
 
 
 def lattice_median_anchor(series: TickSeries, delta: float) -> float:
-    """Median crossing value of the 0-anchored lattice, snapped onto it."""
+    """Median crossing value of the 0-anchored lattice, snapped onto it.
+    ``tree_for_series`` builds a latticed tree from this scan's hits,
+    shifted by the median; ``analyze_series`` rescans at this origin."""
     _, hits = lattice_events(series.times, series.values, delta, 0.0)
-    if hits.size < 2:
-        raise TreeError("no crossings to anchor the lattice on")
-    return round(float(np.median(hits[1:]))) * delta
+    return _median_line(hits) * delta
 
 
 def run_study(cfg: StudyConfig, label: str) -> StudyReport:
@@ -268,7 +286,8 @@ def analyze_series(series: TickSeries, cfg: StudyConfig,
     if cfg.log_transform:
         series = log_transform(series)
     delta = cfg.delta if cfg.delta is not None else select_base_scale(series)
-    tree = tree_for_series(cfg, series, delta)
+    # level reports print hit-time digits: scan at the origin itself
+    tree = build_tree(series.path(), delta, anchor_origin(cfg, series, delta))
     tables = load_all_tables(cfg.cv_dir)
     outcomes = apply_tests_to_tree(tree, cfg.tests, tables)
     shares = {d["level"]: d for d in multiple_crossing_shares(tree, series)}

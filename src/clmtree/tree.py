@@ -2,8 +2,11 @@
 
 Level-l crossings are first passages of size ``delta * 2**l`` over the
 lattice ``origin + delta * 2**l * Z``.  Construction walks the interpolated
-path once to enumerate every level-0 lattice hit, then derives each coarser
-level from the finer one by subsampling and first-passage reduction.
+path once to enumerate every level-0 lattice hit (``lattice_events``), then
+derives each coarser level from the finer one by subsampling and
+first-passage reduction (``tree_from_hits``).  Hits found on ``delta * Z``
+serve any origin ``m * delta`` of the same lattice once shifted by m, so a
+latticed tree reuses the scan that placed its origin.
 """
 
 from __future__ import annotations
@@ -20,9 +23,12 @@ logger = logging.getLogger(__name__)
 
 # Points this close to a lattice line snap onto it, so inputs that land
 # exactly on lattice points are recognised despite float round-trip error:
-# SNAP_TOL relative to the line index, plus SNAP_ULPS rounding units of the
-# origin, which ``values - origin`` inherits when the origin is far from 0.
+# SNAP_TOL relative to the line index, but at most SNAP_MAX of a unit, so
+# that a line index beyond 2**39 does not snap every half unit, plus
+# SNAP_ULPS rounding units of the origin, which ``values - origin``
+# inherits when the origin is far from 0.
 SNAP_TOL = 2.0 ** -40
+SNAP_MAX = 2.0 ** -8
 SNAP_ULPS = 64
 
 MAX_LEVELS = 62
@@ -48,26 +54,24 @@ def lattice_events(times, values, delta: float, origin: float):
     u = (values - origin) / delta
     r = np.round(u)
     far = SNAP_ULPS * np.finfo(np.float64).eps * abs(origin) / delta
-    snap = np.abs(u - r) <= SNAP_TOL * np.maximum(1.0, np.abs(r)) + far
-    u = np.where(snap, r, u)
+    cap = SNAP_MAX / SNAP_TOL
+    snap = np.abs(u - r) <= SNAP_TOL * np.clip(np.abs(r), 1.0, cap) + far
+    np.copyto(u, r, where=snap)
+    fl, ce = np.floor(u), np.ceil(u)
 
-    a, b = u[:-1], u[1:]
-    up = b > a
-    counts = np.where(up, np.floor(b) - np.floor(a), np.ceil(a) - np.ceil(b))
-    counts = np.maximum(counts, 0).astype(np.int64)
-
-    total = int(counts.sum())
-    first = np.where(up, np.floor(a) + 1.0, np.ceil(a) - 1.0)
+    up = u[1:] > u[:-1]
+    counts = np.where(up, fl[1:] - fl[:-1], ce[:-1] - ce[1:]).astype(np.int64)
+    # the per-hit work runs on the segments that hold a hit only
+    seg = np.flatnonzero(counts)
+    counts, up, a = counts[seg], up[seg], u[seg]
+    first = np.where(up, fl[seg] + 1.0, ce[seg] - 1.0)
     step = np.where(up, 1.0, -1.0)
-
-    seg = np.repeat(np.arange(counts.size), counts)
-    offsets = np.arange(total) - np.repeat(
-        np.concatenate([[0], np.cumsum(counts)[:-1]]), counts
-    )
-    pos = first[seg] + step[seg] * offsets
-    frac = (pos - a[seg]) / (b[seg] - a[seg])
-    dt = times[1:] - times[:-1]
-    hit_t = times[:-1][seg] + frac * dt[seg]
+    offsets = np.arange(int(counts.sum())) - np.repeat(
+        np.cumsum(counts) - counts, counts)
+    pos = np.repeat(first, counts) + np.repeat(step, counts) * offsets
+    frac = (pos - np.repeat(a, counts)) / np.repeat(u[seg + 1] - a, counts)
+    t0 = times[seg]
+    hit_t = np.repeat(t0, counts) + frac * np.repeat(times[seg + 1] - t0, counts)
     hit_k = np.round(pos).astype(np.int64)
 
     if u[0] == np.round(u[0]):  # path starts on the lattice
@@ -137,7 +141,13 @@ def build_tree(
     incomplete trailing crossings are discarded at every level.
     """
     s = path.series
-    hit_t, hit_k = lattice_events(s.times, s.values, delta, origin)
+    return tree_from_hits(*lattice_events(s.times, s.values, delta, origin),
+                          delta, origin)
+
+
+def tree_from_hits(hit_t, hit_k, delta: float, origin: float) -> CrossingTree:
+    """The crossing tree of the level-0 hits ``lattice_events`` gives on
+    the lattice ``origin + delta * Z``."""
     if hit_k.size == 0:
         raise TreeError("path never hits the lattice")
     if hit_k.size < 3:

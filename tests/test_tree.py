@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
+from clmtree.harness import StudyConfig, lattice_median_anchor, tree_for_series
 from clmtree.series import TickSeries
+from clmtree.simulate import (
+    ProcessSpec,
+    simulate_crossings_batch,
+    simulate_fbm_path,
+)
 from clmtree.tree import (
     TreeError,
     build_tree,
@@ -11,7 +17,7 @@ from clmtree.tree import (
     multiple_crossing_shares,
     select_base_scale,
 )
-from oracle_tree import brute_tree
+from oracle_tree import brute_level_hits, brute_tree
 
 
 def walk_series(values):
@@ -116,11 +122,12 @@ class TestSnapFarFromZero:
         assert hits.tolist() == walk.tolist()
 
 
-def test_tree_matches_oracle_on_shifted_lattices():
-    """Property: integer walks with steps in {-1, 0, +1} (flat segments and
-    repeated touches), scaled by delta and shifted to the origin k * delta
-    with |k| up to 2**40, give the oracle's tree at every level.  The walk
-    may start on any line or half a unit off the first one."""
+def _shifted_walks(check):
+    """Run ``check(walk, k, delta, series, shift)`` on integer walks with
+    steps in {-1, 0, +1} (flat segments and repeated touches), scaled by
+    delta and shifted k lattice units out, |k| up to 2**40.  The walk may
+    start on any line or half a unit off the first one, which moves its
+    hit times by ``shift``."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     far = st.sampled_from([2**30, 2**40, -(2**40)])
@@ -132,30 +139,100 @@ def test_tree_matches_oracle_on_shifted_lattices():
         k=st.one_of(far, st.integers(-(2**40), 2**40)),
         delta=st.sampled_from([1.0, 0.0625, 0.1, 0.037, 0.01, 3.3e-7]),
         lead=st.sampled_from([0.0, 0.5, -0.5]))
-    def check(steps, start, k, delta, lead):
+    def run(steps, start, k, delta, lead):
         walk = start + np.cumsum(np.r_[0, steps])
         units = (k + walk).astype(np.float64)
         if lead:  # a first point half a unit off the walk's first line
             units = np.r_[k + start + lead, units]
         series = TickSeries(times=np.arange(units.size, dtype=float),
                             values=units * delta)
+        check(walk, k, delta, series, 1.0 if lead else 0.0)
+
+    run()
+
+
+def _assert_oracle_tree(t, ref, shift):
+    assert t.max_level == len(ref) - 1
+    for level, r in enumerate(ref):
+        assert np.array_equal(t.hit_times[level], np.asarray(r["times"]) + shift)
+        assert np.array_equal(t.hit_index[level] * 2**level, r["values"])
+        if level >= 1:
+            assert np.array_equal(t.counts[level], r["counts"])
+            assert np.array_equal(t.excursions[level], r["excursions"])
+
+
+def test_tree_matches_oracle_on_shifted_lattices():
+    """Property: ``build_tree`` at the origin k * delta gives the oracle's
+    tree of the walk at every level."""
+    def check(walk, k, delta, series, shift):
         ref = brute_tree(walk)
         if not ref or len(ref[0]["times"]) < 3:
             with pytest.raises(TreeError):
                 build_tree(series.path(), delta, k * delta)
             return
-        t = build_tree(series.path(), delta, k * delta)
-        assert t.max_level == len(ref) - 1
-        shift = 1.0 if lead else 0.0
-        for level, r in enumerate(ref):
-            assert np.array_equal(t.hit_times[level],
-                                  np.asarray(r["times"]) + shift)
-            assert np.array_equal(t.hit_index[level] * 2**level, r["values"])
-            if level >= 1:
-                assert np.array_equal(t.counts[level], r["counts"])
-                assert np.array_equal(t.excursions[level], r["excursions"])
+        _assert_oracle_tree(build_tree(series.path(), delta, k * delta),
+                            ref, shift)
 
-    check()
+    _shifted_walks(check)
+
+
+def test_single_scan_tree_matches_oracle_on_shifted_lattices():
+    """Property: the latticed tree of ``tree_for_series``, built from the
+    0-anchored scan's hits shifted by their median line m, is the oracle's
+    tree of the walk on the lattice anchored at m, and the tree a second
+    scan at the anchor gives."""
+    def check(walk, k, delta, series, shift):
+        cfg = StudyConfig(delta=delta)
+        lines = [v for _, v in brute_level_hits(k + walk, 1)]
+        ref = brute_tree(k + walk - round(float(np.median(lines[1:])))
+                         ) if len(lines) >= 2 else []
+        if not ref or len(ref[0]["times"]) < 3:
+            with pytest.raises(TreeError):
+                tree_for_series(cfg, series, delta)
+            return
+        t = tree_for_series(cfg, series, delta)
+        anchor = lattice_median_anchor(series, delta)
+        assert t.origin == anchor
+        _assert_oracle_tree(t, ref, shift)
+        _assert_same_tree(t, build_tree(series.path(), delta, anchor), ulps=0)
+
+    _shifted_walks(check)
+
+
+def _assert_same_tree(t, u, ulps):
+    assert (t.max_level, t.delta, t.origin) == (u.max_level, u.delta, u.origin)
+    for level in range(t.max_level + 1):
+        assert np.array_equal(t.hit_index[level], u.hit_index[level])
+        assert np.array_equal(t.excursions[level], u.excursions[level])
+        if level >= 1:
+            assert np.array_equal(t.counts[level], u.counts[level])
+            assert np.array_equal(t.prev_rank[level], u.prev_rank[level])
+        a, b = t.hit_times[level], u.hit_times[level]
+        assert np.all(np.abs(a - b) <= ulps * np.spacing(np.maximum(abs(a), abs(b))))
+
+
+def _chain(spec, delta, seed):
+    values = simulate_crossings_batch(spec, delta, 3000, 1, [seed, 0])[0]
+    return TickSeries(times=np.arange(values.size, dtype=float), values=values)
+
+
+@pytest.mark.parametrize("series, delta", [
+    (_chain(ProcessSpec("ou", alpha=8.0, sigma=1.0), 0.063015, 31), 0.063015),
+    (_chain(ProcessSpec("feller", kappa=8.0, mu=0.2, sigma=1.0), 0.02833, 32),
+     0.02833),
+    (simulate_fbm_path(0.7, 1.0 / 250.0, 100_000, 1e-5, seed=[33, 0]),
+     0.0010176),
+], ids=["ou", "feller", "fbm"])
+def test_single_scan_tree_equals_rescan(series, delta):
+    """The latticed tree ``tree_for_series`` builds from one scan is the tree
+    a second scan at ``lattice_median_anchor`` gives: the same lattice
+    indices, counts and excursions at every level, and hit times within
+    4 ulps (the scan divides ``values`` rather than ``values - origin``)."""
+    t = tree_for_series(StudyConfig(delta=delta), series, delta)
+    rescan = build_tree(series.path(), delta,
+                        lattice_median_anchor(series, delta))
+    assert t.max_level >= 3
+    _assert_same_tree(t, rescan, ulps=4)
 
 
 class TestLevelStats:
