@@ -350,8 +350,9 @@ _EMBED_CACHE: dict = {}
 
 def _fgn_sqrt_eigenvalues(n: int, hurst: float) -> np.ndarray:
     """sqrt of the circulant eigenvalues embedding the unit-variance fGn
-    covariance for n increments; grows the embedding until nonnegative
-    definite."""
+    covariance for n increments, grown until nonnegative definite: the
+    half spectrum 0 .. m/2 of an embedding of size m, the rest being its
+    mirror image."""
     m = 1
     while m < 2 * n:
         m *= 2
@@ -366,7 +367,7 @@ def _fgn_sqrt_eigenvalues(n: int, hurst: float) -> np.ndarray:
         eig = np.fft.fft(row).real
         floor = -1e-8 * eig.max()
         if eig.min() >= floor:
-            sqrt_eig = np.sqrt(np.maximum(eig, 0.0))
+            sqrt_eig = np.sqrt(np.maximum(eig[: m // 2 + 1], 0.0))
             sqrt_eig.flags.writeable = False  # shared by every caller
             _EMBED_CACHE[key] = sqrt_eig
             return sqrt_eig
@@ -382,19 +383,21 @@ def fgn(n: int, hurst: float, sigma2: float, rng: np.random.Generator,
     """Exact-in-distribution fractional Gaussian noise, shape (size, n).
 
     Unit-lag increments with Var = sigma2 and the fGn autocovariance
-    sigma2/2 (|j+1|^2H - 2|j|^2H + |j-1|^2H).
+    sigma2/2 (|j+1|^2H - 2|j|^2H + |j-1|^2H), by circulant embedding
+    (Wood & Chan 1994; Dietrich & Newsam 1997).  The weighted Gaussian
+    vector is Hermitian, so only its half spectrum 0 .. m/2 is drawn and
+    one real-output transform of size m gives the path.
     """
     sqrt_eig = _fgn_sqrt_eigenvalues(n, hurst)
-    m = sqrt_eig.size
-    half = m // 2
-    z = np.empty((size, m), dtype=np.complex128)
+    half = sqrt_eig.size - 1
+    m = 2 * half
+    z = np.empty((size, half + 1), dtype=np.complex128)
     ends = rng.standard_normal((size, 2))
     inner = rng.standard_normal((size, half - 1, 2)) / math.sqrt(2.0)
     z[:, 0] = ends[:, 0]
     z[:, half] = ends[:, 1]
-    z[:, 1:half] = inner[:, :, 0] + 1j * inner[:, :, 1]
-    z[:, half + 1 :] = np.conj(z[:, 1:half][:, ::-1])
-    x = np.fft.fft(sqrt_eig[None, :] * z, axis=1).real / math.sqrt(m)
+    z[:, 1:half] = inner.view(np.complex128)[:, :, 0]  # pairs (re, im)
+    x = np.fft.hfft(sqrt_eig[None, :] * z, m, axis=1) / math.sqrt(m)
     return math.sqrt(sigma2) * x[:, :n]
 
 

@@ -277,6 +277,32 @@ class TestFbm:
         again = _fgn_sqrt_eigenvalues(100, 0.7)
         assert again is first and again[0] == value
 
+    def test_half_spectrum_transform_matches_full_fft(self):
+        """fgn transforms the half spectrum 0 .. m/2 of a Hermitian vector.
+        The full vector, rebuilt from the same draws in the same order,
+        gives the same noise through a complex FFT, and both consume the
+        same stream."""
+        from clmtree.simulate import _fgn_sqrt_eigenvalues
+
+        n, hurst, sigma2, size = 1000, 0.7, 0.3, 3
+        got_rng = np.random.default_rng(21)
+        got = fgn(n, hurst, sigma2, got_rng, size=size)
+        half = _fgn_sqrt_eigenvalues(n, hurst)
+        m = 2 * (half.size - 1)
+        rng = np.random.default_rng(21)
+        ends = rng.standard_normal((size, 2))
+        inner = rng.standard_normal((size, m // 2 - 1, 2)) / math.sqrt(2.0)
+        z = np.empty((size, m), dtype=np.complex128)
+        z[:, 0], z[:, m // 2] = ends[:, 0], ends[:, 1]
+        z[:, 1 : m // 2] = inner[:, :, 0] + 1j * inner[:, :, 1]
+        z[:, m // 2 + 1 :] = np.conj(z[:, 1 : m // 2][:, ::-1])
+        sqrt_eig = np.r_[half, half[-2:0:-1]]
+        want = np.fft.fft(sqrt_eig * z, axis=1).real / math.sqrt(m)
+        want = math.sqrt(sigma2) * want[:, :n]
+        assert got.shape == (size, n)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        assert got_rng.bit_generator.state == rng.bit_generator.state
+
     def test_determinism(self):
         a = simulate_fbm_path(0.7, 1.0, 500, 1e-3, seed=11)
         b = simulate_fbm_path(0.7, 1.0, 500, 1e-3, seed=11)
