@@ -64,15 +64,10 @@ def _by_bins(z: Segments, rows: np.ndarray, bins: np.ndarray, statistic):
     return out
 
 
-def _twos_scalars(p, reject):
-    # min(1.0, p) keeps scipy's numpy scalars below 1; the reports pin that
-    return (np.float64(p), np.bool_(reject)) if p < 1.0 else (p, reject)
-
-
 def twos_segments(z: Segments) -> SegmentOutcomes:
     """Exact two-sided binomial test on the number of Z = 2 observations."""
     n = z.lengths
-    res = SegmentOutcomes(n, _twos_scalars)
+    res = SegmentOutcomes(n)
     res.skip(n == 0, "empty sample")
     ok = res.applied
     t = z.counts(z.values == 2)[ok]
@@ -208,7 +203,7 @@ KLP_MIN_N = 5
 def klp_nb_segments(z: Segments) -> SegmentOutcomes:
     """First-two-moments test of the geometric law, applied to Y = Z/2."""
     n = z.lengths
-    res = SegmentOutcomes(n, lambda p, reject: (p, np.bool_(reject)))
+    res = SegmentOutcomes(n)
     res.floor(KLP_MIN_N)
     ok = np.flatnonzero(res.applied)
     t = klp_statistic(z.take(ok))

@@ -86,17 +86,15 @@ class SegmentOutcomes:
 
     ``statistic`` is NaN where skipped, ``p_value`` NaN where skipped or a
     table decides, ``rejected`` False where skipped, and ``skipped`` holds
-    the skip reasons.  ``scalars`` maps one outcome's p-value and decision
-    to the types the reports pin.
+    the skip reasons.
     """
 
-    def __init__(self, n: np.ndarray, scalars=lambda p_value, reject: (p_value, reject)):
+    def __init__(self, n: np.ndarray):
         self.n_used = n
         self.statistic, self.p_value = np.full((2, n.size), np.nan)
         self.rejected = np.zeros(n.size, dtype=bool)
         self.applied = np.ones(n.size, dtype=bool)
         self.skipped = np.empty(n.size, dtype=object)
-        self.scalars = scalars
 
     def floor(self, n_min: int) -> None:
         self.skip(self.n_used < n_min, lambda n: f"n={n} below floor {n_min}")
@@ -119,9 +117,8 @@ class SegmentOutcomes:
         if not self.applied[i]:
             return skipped_outcome(test_id, n, self.skipped[i])
         p = None if np.isnan(self.p_value[i]) else float(self.p_value[i])
-        p, reject = self.scalars(p, bool(self.rejected[i]))
         return TestOutcome(test_id, n, statistic=float(self.statistic[i]),
-                           p_value=p, reject_at_5pct=reject)
+                           p_value=p, reject_at_5pct=bool(self.rejected[i]))
 
 
 DEGENERATE = "degenerate: "

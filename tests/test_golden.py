@@ -11,6 +11,7 @@ reports, and say so) with
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import json
 import math
 import os
 import sys
@@ -124,6 +125,19 @@ def test_report_matches_golden(name):
         with open(_path(name, fmt), encoding="utf-8", newline="\n") as fh:
             expected = fh.read()
         assert render_report(report, fmt) == expected, f"{name}.{fmt}"
+
+
+def test_level_reports_print_plain_numbers():
+    """The twos p-values and the twos and klp decisions of a level report
+    render as plain numbers: JSON booleans, and no numpy repr in the CSV."""
+    report = analyze_report()
+    levels = json.loads(render_report(report, "json"))["levels"]
+    outcomes = [res for level in levels for res in level["outcomes"].values()]
+    assert {res["test_id"] for res in outcomes} >= {"twos", "klp"}
+    for res in outcomes:
+        assert res["reject_at_5pct"] is None or type(res["reject_at_5pct"]) is bool
+        assert res["p_value"] is None or type(res["p_value"]) is float
+    assert "np." not in render_report(report, "csv")
 
 
 def _assert_json_golden(name, report):

@@ -122,13 +122,14 @@ def test_bit_tests_segment_like_single_samples(test_id, tables):
 
 
 def test_decisions_keep_the_reported_types():
-    """twos keeps scipy's numpy scalars below p = 1 and klp a numpy bool:
-    the rendered reports show both."""
+    """Every outcome holds a Python float p-value and a Python bool
+    decision, below p = 1 as at p = 1, which reports print as plain
+    numbers and JSON booleans."""
     z = ZSample([2] * 20)
     twos = dt.twos_test(z)
-    assert type(twos.p_value) is np.float64
-    assert type(twos.reject_at_5pct) is np.bool_
+    assert type(twos.p_value) is float and twos.p_value < 1.0
+    assert twos.reject_at_5pct is True
     centre = dt.twos_test(ZSample([2] * 5 + [4] * 5))
     assert type(centre.p_value) is float and centre.reject_at_5pct is False
-    assert type(dt.klp_nb_test(z).reject_at_5pct) is np.bool_
+    assert type(dt.klp_nb_test(z).reject_at_5pct) is bool
     assert type(dt.g_test(z).reject_at_5pct) is bool
