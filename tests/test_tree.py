@@ -216,18 +216,24 @@ def _chain(spec, delta, seed):
     return TickSeries(times=np.arange(values.size, dtype=float), values=values)
 
 
-@pytest.mark.parametrize("series, delta", [
-    (_chain(ProcessSpec("ou", alpha=8.0, sigma=1.0), 0.063015, 31), 0.063015),
-    (_chain(ProcessSpec("feller", kappa=8.0, mu=0.2, sigma=1.0), 0.02833, 32),
-     0.02833),
-    (simulate_fbm_path(0.7, 1.0 / 250.0, 100_000, 1e-5, seed=[33, 0]),
-     0.0010176),
-], ids=["ou", "feller", "fbm"])
-def test_single_scan_tree_equals_rescan(series, delta):
+SINGLE_SCAN_PATHS = {
+    "ou": (lambda: _chain(ProcessSpec("ou", alpha=8.0, sigma=1.0), 0.063015, 31),
+           0.063015),
+    "feller": (lambda: _chain(ProcessSpec("feller", kappa=8.0, mu=0.2, sigma=1.0),
+                              0.02833, 32), 0.02833),
+    "fbm": (lambda: simulate_fbm_path(0.7, 1.0 / 250.0, 100_000, 1e-5,
+                                      seed=[33, 0]), 0.0010176),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SINGLE_SCAN_PATHS))
+def test_single_scan_tree_equals_rescan(kind):
     """The latticed tree ``tree_for_series`` builds from one scan is the tree
     a second scan at ``lattice_median_anchor`` gives: the same lattice
     indices, counts and excursions at every level, and hit times within
     4 ulps (the scan divides ``values`` rather than ``values - origin``)."""
+    make, delta = SINGLE_SCAN_PATHS[kind]
+    series = make()
     t = tree_for_series(StudyConfig(delta=delta), series, delta)
     rescan = build_tree(series.path(), delta,
                         lattice_median_anchor(series, delta))
