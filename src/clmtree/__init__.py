@@ -55,7 +55,6 @@ from .qv import (
     time_change_increments,
 )
 from .series import (
-    InterpolatedPath,
     TickSeries,
     load_ticks,
     log_transform,

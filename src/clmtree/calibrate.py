@@ -9,12 +9,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import signal, special
+from scipy import special
 
 from .simulate import (
     ProcessSpec,
     expected_crossing_time,
     hitting_prob,  # unused here; bench/tracing.py patches this name
+    mean_crossing_times,
     ou_stationary_lattice_law,
 )
 
@@ -91,8 +92,7 @@ def ou_mean_crossing_duration(
     """Stationary-walk-weighted expected crossing duration of the OU chain."""
     spec = ProcessSpec("ou", alpha=alpha, sigma=sigma)
     sites, pi = ou_stationary_lattice_law(alpha, sigma, delta)
-    w = np.array([expected_crossing_time(spec, float(x), delta) for x in sites])
-    return float(np.dot(pi, w))
+    return float(np.dot(pi, mean_crossing_times(spec, sites, delta)))
 
 
 def delta_ou(
@@ -183,6 +183,8 @@ def _grid_block(spec, x, g, step, redraw):
         drift = spec.alpha if spec.kind == "bm_drift" else 0.0
         return x + np.cumsum(drift * step + g, axis=0)
     if spec.kind == "ou":
+        from scipy import signal  # slow to import, and needed only here
+
         rho = math.exp(-spec.alpha * step)
         sd = spec.sigma * math.sqrt((1 - rho * rho) / (2 * spec.alpha * step))
         return signal.lfilter([1.0], [1.0, -rho], sd * g, axis=0,

@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
+from scipy.special._ufuncs import _binom_cdf, _binom_sf
 
 from .critical_values import TABLES, CriticalValueTable, lookup_cv
 from .outcomes import SegmentOutcomes, Segments, per_unique, pymin, single_sample
@@ -64,6 +65,14 @@ def _by_bins(z: Segments, rows: np.ndarray, bins: np.ndarray, statistic):
     return out
 
 
+def _binom_half_tails(t, n):
+    """P(T <= t) and P(T >= t) for T ~ Binomial(n, 1/2), bit for bit as
+    ``scipy.stats.binom`` gives them: from the ufuncs behind it, with the
+    sf(-1) = 1 that it sets itself where the ufunc gives NaN."""
+    return (_binom_cdf(t, n, 0.5),
+            np.where(t == 0, 1.0, _binom_sf(t - 1, n, 0.5)))
+
+
 def twos_segments(z: Segments) -> SegmentOutcomes:
     """Exact two-sided binomial test on the number of Z = 2 observations."""
     n = z.lengths
@@ -71,9 +80,7 @@ def twos_segments(z: Segments) -> SegmentOutcomes:
     res.skip(n == 0, "empty sample")
     ok = res.applied
     t = z.counts(z.values == 2)[ok]
-    lo = stats.binom.cdf(t, n[ok], 0.5)
-    hi = stats.binom.sf(t - 1, n[ok], 0.5)
-    p = pymin(1.0, 2.0 * pymin(lo, hi))
+    p = pymin(1.0, 2.0 * pymin(*_binom_half_tails(t, n[ok])))
     res.decide(ok, t, p < 0.05, p)
     return res
 

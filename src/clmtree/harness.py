@@ -199,7 +199,7 @@ def tree_for_series(cfg: StudyConfig, series: TickSeries,
         hit_t, hit_k = lattice_events(series.times, series.values, delta, 0.0)
         m = _median_line(hit_k)
         return tree_from_hits(hit_t, hit_k - m, delta, m * delta)
-    return build_tree(series.path(), delta, anchor_origin(cfg, series, delta))
+    return build_tree(series, delta, anchor_origin(cfg, series, delta))
 
 
 def anchor_origin(cfg: StudyConfig, series: TickSeries, delta: float) -> float:
@@ -287,7 +287,7 @@ def analyze_series(series: TickSeries, cfg: StudyConfig,
         series = log_transform(series)
     delta = cfg.delta if cfg.delta is not None else select_base_scale(series)
     # level reports print hit-time digits: scan at the origin itself
-    tree = build_tree(series.path(), delta, anchor_origin(cfg, series, delta))
+    tree = build_tree(series, delta, anchor_origin(cfg, series, delta))
     tables = load_all_tables(cfg.cv_dir)
     outcomes = apply_tests_to_tree(tree, cfg.tests, tables)
     shares = {d["level"]: d for d in multiple_crossing_shares(tree, series)}

@@ -111,14 +111,12 @@ def normal_gof_tests(
     d_stat = math.sqrt(m) * float(
         np.maximum(grid - (steps - 1.0 / m), steps - grid).max()
     )
-    ks_p = float(special.kolmogorov(d_stat))
-    ks = TestOutcome("ks", m, statistic=d_stat, p_value=ks_p,
+    ks = TestOutcome("ks", m, statistic=d_stat,
                      reject_at_5pct=d_stat > KS_CRIT_5PCT)
 
     w2 = float(1.0 / (12 * m) + np.sum((grid - (2 * np.arange(1, m + 1) - 1)
                                         / (2 * m)) ** 2))
-    cvm_p = _cvm_asymptotic_sf(w2)
-    cvm = TestOutcome("cvm", m, statistic=w2, p_value=cvm_p,
+    cvm = TestOutcome("cvm", m, statistic=w2,
                       reject_at_5pct=w2 > CVM_CRIT_5PCT)
 
     t = float(np.sum(z) / math.sqrt(m))
@@ -126,23 +124,3 @@ def normal_gof_tests(
     sm = TestOutcome("sm", m, statistic=t, p_value=sm_p,
                      reject_at_5pct=sm_p < 0.05)
     return {"ks": ks, "cvm": cvm, "sm": sm}
-
-
-def _cvm_asymptotic_sf(w2: float) -> float:
-    """Tail of the limiting one-sample Cramer-von Mises distribution."""
-    if w2 <= 0.0:
-        return 1.0
-    # Smirnov series; a handful of terms is ample at any testable w2.
-    total = 0.0
-    for k in range(8):
-        u = (4 * k + 1) ** 2 / (16.0 * w2)
-        term = (
-            special.gamma(k + 0.5)
-            / (special.gamma(0.5) * special.gamma(k + 1))
-            * math.sqrt(4 * k + 1)
-            * math.exp(-u)
-            * special.kv(0.25, u)
-        )
-        total += term
-    cdf = total / (math.pi * math.sqrt(w2))
-    return float(min(max(1.0 - cdf, 0.0), 1.0))

@@ -1,4 +1,4 @@
-"""Irregularly sampled observations and their piecewise-linear view."""
+"""Irregularly sampled observations and their tick files."""
 
 from __future__ import annotations
 
@@ -48,16 +48,6 @@ class TickSeries:
 
     def increments(self) -> np.ndarray:
         return np.diff(self.values)
-
-    def path(self) -> "InterpolatedPath":
-        return InterpolatedPath(self)
-
-
-@dataclass(frozen=True)
-class InterpolatedPath:
-    """Continuous piecewise-linear view of a TickSeries."""
-
-    series: TickSeries
 
 
 def load_ticks(path: str) -> TickSeries:

@@ -6,7 +6,8 @@ generator.  One cached walk table per process and crossing size holds the
 up-step probabilities from the scale function; a chain starts from a
 point, from the OU equilibrium lattice law, or from the exact first hit
 of the stationary Feller Gamma law.  The speed measure gives expected
-crossing durations.  Nothing here steps time.  Fractional Brownian motion
+crossing durations.  One Gauss-Legendre rule, vectorised over sites,
+takes both integrals.  Nothing here steps time.  Fractional Brownian motion
 comes from circulant embedding of the increment covariance.  The
 crossings of any other sample path are the tree's level 0
 (``tree.lattice_events``).
@@ -19,13 +20,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .series import TickSeries
 
-QUAD_ABS_TOL = 1e-12  # hitting probabilities (normalised integrand)
-QUAD_REL_TOL = 1e-10
-DURATION_REL_TOL = 1e-9  # expected crossing times
+# Gauss-Legendre nodes and weights on [0, 1]: the rule for the scale
+# function and the speed measure, whose integrands are smooth on a cell
+GL_NODES, GL_WEIGHTS = 0.5 * (np.array(np.polynomial.legendre.leggauss(24))
+                              + [[1.0], [0.0]])
 OU_TRUNCATION_SDS = 10.0
 FELLER_START_TAIL = 1e-13  # stationary Gamma tail cut by the Feller table
 FBM_MAX_EMBED = 2 ** 26
@@ -70,8 +72,11 @@ class ProcessSpec:
 # scale function / speed measure
 # ---------------------------------------------------------------------------
 
-def _log_scale_density(spec: ProcessSpec):
-    """log s'(u) up to an additive constant, and the squared diffusion."""
+def _scale_density(spec: ProcessSpec, lo, hi):
+    """The scale density s' of an OU or Feller spec, normalised by its
+    maximum on each cell [lo, hi], as a function of nodes on a trailing
+    axis; and the squared diffusion.  log s' is convex for both kinds, so
+    the maximum lies at an end of the cell."""
     if spec.kind == "ou":
         a_over_s2 = spec.alpha / spec.sigma**2
 
@@ -91,7 +96,8 @@ def _log_scale_density(spec: ProcessSpec):
             return spec.sigma**2 * u
     else:
         raise ValueError(f"no generic scale density for {spec.kind!r}")
-    return log_sprime, diff_sq
+    peak = np.maximum(log_sprime(lo), log_sprime(hi))[..., None]
+    return (lambda u: np.exp(log_sprime(u) - peak)), diff_sq
 
 
 def _check_interior(spec: ProcessSpec, x: float, delta: float) -> None:
@@ -101,23 +107,48 @@ def _check_interior(spec: ProcessSpec, x: float, delta: float) -> None:
         raise ValueError("interval [x-delta, x+delta] touches the boundary 0")
 
 
-def _scale_odds(spec: ProcessSpec, lo: float, x: float, hi: float) -> float:
+def _gauss_legendre(f, a, width):
+    """Integral of f over [a, a + width] by the 24-node Gauss-Legendre
+    rule, elementwise in the arrays a and width; f takes the nodes on a
+    trailing axis."""
+    return width * np.sum(f(a[..., None] + width[..., None] * GL_NODES)
+                          * GL_WEIGHTS, axis=-1)
+
+
+def _scale_odds(spec: ProcessSpec, lo, x, hi) -> np.ndarray:
     """(S(x) - S(lo)) / (S(hi) - S(lo)) for the scale function S of an OU
-    or Feller spec: the probability that from x the process hits hi before
-    lo.  Adaptive quadrature of the scale density, evaluated in log space
-    and normalised by its maximum on [lo, hi]."""
-    log_sprime, _ = _log_scale_density(spec)
-    grid = np.linspace(lo, hi, 65)
-    peak = float(np.max(log_sprime(grid)))
+    or Feller spec, elementwise in the arrays lo < x < hi: the probability
+    that from x the process hits hi before lo."""
+    lo, x, hi = (np.asarray(v, dtype=np.float64) for v in (lo, x, hi))
+    sprime, _ = _scale_density(spec, lo, hi)
+    below = _gauss_legendre(sprime, lo, x - lo)
+    return below / (below + _gauss_legendre(sprime, x, hi - x))
 
-    def f(u):
-        return math.exp(log_sprime(u) - peak)
 
-    below, _ = integrate.quad(f, lo, x,
-                              epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL)
-    above, _ = integrate.quad(f, x, hi,
-                              epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL)
-    return below / (below + above)
+def mean_crossing_times(spec: ProcessSpec, x, delta: float) -> np.ndarray:
+    """Expected first-passage times to x +- delta from each site of the
+    array x, for an OU or Feller spec: the speed-measure double integral,
+    with the inner scale integral taken by the same rule at each outer
+    node in turn.  Each inner width is a fraction of the outer width, not
+    a difference of rounded nodes, which keeps the times to a few ulps far
+    from 0."""
+    x = np.asarray(x, dtype=np.float64)
+    lo, hi = x - delta, x + delta
+    sprime, diff_sq = _scale_density(spec, lo, hi)
+
+    def speed(y):  # the speed density 2 / (sigma(y)**2 s'(y))
+        return 2.0 / (diff_sq(y) * sprime(y[..., None])[..., 0])
+
+    w_down, w_up = x - lo, hi - x
+    up = down = 0.0
+    # GL_NODES[::-1] is 1 - GL_NODES exactly: the nodes are symmetric
+    for u, rest, w in zip(GL_NODES, GL_NODES[::-1], GL_WEIGHTS):
+        y_up, y_down = x + w_up * u, lo + w_down * u
+        up += w * speed(y_up) * _gauss_legendre(sprime, y_up, w_up * rest)
+        down += w * speed(y_down) * _gauss_legendre(sprime, lo, w_down * u)
+    below = _gauss_legendre(sprime, lo, w_down)
+    p = below / (below + _gauss_legendre(sprime, x, w_up))
+    return p * w_up * up + (1.0 - p) * w_down * down
 
 
 def hitting_prob(spec: ProcessSpec, x: float, delta: float) -> float:
@@ -132,12 +163,12 @@ def hitting_prob(spec: ProcessSpec, x: float, delta: float) -> float:
     if spec.kind == "bm_drift":
         e = math.exp(2.0 * spec.alpha * delta)
         return (e - 1.0) / (e - math.exp(-2.0 * spec.alpha * delta))
-    return _scale_odds(spec, x - delta, x, x + delta)
+    return float(_scale_odds(spec, x - delta, x, x + delta))
 
 
 def expected_crossing_time(spec: ProcessSpec, x: float, delta: float) -> float:
-    """Expected first-passage time to x +- delta from x, via the speed
-    measure (nested adaptive quadrature); closed form for BM and drift."""
+    """Expected first-passage time to x +- delta from x: closed form for
+    BM and drift, ``mean_crossing_times`` for OU and Feller."""
     _check_interior(spec, x, delta)
     if spec.kind == "bm" or (spec.kind == "bm_drift" and spec.alpha == 0.0):
         return delta * delta
@@ -145,30 +176,7 @@ def expected_crossing_time(spec: ProcessSpec, x: float, delta: float) -> float:
         a = spec.alpha
         e = math.exp(2.0 * a * delta)
         return delta * (e - 1.0) / (a * (e + 1.0))
-
-    log_sprime, diff_sq = _log_scale_density(spec)
-    grid = np.linspace(x - delta, x + delta, 65)
-    peak = float(np.max(log_sprime(grid)))
-
-    def sprime(u):
-        return math.exp(log_sprime(u) - peak)
-
-    def scale_from_x(y):
-        val, _ = integrate.quad(sprime, x, y, epsabs=0, epsrel=1e-11)
-        return val
-
-    def speed_density(y):
-        return 2.0 / (diff_sq(y) * sprime(y))
-
-    s_hi = scale_from_x(x + delta)
-    s_lo = scale_from_x(x - delta)
-    p = (0.0 - s_lo) / (s_hi - s_lo)
-
-    up, _ = integrate.quad(lambda y: (s_hi - scale_from_x(y)) * speed_density(y),
-                           x, x + delta, epsabs=0, epsrel=DURATION_REL_TOL)
-    down, _ = integrate.quad(lambda y: (scale_from_x(y) - s_lo) * speed_density(y),
-                             x - delta, x, epsabs=0, epsrel=DURATION_REL_TOL)
-    return p * up + (1.0 - p) * down
+    return float(mean_crossing_times(spec, x, delta))
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +207,8 @@ def _walk_table(spec: ProcessSpec, delta: float,
     sites = np.arange(lo, hi + 1) * delta
     p_up = np.empty(sites.size)
     p_up[0], p_up[-1] = 1.0, 0.0
-    p_up[1:-1] = [hitting_prob(spec, float(x), delta) for x in sites[1:-1]]
+    inner = sites[1:-1]
+    p_up[1:-1] = _scale_odds(spec, inner - delta, inner, inner + delta)
     p_up.flags.writeable = False  # shared by every caller
     return lo, p_up
 

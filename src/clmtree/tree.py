@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import InterpolatedPath, TickSeries
+from .series import TickSeries
 
 logger = logging.getLogger(__name__)
 
@@ -132,17 +132,16 @@ class CrossingTree:
 
 
 def build_tree(
-    path: InterpolatedPath, delta: float, origin: float = 0.0
+    series: TickSeries, delta: float, origin: float = 0.0
 ) -> CrossingTree:
-    """Construct the crossing tree of the interpolated path.
+    """Construct the crossing tree of the linearly interpolated series.
 
     Level-0 crossings start from the first hit of ``origin + delta * Z``
     (that hit initialises the position and is not itself a crossing);
     incomplete trailing crossings are discarded at every level.
     """
-    s = path.series
-    return tree_from_hits(*lattice_events(s.times, s.values, delta, origin),
-                          delta, origin)
+    hits = lattice_events(series.times, series.values, delta, origin)
+    return tree_from_hits(*hits, delta, origin)
 
 
 def tree_from_hits(hit_t, hit_k, delta: float, origin: float) -> CrossingTree:

@@ -15,8 +15,9 @@ exact crossing walk, step by step.
   delta the lower boundary 0 is an entrance boundary, so the duration is
   the one-sided time to reach 2*delta.
 
-Independent of ``clmtree.calibrate``: it shares only the scale-function
-quadratures of ``clmtree.simulate``.
+Independent of ``clmtree.calibrate`` and of the Gauss-Legendre rule of
+``clmtree.simulate``: the scale odds and crossing times here are nested
+adaptive ``integrate.quad`` calls, one site at a time.
 
 ``feller_grid_reference`` is the other reference here: the Feller grid
 stepped one ``milstein_feller_step`` call at a time, with a positivity
@@ -30,10 +31,13 @@ import numpy as np
 from scipy import integrate, special
 
 from clmtree.calibrate import milstein_feller_step
-from clmtree.simulate import ProcessSpec, expected_crossing_time, hitting_prob
+from clmtree.simulate import ProcessSpec
 
 START_TAIL = 1e-13  # stationary mass left above the truncated lattice
 WALK_TAIL = 1e-10  # walk mass allowed to reach the top site
+QUAD_ABS_TOL = 1e-12  # hitting probabilities (normalised integrand)
+QUAD_REL_TOL = 1e-10
+DURATION_REL_TOL = 1e-9  # expected crossing times
 
 
 def _feller_consts(spec):
@@ -45,6 +49,81 @@ def _feller_consts(spec):
 
 def _log_sprime(u, a, c):
     return -a * math.log(u) + c * u
+
+
+def _log_scale_density(spec):
+    """log s'(u) up to an additive constant, and the squared diffusion,
+    of an OU or Feller spec."""
+    if spec.kind == "ou":
+        a_over_s2 = spec.alpha / spec.sigma**2
+
+        def log_sprime(u):
+            return a_over_s2 * u * u
+
+        def diff_sq(u):
+            return spec.sigma**2
+    else:
+        a, _, c = _feller_consts(spec)
+
+        def log_sprime(u):
+            return -a * np.log(u) + c * u
+
+        def diff_sq(u):
+            return spec.sigma**2 * u
+    return log_sprime, diff_sq
+
+
+def scale_odds(spec, lo, x, hi):
+    """(S(x) - S(lo)) / (S(hi) - S(lo)) for the scale function S of an OU
+    or Feller spec: the probability that from x the process hits hi before
+    lo.  Adaptive quadrature of the scale density, evaluated in log space
+    and normalised by its maximum on [lo, hi]."""
+    log_sprime, _ = _log_scale_density(spec)
+    grid = np.linspace(lo, hi, 65)
+    peak = float(np.max(log_sprime(grid)))
+
+    def f(u):
+        return math.exp(log_sprime(u) - peak)
+
+    below, _ = integrate.quad(f, lo, x,
+                              epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL)
+    above, _ = integrate.quad(f, x, hi,
+                              epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL)
+    return below / (below + above)
+
+
+def hitting_prob(spec, x, delta):
+    """P(next lattice hit is x + delta | currently at x): the scale-function
+    odds of x in [x - delta, x + delta]."""
+    return scale_odds(spec, x - delta, x, x + delta)
+
+
+def expected_crossing_time(spec, x, delta):
+    """Expected first-passage time to x +- delta from x, via the speed
+    measure (nested adaptive quadrature)."""
+    log_sprime, diff_sq = _log_scale_density(spec)
+    grid = np.linspace(x - delta, x + delta, 65)
+    peak = float(np.max(log_sprime(grid)))
+
+    def sprime(u):
+        return math.exp(log_sprime(u) - peak)
+
+    def scale_from_x(y):
+        val, _ = integrate.quad(sprime, x, y, epsabs=0, epsrel=1e-11)
+        return val
+
+    def speed_density(y):
+        return 2.0 / (diff_sq(y) * sprime(y))
+
+    s_hi = scale_from_x(x + delta)
+    s_lo = scale_from_x(x - delta)
+    p = (0.0 - s_lo) / (s_hi - s_lo)
+
+    up, _ = integrate.quad(lambda y: (s_hi - scale_from_x(y)) * speed_density(y),
+                           x, x + delta, epsabs=0, epsrel=DURATION_REL_TOL)
+    down, _ = integrate.quad(lambda y: (scale_from_x(y) - s_lo) * speed_density(y),
+                             x - delta, x, epsabs=0, epsrel=DURATION_REL_TOL)
+    return p * up + (1.0 - p) * down
 
 
 def _start_law(spec, delta, top):

@@ -67,7 +67,7 @@ def test_c01_tree_matches_brute_force_oracle():
         vals = np.cumsum(np.r_[0, rng.choice([-1, 1], n)]).astype(float)
         series = TickSeries(times=np.arange(vals.size, dtype=float), values=vals)
         try:
-            tree = build_tree(series.path(), 1.0, 0.0)
+            tree = build_tree(series, 1.0, 0.0)
         except Exception:
             continue
         ref = brute_tree(vals)

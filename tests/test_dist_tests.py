@@ -5,6 +5,7 @@ import pytest
 
 from clmtree.critical_values import shipped_table
 from clmtree.dist_tests import (
+    _binom_half_tails,
     binned_counts,
     chi2_geometric_test,
     g_test,
@@ -45,6 +46,22 @@ class TestTwos:
     def test_empty_skips(self):
         out = twos_test(zs([]))
         assert out.skipped
+
+    def test_tails_equal_scipy_stats_bit_for_bit(self):
+        """The tails come from private scipy.special ufuncs; a scipy that
+        moves or changes them fails here."""
+        from scipy import stats
+
+        n = np.concatenate([np.arange(1, 41), [99, 100, 1000, 1001, 19_999,
+                                               20_000]])
+        grid = [(t, m) for m in n
+                for t in np.unique(np.r_[np.arange(min(m, 40) + 1),
+                                         np.linspace(0, m, 41).round(),
+                                         m - np.arange(min(m, 40) + 1)])]
+        t, n = np.array(grid, dtype=np.int64).T
+        lo, hi = _binom_half_tails(t, n)
+        assert np.array_equal(lo, stats.binom.cdf(t, n, 0.5))
+        assert np.array_equal(hi, stats.binom.sf(t - 1, n, 0.5))
 
 
 class TestChi2:

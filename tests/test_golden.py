@@ -108,7 +108,7 @@ def export_level_files(out_dir):
     values = np.r_[0.0, np.cumsum(rng.standard_normal(2_000) * 0.1)]
     series = TickSeries(times=np.arange(values.size, dtype=float),
                         values=values)
-    return export_tree(build_tree(series.path(), 0.25, 0.1), out_dir)
+    return export_tree(build_tree(series, 0.25, 0.1), out_dir)
 
 
 EXPORT_GOLDEN = os.path.join(GOLDEN, "export")

@@ -367,7 +367,7 @@ def test_permuting_counts_collapses_joint_rejection():
         series = TickSeries(times=np.arange(vals.size, dtype=float), values=vals)
         cfg = StudyConfig(process=spec, n_paths=1, n_crossings=5000,
                           delta=d, seed=1)
-        tree = build_tree(series.path(), d,
+        tree = build_tree(series, d,
                           __import__("clmtree.harness", fromlist=["x"])
                           .lattice_median_anchor(series, d))
         if tree.max_level < 3 or tree.counts[3].size < 10:

@@ -160,3 +160,15 @@ class TestNormalGof:
                                    drop_last=True)
         assert dropped["sm"].n_used == full["sm"].n_used - 1
 
+    def test_critical_value_tests_report_no_p_value(self):
+        # KS and CvM decide by their asymptotic 5% points, SM by its p-value
+        from clmtree.qv import CVM_CRIT_5PCT, KS_CRIT_5PCT, NormalizedIncrements
+
+        z = np.random.default_rng(7).standard_normal(50)
+        res = normal_gof_tests(NormalizedIncrements(z, 1.0, 51))
+        assert res["ks"].p_value is None and res["cvm"].p_value is None
+        assert res["ks"].reject_at_5pct == (res["ks"].statistic > KS_CRIT_5PCT)
+        assert res["cvm"].reject_at_5pct == (
+            res["cvm"].statistic > CVM_CRIT_5PCT)
+        assert 0.0 < res["sm"].p_value < 1.0
+

@@ -7,14 +7,19 @@ from scipy.special import erfi
 from clmtree.series import TickSeries
 from clmtree.simulate import (
     ProcessSpec,
+    _scale_odds,
+    _walk_table,
     expected_crossing_time,
     fgn,
     hitting_prob,
+    mean_crossing_times,
     ou_stationary_lattice_law,
     simulate_crossings_batch,
     simulate_fbm_path,
 )
 from clmtree.tree import lattice_events
+
+import oracle_calibration as oracle
 
 OU = ProcessSpec("ou", alpha=8.0, sigma=1.0)
 FELLER = ProcessSpec("feller", kappa=6.0, mu=0.2, sigma=1.0)
@@ -109,6 +114,65 @@ class TestExpectedCrossingTime:
             ref = p * up + (1 - p) * dn
             mine = expected_crossing_time(OU, x0, d)
             assert math.isclose(mine, ref, rel_tol=1e-7)
+
+
+# walk tables at the benchmark's and the goldens' crossing sizes, and at
+# the near-BM alpha of TestDeltaOu, whose table has 7,071 sites
+RULE_CASES = [
+    (ProcessSpec("ou", alpha=10.0, sigma=1.0), 0.062945),
+    (ProcessSpec("ou", alpha=8.0, sigma=1.0), 0.063015),
+    (ProcessSpec("ou", alpha=1e-3, sigma=1.0), math.sqrt(0.004)),
+    (ProcessSpec("feller", kappa=8.0, mu=0.2, sigma=1.0), 0.028330),
+    (ProcessSpec("feller", kappa=6.0, mu=0.2, sigma=1.0), 0.027990),
+    (ProcessSpec("feller", kappa=6.0, mu=0.2, sigma=1.0), 0.028163),
+]
+
+
+class TestQuadratureRule:
+    """The Gauss-Legendre rule against the nested adaptive quadrature of
+    ``oracle_calibration``, which shares no code with it."""
+
+    @staticmethod
+    def _interior_sites(spec, delta):
+        lo, p_up = _walk_table(spec, delta)
+        return ((lo + np.arange(p_up.size)) * delta)[1:-1], p_up[1:-1]
+
+    @pytest.mark.parametrize("spec,delta", RULE_CASES)
+    def test_walk_table_odds(self, spec, delta):
+        sites, p_up = self._interior_sites(spec, delta)
+        ref = [oracle.hitting_prob(spec, float(x), delta) for x in sites]
+        assert np.max(np.abs(p_up - ref)) <= 1e-14
+
+    @pytest.mark.parametrize("spec,delta", RULE_CASES)
+    def test_crossing_times(self, spec, delta):
+        sites, _ = self._interior_sites(spec, delta)
+        times = mean_crossing_times(spec, sites, delta)
+        ref = np.array([oracle.expected_crossing_time(spec, float(x), delta)
+                        for x in sites])
+        # quad places its nodes at absolute positions, which costs the
+        # reference about one ulp of x per delta: 4.5e-13 at |x| = 224 in
+        # the alpha = 1e-3 table, where a 40-digit evaluation put the rule
+        # within 1e-15
+        rtol = 1e-13 + 2.0 * np.spacing(np.abs(sites)) / delta
+        assert np.all(np.abs(times / ref - 1.0) <= rtol)
+
+    @pytest.mark.parametrize("spec,delta", [RULE_CASES[0], RULE_CASES[3]])
+    def test_scalar_entry_points_are_a_batch_of_one(self, spec, delta):
+        sites, p_up = self._interior_sites(spec, delta)
+        times = mean_crossing_times(spec, sites, delta)
+        for x, p, w in zip(sites.tolist(), p_up, times):
+            assert hitting_prob(spec, x, delta) == p
+            assert expected_crossing_time(spec, x, delta) == w
+
+    @pytest.mark.parametrize("spec,delta", RULE_CASES[3:])
+    def test_feller_first_hit_cells(self, spec, delta):
+        lo, p_up = _walk_table(spec, delta)
+        i = np.repeat(np.arange(1, lo + p_up.size - 1), 3)
+        x = (i + np.tile([0.01, 0.5, 0.97], i.size // 3)) * delta
+        odds = _scale_odds(spec, i * delta, x, (i + 1) * delta)
+        ref = [oracle.scale_odds(spec, float(a) * delta, float(b),
+                                 float(a + 1) * delta) for a, b in zip(i, x)]
+        assert np.max(np.abs(odds - ref)) <= 1e-14
 
 
 class TestOuLattice:

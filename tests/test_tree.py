@@ -58,7 +58,7 @@ class TestBaseScale:
 
 class TestBuildTree:
     def test_seven_point_example(self):
-        t = build_tree(SEVEN.path(), 1.0, 0.0)
+        t = build_tree(SEVEN, 1.0, 0.0)
         assert t.n_crossings(0) == 6
         assert t.counts[1].tolist() == [2, 4]
         assert t.excursions[1].tolist() == [1]
@@ -67,7 +67,7 @@ class TestBuildTree:
         assert t.max_level == 2
 
     def test_monotone_path_all_direct(self):
-        t = build_tree(walk_series([0, 1, 2, 3, 4]).path(), 1.0, 0.0)
+        t = build_tree(walk_series([0, 1, 2, 3, 4]), 1.0, 0.0)
         for level in range(1, t.max_level + 1):
             assert np.all(t.counts[level] == 2)
             assert t.excursions[level].size == 0
@@ -82,9 +82,9 @@ class TestBuildTree:
         flat = TickSeries(times=np.array([0.0, 1.0]),
                           values=np.array([0.3, 0.4]))
         with pytest.raises(TreeError, match="never hits"):
-            build_tree(flat.path(), 1.0, 0.6)
+            build_tree(flat, 1.0, 0.6)
         with pytest.raises(TreeError, match="fewer than 2"):
-            build_tree(walk_series([0, 1]).path(), 1.0, 0.0)
+            build_tree(walk_series([0, 1]), 1.0, 0.0)
 
     def test_touch_counts_as_hit(self):
         # local maximum exactly on a lattice point
@@ -168,9 +168,9 @@ def test_tree_matches_oracle_on_shifted_lattices():
         ref = brute_tree(walk)
         if not ref or len(ref[0]["times"]) < 3:
             with pytest.raises(TreeError):
-                build_tree(series.path(), delta, k * delta)
+                build_tree(series, delta, k * delta)
             return
-        _assert_oracle_tree(build_tree(series.path(), delta, k * delta),
+        _assert_oracle_tree(build_tree(series, delta, k * delta),
                             ref, shift)
 
     _shifted_walks(check)
@@ -194,7 +194,7 @@ def test_single_scan_tree_matches_oracle_on_shifted_lattices():
         anchor = lattice_median_anchor(series, delta)
         assert t.origin == anchor
         _assert_oracle_tree(t, ref, shift)
-        _assert_same_tree(t, build_tree(series.path(), delta, anchor), ulps=0)
+        _assert_same_tree(t, build_tree(series, delta, anchor), ulps=0)
 
     _shifted_walks(check)
 
@@ -235,7 +235,7 @@ def test_single_scan_tree_equals_rescan(kind):
     make, delta = SINGLE_SCAN_PATHS[kind]
     series = make()
     t = tree_for_series(StudyConfig(delta=delta), series, delta)
-    rescan = build_tree(series.path(), delta,
+    rescan = build_tree(series, delta,
                         lattice_median_anchor(series, delta))
     assert t.max_level >= 3
     _assert_same_tree(t, rescan, ulps=4)
@@ -243,13 +243,13 @@ def test_single_scan_tree_equals_rescan(kind):
 
 class TestLevelStats:
     def test_seven_point_level1(self):
-        t = build_tree(SEVEN.path(), 1.0, 0.0)
+        t = build_tree(SEVEN, 1.0, 0.0)
         st = level_stats(t, 1)
         assert st["n_z"] == 2 and st["n_v"] == 1
         assert st["mean_duration_prev_level"] == 1.0  # unit-time crossings
 
     def test_out_of_range(self):
-        t = build_tree(SEVEN.path(), 1.0, 0.0)
+        t = build_tree(SEVEN, 1.0, 0.0)
         with pytest.raises(TreeError):
             level_stats(t, t.max_level + 1)
 
@@ -259,7 +259,7 @@ class TestLevelStats:
         n, total = 320, 640.0
         vals = np.arange(n + 1) % 2
         s = TickSeries(times=np.linspace(0.0, total, n + 1), values=vals.astype(float))
-        t = build_tree(s.path(), 1.0, 0.0)
+        t = build_tree(s, 1.0, 0.0)
         st = level_stats(t, 1) if t.max_level >= 1 else None
         assert np.isclose(np.mean(t.durations(0)), total / n)
 
@@ -272,7 +272,7 @@ def trees():
         n = int(rng.integers(50, 400))
         vals = np.cumsum(np.r_[0, rng.choice([-1, 1], n)]).astype(float)
         s = walk_series(vals)
-        out.append((vals, build_tree(s.path(), 1.0, 0.0)))
+        out.append((vals, build_tree(s, 1.0, 0.0)))
     return out
 
 
@@ -339,7 +339,7 @@ class TestInvariants:
         for vals, t in trees:
             warped_times = np.expm1(np.arange(vals.size) / vals.size * 3.0)
             s = TickSeries(times=warped_times, values=vals)
-            t2 = build_tree(s.path(), 1.0, 0.0)
+            t2 = build_tree(s, 1.0, 0.0)
             assert t2.max_level == t.max_level
             for level in range(1, t.max_level + 1):
                 assert np.array_equal(t2.counts[level], t.counts[level])
@@ -347,7 +347,7 @@ class TestInvariants:
 
 
 def test_export_format(tmp_path):
-    t = build_tree(SEVEN.path(), 1.0, 0.0)
+    t = build_tree(SEVEN, 1.0, 0.0)
     files = export_tree(t, str(tmp_path))
     assert len(files) == t.max_level + 1
     lines = (tmp_path / "level_1.csv").read_text().strip().split("\n")
@@ -360,13 +360,13 @@ def test_export_format(tmp_path):
 def test_multiple_crossing_shares_on_jump_data():
     s = TickSeries(times=np.array([0.0, 1.0, 2.0]),
                    values=np.array([0.0, 3.5, 0.2]))
-    t = build_tree(s.path(), 1.0, 0.0)
+    t = build_tree(s, 1.0, 0.0)
     shares = multiple_crossing_shares(t, s)
     assert shares[0]["ge2_pct"] == 100.0  # every crossing shares a segment
 
 
 def test_origin_shift_changes_lattice():
-    t = build_tree(SEVEN.path(), 1.0, 0.5)
+    t = build_tree(SEVEN, 1.0, 0.5)
     # lattice 0.5 + Z: init at 0.5, then first passages to 1.5, 2.5, 3.5
     # (the 2 -> 1 -> 2 excursion re-touches 1.5 without a new passage)
     assert t.n_crossings(0) == 3
