@@ -503,31 +503,27 @@ def delta_mc(
             deltas[m], mean_w, se = calibrate_at(m, guess)
             guess = deltas[m]
         diffs = np.diff([deltas[m] for m in exps])
+        final = deltas[exps[-1]]
+        fit = (None,) * 3
         if np.any(diffs <= 0):
             warnings.append("non-monotone per-step deltas; regression refused")
-            final = deltas[exps[-1]]
-            fit = (None, None, None)
         elif diffs.size < 2:
             warnings.append("need at least 3 step sizes to extrapolate; "
                             "returning the finest-step delta")
-            final = deltas[exps[-1]]
-            fit = (None, None, None)
         else:
             ms = np.asarray(exps[:-1], dtype=np.float64)
             logd = np.log10(diffs)
             slope, intercept = np.polyfit(ms, logd, 1)
             resid = logd - (slope * ms + intercept)
-            rms = float(np.sqrt(np.mean(resid**2)))
+            fit = (float(intercept), float(slope),
+                   float(np.sqrt(np.mean(resid**2))))
             ratio = 10.0 ** slope
             if ratio >= 1.0:
                 warnings.append("non-contracting delta differences; "
                                 "extrapolation refused")
-                final = deltas[exps[-1]]
-                fit = (float(intercept), float(slope), rms)
             else:
-                tail = 10.0 ** (slope * exps[-1] + intercept) / (1.0 - ratio)
-                final = deltas[exps[-1]] + float(tail)
-                fit = (float(intercept), float(slope), rms)
+                final += float(10.0 ** (slope * exps[-1] + intercept)
+                               / (1.0 - ratio))
         return CalibrationResult(
             kind=spec.kind, n_crossings=n_crossings, t0=t0,
             params=_spec_params(spec), delta=final,

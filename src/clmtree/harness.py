@@ -21,11 +21,10 @@ from .tree import (
     CrossingTree,
     TreeError,
     build_tree,
-    lattice_events,
+    lattice_events,  # unused here; bench/tracing.py patches this name
     level_stats,
     multiple_crossing_shares,
     select_base_scale,
-    tree_from_hits,
 )
 
 
@@ -182,48 +181,15 @@ def _simulate_series(cfg: StudyConfig, path_index: int) -> TickSeries:
 
 def tree_for_series(cfg: StudyConfig, series: TickSeries,
                     delta: float) -> CrossingTree:
-    """Anchor the lattice per the configured policy and build the tree.
-
-    The latticed policy centres the lattice on the series: the median of
-    the crossing values of a scan anchored at 0, snapped to the nearest
-    multiple of delta.  Snapping keeps every level-0 crossing of
-    exact-chain inputs (a fractional offset would merge the chain's
-    one-step excursions into single passages), and a location estimate
-    tight to within about one crossing size is what preserves the power
-    of the coarse levels against mean-reverting alternatives.  The origin
-    m * delta lies on the scanned lattice, so the tree is built from that
-    scan's hits shifted by m, without a second scan.  Its hit times are
-    those of a scan at m * delta to within a few ulps.
-    """
-    if cfg.delta0_policy == "latticed":
-        hit_t, hit_k = lattice_events(series.times, series.values, delta, 0.0)
-        m = _median_line(hit_k)
-        return tree_from_hits(hit_t, hit_k - m, delta, m * delta)
-    return build_tree(series, delta, anchor_origin(cfg, series, delta))
-
-
-def anchor_origin(cfg: StudyConfig, series: TickSeries, delta: float) -> float:
-    """The lattice origin of the configured policy."""
+    """Build the tree on the lattice origin of the configured policy: 0,
+    the first value, or (latticed) the median crossing line that
+    ``build_tree`` places from its own scan."""
+    origin = None
     if cfg.delta0_policy == "zero":
-        return 0.0
-    if cfg.delta0_policy == "first":
-        return float(series.values[0])
-    return lattice_median_anchor(series, delta)
-
-
-def _median_line(hits: np.ndarray) -> int:
-    """Median crossing value of 0-anchored hits, in whole lattice units."""
-    if hits.size < 2:
-        raise TreeError("no crossings to anchor the lattice on")
-    return round(float(np.median(hits[1:])))
-
-
-def lattice_median_anchor(series: TickSeries, delta: float) -> float:
-    """Median crossing value of the 0-anchored lattice, snapped onto it.
-    ``tree_for_series`` builds a latticed tree from this scan's hits,
-    shifted by the median; ``analyze_series`` rescans at this origin."""
-    _, hits = lattice_events(series.times, series.values, delta, 0.0)
-    return _median_line(hits) * delta
+        origin = 0.0
+    elif cfg.delta0_policy == "first":
+        origin = float(series.values[0])
+    return build_tree(series, delta, origin)
 
 
 def run_study(cfg: StudyConfig, label: str) -> StudyReport:
@@ -286,8 +252,7 @@ def analyze_series(series: TickSeries, cfg: StudyConfig,
     if cfg.log_transform:
         series = log_transform(series)
     delta = cfg.delta if cfg.delta is not None else select_base_scale(series)
-    # level reports print hit-time digits: scan at the origin itself
-    tree = build_tree(series, delta, anchor_origin(cfg, series, delta))
+    tree = tree_for_series(cfg, series, delta)
     tables = load_all_tables(cfg.cv_dir)
     outcomes = apply_tests_to_tree(tree, cfg.tests, tables)
     shares = {d["level"]: d for d in multiple_crossing_shares(tree, series)}

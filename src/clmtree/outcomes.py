@@ -156,7 +156,6 @@ class ZSample:
     """Subcrossing counts at one tree level: even integers >= 2."""
 
     values: np.ndarray
-    level: int = 0
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.int64)

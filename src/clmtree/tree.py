@@ -1,12 +1,13 @@
 """Crossing tree of a piecewise-linear path over nested lattices.
 
 Level-l crossings are first passages of size ``delta * 2**l`` over the
-lattice ``origin + delta * 2**l * Z``.  Construction walks the interpolated
-path once to enumerate every level-0 lattice hit (``lattice_events``), then
-derives each coarser level from the finer one by subsampling and
-first-passage reduction (``tree_from_hits``).  Hits found on ``delta * Z``
-serve any origin ``m * delta`` of the same lattice once shifted by m, so a
-latticed tree reuses the scan that placed its origin.
+lattice ``origin + delta * 2**l * Z``.  ``build_tree`` walks the
+interpolated path once to enumerate every level-0 lattice hit
+(``lattice_events``), then derives each coarser level from the finer one
+by subsampling and first-passage reduction.  Without an origin it centres
+the lattice on the path's median crossing line m of that one scan:
+hits found on ``delta * Z`` serve the origin ``m * delta`` once shifted
+by m.
 """
 
 from __future__ import annotations
@@ -117,40 +118,39 @@ class CrossingTree:
         self._check_level(level)
         return np.diff(self.hit_times[level])
 
-    def subcrossing_counts(self, level: int) -> np.ndarray:
-        if not 1 <= level <= self.max_level:
-            raise TreeError(f"level {level} out of range [1, {self.max_level}]")
-        return self.counts[level]
-
-    def excursion_bits(self, level: int) -> np.ndarray:
-        self._check_level(level)
-        return self.excursions[level]
-
     def _check_level(self, level: int) -> None:
         if not 0 <= level <= self.max_level:
             raise TreeError(f"level {level} out of range [0, {self.max_level}]")
 
 
 def build_tree(
-    series: TickSeries, delta: float, origin: float = 0.0
+    series: TickSeries, delta: float, origin: float | None = None
 ) -> CrossingTree:
     """Construct the crossing tree of the linearly interpolated series.
 
     Level-0 crossings start from the first hit of ``origin + delta * Z``
     (that hit initialises the position and is not itself a crossing);
     incomplete trailing crossings are discarded at every level.
+
+    ``origin=None`` centres the lattice on the series: the median of the
+    crossing values of a scan anchored at 0, snapped to the nearest
+    multiple m of delta.  Snapping keeps every level-0 crossing of
+    exact-chain inputs (a fractional offset would merge the chain's
+    one-step excursions into single passages), and a location estimate
+    tight to within about one crossing size is what preserves the power
+    of the coarse levels against mean-reverting alternatives.  The tree
+    is built from that scan's hits shifted by m; its hit times are those
+    of a scan at ``m * delta`` up to rounding in the last bits.
     """
-    hits = lattice_events(series.times, series.values, delta, origin)
-    return tree_from_hits(*hits, delta, origin)
-
-
-def tree_from_hits(hit_t, hit_k, delta: float, origin: float) -> CrossingTree:
-    """The crossing tree of the level-0 hits ``lattice_events`` gives on
-    the lattice ``origin + delta * Z``."""
+    hit_t, hit_k = lattice_events(series.times, series.values, delta,
+                                  0.0 if origin is None else origin)
     if hit_k.size == 0:
         raise TreeError("path never hits the lattice")
     if hit_k.size < 3:
         raise TreeError("fewer than 2 level-0 crossings")
+    if origin is None:
+        m = round(float(np.median(hit_k[1:])))
+        hit_k, origin = hit_k - m, m * delta
 
     all_t = [hit_t]
     all_k = [hit_k]
@@ -232,8 +232,7 @@ def select_base_scale(series: TickSeries) -> float:
 
 def level_stats(tree: CrossingTree, level: int) -> dict:
     """Counts available to the tests at one level plus the temporal scale."""
-    if not 0 <= level <= tree.max_level:
-        raise TreeError(f"level {level} out of range [0, {tree.max_level}]")
+    tree._check_level(level)
     out = {
         "level": level,
         "n_z": tree.counts[level].size if level >= 1 else None,

@@ -14,7 +14,6 @@ from clmtree.harness import (
     StudyConfig,
     analyze_dataset,
     analyze_series,
-    lattice_median_anchor,
     render_report,
     run_power_study,
     run_qv_study,
@@ -22,6 +21,7 @@ from clmtree.harness import (
 )
 from clmtree.series import TickSeries, save_ticks
 from clmtree.simulate import ProcessSpec
+from clmtree.tree import build_tree
 
 BM_DELTA = math.sqrt(0.004)
 
@@ -356,7 +356,6 @@ def test_permuting_counts_collapses_joint_rejection():
     from clmtree.indep_tests import joint_dist_test
     from clmtree.outcomes import ZSample
     from clmtree.simulate import simulate_crossings_batch
-    from clmtree.tree import build_tree
 
     spec = ProcessSpec("ou", alpha=8.0, sigma=1.0)
     d = 0.063015
@@ -367,9 +366,7 @@ def test_permuting_counts_collapses_joint_rejection():
         series = TickSeries(times=np.arange(vals.size, dtype=float), values=vals)
         cfg = StudyConfig(process=spec, n_paths=1, n_crossings=5000,
                           delta=d, seed=1)
-        tree = build_tree(series, d,
-                          __import__("clmtree.harness", fromlist=["x"])
-                          .lattice_median_anchor(series, d))
+        tree = build_tree(series, d, None)
         if tree.max_level < 3 or tree.counts[3].size < 10:
             continue
         used += 1
@@ -386,6 +383,6 @@ def test_lattice_median_anchor_on_chain():
     rng = np.random.default_rng(16)
     vals = 0.5 + np.cumsum(np.r_[0.0, rng.choice([-0.1, 0.1], 4000)])
     series = TickSeries(times=np.arange(vals.size, dtype=float), values=vals)
-    anchor = lattice_median_anchor(series, 0.1)
+    anchor = build_tree(series, 0.1, None).origin
     assert math.isclose(anchor % 0.1, 0.0, abs_tol=1e-9) or \
         math.isclose(anchor % 0.1, 0.1, abs_tol=1e-9)

@@ -70,3 +70,35 @@ def test_tracer_times_the_tick_load(tmp_path):
     metrics = tracer.metrics()
     assert metrics["series.ticks"] == values.size
     assert metrics["series.load_s"] > 0
+
+
+def test_tracer_counts_the_trees_built(tmp_path):
+    """Every harness tree comes from ``harness.build_tree``, so a traced
+    study and a traced analysis count each tree they build and its
+    level-0 crossings."""
+    cfg = harness.StudyConfig(
+        process=simulate.ProcessSpec("bm"), n_paths=3, n_crossings=400,
+        delta=0.063, seed=2, tests=("chi2",))
+    study_trees = [harness.tree_for_series(cfg, harness._simulate_series(cfg, i),
+                                           cfg.delta) for i in range(cfg.n_paths)]
+    rng = np.random.default_rng(14)
+    series = TickSeries(times=np.arange(3000, dtype=float),
+                        values=np.cumsum(rng.standard_normal(3000)))
+    path = str(tmp_path / "ticks.csv")
+    save_ticks(series, path)
+    analysis = harness.StudyConfig(tests=("chi2",))
+    analysis_trees = [harness.tree_for_series(
+        analysis, series, harness.select_base_scale(series))]
+    tracing = _tracing()
+    for run, trees in ((lambda: harness.run_type1_study(cfg), study_trees),
+                       (lambda: harness.analyze_dataset(path, analysis),
+                        analysis_trees)):
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            run()
+        finally:
+            tracer.remove()
+        metrics = tracer.metrics()
+        assert metrics["tree.trees"] == len(trees)
+        assert metrics["tree.crossings"] == sum(t.n_crossings(0) for t in trees)

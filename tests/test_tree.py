@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from clmtree.harness import StudyConfig, lattice_median_anchor, tree_for_series
-from clmtree.series import TickSeries
+from clmtree.harness import StudyConfig, tree_for_series
+from clmtree.series import TickSeries, log_transform
 from clmtree.simulate import (
     ProcessSpec,
     simulate_crossings_batch,
@@ -178,28 +178,27 @@ def test_tree_matches_oracle_on_shifted_lattices():
 
 def test_single_scan_tree_matches_oracle_on_shifted_lattices():
     """Property: the latticed tree of ``tree_for_series``, built from the
-    0-anchored scan's hits shifted by their median line m, is the oracle's
-    tree of the walk on the lattice anchored at m, and the tree a second
-    scan at the anchor gives."""
+    0-anchored scan's hits shifted by their median line m, has its origin
+    at m * delta and is the oracle's tree of the walk on the lattice
+    anchored at m, and the tree a second scan at that origin gives."""
     def check(walk, k, delta, series, shift):
         cfg = StudyConfig(delta=delta)
         lines = [v for _, v in brute_level_hits(k + walk, 1)]
-        ref = brute_tree(k + walk - round(float(np.median(lines[1:])))
-                         ) if len(lines) >= 2 else []
+        m = round(float(np.median(lines[1:]))) if len(lines) >= 2 else 0
+        ref = brute_tree(k + walk - m) if len(lines) >= 2 else []
         if not ref or len(ref[0]["times"]) < 3:
             with pytest.raises(TreeError):
                 tree_for_series(cfg, series, delta)
             return
         t = tree_for_series(cfg, series, delta)
-        anchor = lattice_median_anchor(series, delta)
-        assert t.origin == anchor
+        assert t.origin == build_tree(series, delta, None).origin == m * delta
         _assert_oracle_tree(t, ref, shift)
-        _assert_same_tree(t, build_tree(series, delta, anchor), ulps=0)
+        _assert_same_tree(t, build_tree(series, delta, t.origin), ulps=0)
 
     _shifted_walks(check)
 
 
-def _assert_same_tree(t, u, ulps):
+def _assert_same_tree(t, u, ulps, atol=0.0):
     assert (t.max_level, t.delta, t.origin) == (u.max_level, u.delta, u.origin)
     for level in range(t.max_level + 1):
         assert np.array_equal(t.hit_index[level], u.hit_index[level])
@@ -208,12 +207,22 @@ def _assert_same_tree(t, u, ulps):
             assert np.array_equal(t.counts[level], u.counts[level])
             assert np.array_equal(t.prev_rank[level], u.prev_rank[level])
         a, b = t.hit_times[level], u.hit_times[level]
-        assert np.all(np.abs(a - b) <= ulps * np.spacing(np.maximum(abs(a), abs(b))))
+        assert np.all(np.abs(a - b)
+                      <= ulps * np.spacing(np.maximum(abs(a), abs(b))) + atol)
 
 
 def _chain(spec, delta, seed):
     values = simulate_crossings_batch(spec, delta, 3000, 1, [seed, 0])[0]
     return TickSeries(times=np.arange(values.size, dtype=float), values=values)
+
+
+def _pip_log_prices():
+    """Log prices of a +-1/0-pip walk from 1.1300 at exponential tick
+    gaps, the shape of FX data: no value lies on the lattice."""
+    rng = np.random.default_rng(41)
+    pips = 11_300 + np.cumsum(rng.choice([-1, 0, 0, 1], 20_000))
+    return log_transform(TickSeries(
+        times=np.cumsum(rng.exponential(1.0, pips.size)), values=pips / 1e4))
 
 
 SINGLE_SCAN_PATHS = {
@@ -223,22 +232,31 @@ SINGLE_SCAN_PATHS = {
                               0.02833, 32), 0.02833),
     "fbm": (lambda: simulate_fbm_path(0.7, 1.0 / 250.0, 100_000, 1e-5,
                                       seed=[33, 0]), 0.0010176),
+    "pip": (_pip_log_prices, None),  # delta from select_base_scale
 }
 
 
 @pytest.mark.parametrize("kind", sorted(SINGLE_SCAN_PATHS))
 def test_single_scan_tree_equals_rescan(kind):
-    """The latticed tree ``tree_for_series`` builds from one scan is the tree
-    a second scan at ``lattice_median_anchor`` gives: the same lattice
-    indices, counts and excursions at every level, and hit times within
-    4 ulps (the scan divides ``values`` rather than ``values - origin``)."""
+    """The latticed tree ``build_tree`` makes from one scan at 0 is the
+    tree a second scan at its origin m * delta gives: the same lattice
+    indices, counts and excursions at every level.  Hit times agree within
+    4 ulps plus the scan's offset error: the scan divides ``values``
+    rather than ``values - origin``.  Off the lattice, that moves a hit's
+    fraction of its segment by a few ulps of |values / delta| (about 1,400
+    on the pip series), so pip hit times may also differ by 4 such ulps of
+    the longest segment's duration."""
     make, delta = SINGLE_SCAN_PATHS[kind]
     series = make()
-    t = tree_for_series(StudyConfig(delta=delta), series, delta)
-    rescan = build_tree(series, delta,
-                        lattice_median_anchor(series, delta))
+    delta = delta or select_base_scale(series)
+    t = build_tree(series, delta, None)
+    rescan = build_tree(series, delta, t.origin)
     assert t.max_level >= 3
-    _assert_same_tree(t, rescan, ulps=4)
+    atol = 0.0
+    if kind == "pip":
+        atol = (4 * np.finfo(float).eps * np.max(np.abs(series.values)) / delta
+                * np.max(np.diff(series.times)))
+    _assert_same_tree(t, rescan, ulps=4, atol=atol)
 
 
 class TestLevelStats:
