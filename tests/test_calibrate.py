@@ -167,6 +167,22 @@ class TestContinuousMonitoringEvidence:
         assert abs(w - 5.0) <= 3 * se
 
 
+@pytest.mark.parametrize("spec, delta, seed, root_step, pinned", [
+    (ProcessSpec("bm"), 0.05, 11, None,
+     (0.745344326646103, 0.0045690306524277255)),
+    (ProcessSpec("ou", alpha=8.0, sigma=1.0), 0.063, 12, None,
+     (1.17985740799073, 0.011297639562047272)),
+    (FELLER, 0.028, 13, 1e-3, (1.2192955239336283, 0.03540584761025976)),
+], ids=["bm", "ou", "feller"])
+def test_mean_window_is_pinned(spec, delta, seed, root_step, pinned):
+    # 30 paths of 300 crossings at step 1e-4, a few blocks each; the Feller
+    # case refines root increments of 1e-3 and runs antithetic pairs.  A
+    # rework of the pass must keep every draw and decision, so these bits
+    w, se = _mean_window_for_n_crossings(spec, delta, 1e-4, 30, seed, 300,
+                                         30.0, root_step)
+    assert (repr(w), repr(se)) == tuple(map(repr, pinned))
+
+
 def test_feller_grid_block_keeps_stationary_mean():
     # Milstein grid paths from stationary Gamma starts: the time-0 and
     # time-1 cross-sections share the stationary mean mu
