@@ -162,38 +162,52 @@ def milstein_feller_step(spec: ProcessSpec, x, g, step: float):
             + spec.sigma**2 * (g * g - step) / 4.0)
 
 
-def _grid_block(spec, x, g, step, redraw):
-    """Next ``len(g)`` grid values of every path from the values ``x``.
+def _grid_block(spec, x, g, step, redraw, out=None):
+    """Next ``len(g)`` grid values of every path from the values ``x``,
+    written into ``out`` (a new array if None) and returned.
 
     ``g`` holds the Gaussian increments (variance ``step``), one row per
     step.  BM and OU are vectorised over time (OU through its exact AR(1)
     transition).  Feller takes ``milstein_feller_step`` row by row, in
     place in the output block and in that function's order of operations,
     so every value keeps its bits: the x-free term sigma**2 (g**2 - step) / 4
-    is filled in for all rows at once, and the rest of the sum is built in
-    two buffers and added to it.  A step that lands at or below 0 has its
-    increment redrawn from ``redraw`` until it lands above 0.  Positivity
-    is checked once per block: after stepping through the block, the first
-    row holding a value <= 0 has those values redrawn in index order from
-    the row before it, exactly as a check after every step would, and the
-    block is stepped again from the next row.  (A NaN, which only a
-    negative or non-finite start gives, is never redrawn.)
+    is filled in for all rows at once.  The two x-dependent factors of a
+    row are stacked in one (2, n) buffer w = [mu - x, sqrt(x)], scaled by
+    [kappa, sigma] and then by [step, g_k] (a per-block (rows, 2, n)
+    array); x and the noise term w[1] are added to the drift term w[0],
+    and that to the row: seven ufunc calls a row.  A step that lands at or
+    below 0 has its increment redrawn from ``redraw`` until it lands above
+    0.  Positivity is checked once per block: after stepping through the
+    block, the first row holding a value <= 0 has those values redrawn in
+    index order from the row before it, exactly as a check after every
+    step would, and the block is stepped again from the next row.  (A NaN,
+    which only a negative or non-finite start gives, is never redrawn.)
     """
+    if out is None:
+        out = np.empty_like(g)
     if spec.kind in ("bm", "bm_drift"):
         drift = spec.alpha if spec.kind == "bm_drift" else 0.0
-        return x + np.cumsum(drift * step + g, axis=0)
+        np.cumsum(drift * step + g, axis=0, out=out)
+        out += x
+        return out
     if spec.kind == "ou":
         from scipy import signal  # slow to import, and needed only here
 
         rho = math.exp(-spec.alpha * step)
         sd = spec.sigma * math.sqrt((1 - rho * rho) / (2 * spec.alpha * step))
-        return signal.lfilter([1.0], [1.0, -rho], sd * g, axis=0,
-                              zi=rho * x[None, :])[0]
-    out = np.empty_like(g)
+        out[...] = signal.lfilter([1.0], [1.0, -rho], sd * g, axis=0,
+                                  zi=rho * x[None, :])[0]
+        return out
     # the constants as arrays: a ufunc converts a Python float on every call
-    mu, kappa, h, sigma = (np.full(x.shape, v) for v in
-                           (spec.mu, spec.kappa, step, spec.sigma))
-    head, noise = np.empty(x.shape), np.empty(x.shape)
+    mu = np.full(x.shape, spec.mu)
+    scale = np.empty((2,) + x.shape)
+    scale[0], scale[1] = spec.kappa, spec.sigma
+    factors = np.empty((len(g), 2) + x.shape)
+    factors[:, 0], factors[:, 1] = step, g
+    w = np.empty((2,) + x.shape)
+    head, noise = w
+    # local names: seven global lookups a row add up over a block
+    sub, sqrt, mul, add = np.subtract, np.sqrt, np.multiply, np.add
     sq = math.sqrt(step)
     start = 0
     while start < len(g):
@@ -205,17 +219,15 @@ def _grid_block(spec, x, g, step, redraw):
         rows /= 4.0
         prev = x if start == 0 else out[start - 1]
         with np.errstate(invalid="ignore"):
-            for row, g_k in zip(rows, g[start:]):
+            for row, f in zip(rows, factors[start:]):
                 # x + kappa (mu - x) step + sigma sqrt(x) g, then the term
-                np.subtract(mu, prev, head)
-                np.multiply(head, kappa, head)
-                np.multiply(head, h, head)
-                np.add(head, prev, head)
-                np.sqrt(prev, noise)
-                np.multiply(noise, sigma, noise)
-                np.multiply(noise, g_k, noise)
-                np.add(head, noise, head)
-                np.add(row, head, row)
+                sub(mu, prev, head)
+                sqrt(prev, noise)
+                mul(w, scale, w)
+                mul(w, f, w)
+                add(head, prev, head)
+                add(head, noise, head)
+                add(row, head, row)
                 prev = row
         low = (rows <= 0.0).any(axis=1)
         if not low.any():
@@ -236,7 +248,8 @@ def _exp_neg(q):
     return np.exp(-np.minimum(q, 700.0))
 
 
-def _bridge_touches(spec, prev, nxt, c_prev, c_nxt, e_lo, e_hi, step, delta):
+def _bridge_touches(spec, prev, nxt, c_prev, c_nxt, e_lo, e_hi, step, delta,
+                    work=None):
     """Whether the Brownian bridge between consecutive grid values touches
     the nearest lattice line below both ends (lo) and above both (hi).
 
@@ -252,43 +265,64 @@ def _bridge_touches(spec, prev, nxt, c_prev, c_nxt, e_lo, e_hi, step, delta):
     happen and the upper one is decided by its marginal alone.  v is
     sigma**2 * x * step for Feller (x at the step start; line 0 is never
     touched) and sigma**2 * step otherwise.
+
+    The inputs may have any shape and memory layout; lo and hi come back
+    C-ordered in the shape of ``prev``.  The per-step intermediates go
+    into ``work``, a scratch array of at least (6, prev.size), if given.
     """
+    shape = prev.shape
+    a, b, ca, cb, el, eh = map(np.ravel, (prev, nxt, c_prev, c_nxt, e_lo,
+                                          e_hi))
+    n = a.size
+    if work is None:
+        work = np.empty((6, n))
+    lo_line, hi_line, q_lo, q_hi, tmp, two_over_var = work[:, :n]
     if spec.kind == "feller":
-        two_over_var = (2.0 / (spec.sigma**2 * step)) / prev
+        np.divide(2.0 / (spec.sigma**2 * step), a, out=two_over_var)
     else:
-        two_over_var = np.full(prev.shape, 2.0 / (
-            (spec.sigma**2 if spec.kind == "ou" else 1.0) * step))
-    lo_line = np.minimum(c_prev, c_nxt) * delta
-    hi_line = (np.maximum(c_prev, c_nxt) + 1.0) * delta
-    q_lo = (prev - lo_line) * (nxt - lo_line) * two_over_var
-    q_hi = (hi_line - prev) * (hi_line - nxt) * two_over_var
+        two_over_var = 2.0 / ((spec.sigma**2 if spec.kind == "ou" else 1.0)
+                              * step)
+    np.minimum(ca, cb, out=lo_line)
+    lo_line *= delta
+    np.maximum(ca, cb, out=hi_line)
+    hi_line += 1.0
+    hi_line *= delta
+    np.subtract(a, lo_line, out=q_lo)
+    np.subtract(b, lo_line, out=tmp)
+    q_lo *= tmp
+    q_lo *= two_over_var
+    np.subtract(hi_line, a, out=q_hi)
+    np.subtract(hi_line, b, out=tmp)
+    q_hi *= tmp
+    q_hi *= two_over_var
     if spec.kind == "feller":
         q_lo[lo_line <= 0.0] = np.inf
-    hi = q_hi < e_hi
-    lo = np.zeros(prev.shape, dtype=bool)
+    hi = q_hi < eh
+    lo = np.zeros(n, dtype=bool)
     near = np.flatnonzero(q_lo < TOUCH_EXPONENT_MAX)
-    if near.size == 0:
-        return lo, hi
-    q_lo_n, q_hi_n = q_lo.ravel()[near], q_hi.ravel()[near]
-    p_lo, p_hi = np.exp(-q_lo_n), _exp_neg(q_hi_n)
-    p_both = np.zeros(near.size)
-    both = np.flatnonzero(q_lo_n + q_hi_n < TOUCH_EXPONENT_MAX)
-    if both.size:
-        idx = near[both]
-        a, b = prev.ravel()[idx], nxt.ravel()[idx]
-        l, u = lo_line.ravel()[idx], hi_line.ravel()[idx]
-        s, w = two_over_var.ravel()[idx], u - l
-        p_both[both] = np.clip(
-            _exp_neg(s * w * (w - (b - a))) + _exp_neg(s * w * (w + (b - a)))
-            - _exp_neg(s * (a - l + w) * (b - l + w))
-            - _exp_neg(s * (u - a + w) * (u - b + w)),
-            0.0, np.minimum(p_lo[both], p_hi[both]))
-    lo_n = q_lo_n < e_lo.ravel()[near]
-    lo.ravel()[near] = lo_n
-    with np.errstate(divide="ignore", invalid="ignore"):
-        hi.ravel()[near] = np.exp(-e_hi.ravel()[near]) < np.where(
-            lo_n, p_both / p_lo, (p_hi - p_both) / (1.0 - p_lo))
-    return lo, hi
+    if near.size:
+        q_lo_n, q_hi_n = q_lo[near], q_hi[near]
+        p_lo, p_hi = np.exp(-q_lo_n), _exp_neg(q_hi_n)
+        p_both = np.zeros(near.size)
+        both = np.flatnonzero(q_lo_n + q_hi_n < TOUCH_EXPONENT_MAX)
+        if both.size:
+            idx = near[both]
+            a_b, b_b = a[idx], b[idx]
+            l, u = lo_line[idx], hi_line[idx]
+            s = two_over_var[idx] if spec.kind == "feller" else two_over_var
+            w = u - l
+            p_both[both] = np.clip(
+                _exp_neg(s * w * (w - (b_b - a_b)))
+                + _exp_neg(s * w * (w + (b_b - a_b)))
+                - _exp_neg(s * (a_b - l + w) * (b_b - l + w))
+                - _exp_neg(s * (u - a_b + w) * (u - b_b + w)),
+                0.0, np.minimum(p_lo[both], p_hi[both]))
+        lo_n = q_lo_n < el[near]
+        lo[near] = lo_n
+        with np.errstate(divide="ignore", invalid="ignore"):
+            hi[near] = np.exp(-eh[near]) < np.where(
+                lo_n, p_both / p_lo, (p_hi - p_both) / (1.0 - p_lo))
+    return lo.reshape(shape), hi.reshape(shape)
 
 
 def _mean_window_for_n_crossings(
@@ -318,11 +352,15 @@ def _mean_window_for_n_crossings(
     ``n_paths`` must be even and the standard error is taken from the
     pair means.  (Pairing gains nothing for BM and OU, whose partner is
     the mirror image with the same window, so their paths are
-    independent.)  Every window
-    runs to completion: a path still unfinished at time ``t_max`` raises
-    RuntimeError instead of being truncated.  The grid is simulated in
-    blocks of steps, and crossings are counted only on the steps that
-    touch a line, so memory stays bounded.  Returns (mean, se).
+    independent.)  Every window runs to completion: a window still open
+    at time ``t_max``, or ending after it, raises RuntimeError instead of
+    being truncated.  The grid is simulated in blocks of steps, into one
+    buffer whose first row carries the last values of the block before,
+    so memory stays bounded.  Every path is drawn for and stepped through
+    each block, so the random streams do not depend on when windows end;
+    but finished paths are no longer counted: only the open windows go
+    through the bridge touches and the count, and crossings are counted
+    only on the steps that touch a line.  Returns (mean, se).
     """
     if spec.kind not in ("bm", "bm_drift", "ou", "feller"):
         raise ValueError(f"no grid-path sampler for {spec.kind!r}")
@@ -340,57 +378,68 @@ def _mean_window_for_n_crossings(
                   for j in range(decades + 1)]
     bridge_rng = np.random.default_rng([seed, 2, decades])
     redraw_rng = np.random.default_rng([seed, 3, decades])
+    roots = max(1, WINDOW_BLOCK_VALUES // (n_paths * 10**decades))
+    block = roots * 10**decades
+    grid = np.empty((block + 1, n_paths))  # row 0: the block before's last
+    cells = np.empty((block + 1, n_paths))  # floor(grid / delta)
+    work = np.empty((6, block * n_paths))  # _bridge_touches' scratch
     if spec.kind == "feller":
         a = 2.0 * spec.kappa * spec.mu / spec.sigma**2
         b = spec.sigma**2 / (2.0 * spec.kappa)
         u0 = start_rng.random(n_draw)
-        x = special.gammaincinv(a, np.concatenate([u0, 1.0 - u0])) * b
+        grid[0] = special.gammaincinv(a, np.concatenate([u0, 1.0 - u0])) * b
     elif spec.kind == "ou":
-        x = start_rng.standard_normal(n_paths) * spec.sigma \
+        grid[0] = start_rng.standard_normal(n_paths) * spec.sigma \
             / math.sqrt(2 * spec.alpha)
     else:
-        x = np.zeros(n_paths)
+        grid[0] = 0.0
+    np.floor(grid[0] / delta, out=cells[0])
 
-    roots = max(1, WINDOW_BLOCK_VALUES // (n_paths * 10**decades))
-    block = roots * 10**decades
     events = np.zeros(n_paths, dtype=np.int64)  # first-passage hits so far
     pos = np.full(n_paths, -np.inf)  # index of the line hit last
     t_first = np.full(n_paths, np.nan)
     t_done = np.full(n_paths, np.nan)
     need = n_crossings + 1  # event 1 initialises; event `need` is crossing n
     t_start = 0.0
-    while np.isnan(t_done).any():
-        if t_start >= t_max:
-            raise RuntimeError(
-                f"{int(np.isnan(t_done).sum())} of {n_paths} windows "
-                f"unfinished at t_max={t_max}"
-            )
+    while t_start < t_max:
+        cols = np.flatnonzero(np.isnan(t_done))  # the windows still open
+        if cols.size == 0:
+            break
         g = _brownian_increments(gauss_rngs, roots, n_draw, root_step)
-        e = bridge_rng.standard_exponential((block, 2, n_draw))
+        # (block, 2 n_draw) exponentials: lower-touch variates, then upper
+        e = bridge_rng.standard_exponential((block, 2, n_draw)) \
+            .reshape(block, -1)
         if antithetic:  # the partner's upper touch mirrors the lower one
             g = np.concatenate([g, -g], axis=1)
-            e_lo = np.concatenate([e[:, 0], e[:, 1]], axis=1)
-            e_hi = np.concatenate([e[:, 1], e[:, 0]], axis=1)
+        _grid_block(spec, grid[0], g, step, redraw_rng, out=grid[1:])
+        np.divide(grid[1:], delta, out=cells[1:])
+        np.floor(cells[1:], out=cells[1:])
+        # C-ordered copies of the open columns: a fancy-indexed column
+        # subset is F-ordered
+        e_lo = e.take(cols, axis=1)
+        e_hi = e.take((cols + n_draw) % e.shape[1], axis=1)
+        if cols.size == n_paths:
+            x, c = grid, cells
         else:
-            e_lo, e_hi = e[:, 0].copy(), e[:, 1].copy()
-        nxt = _grid_block(spec, x, g, step, redraw_rng)
-        prev = np.concatenate([x[None, :], nxt[:-1]])
-        cells = np.floor(np.concatenate([x[None, :], nxt]) / delta)
-        c_prev, c_nxt = cells[:-1], cells[1:]
+            x, c = grid.take(cols, axis=1), cells.take(cols, axis=1)
+        prev, nxt, c_prev, c_nxt = x[:-1], x[1:], c[:-1], c[1:]
         lo, hi = _bridge_touches(spec, prev, nxt, c_prev, c_nxt, e_lo, e_hi,
-                                 step, delta)
+                                 step, delta, work)
 
         # steps that touch a line, path by path in time order; each passes
         # a run of consecutive lines, and a re-touch of the line hit last
         # is not a new passage
-        path, k = np.nonzero(((c_prev != c_nxt) | lo | hi).T)
-        x, t_block = nxt[-1], t_start
+        col, k = np.nonzero(((c_prev != c_nxt) | lo | hi).T)
+        flat = k * cols.size + col
+        a, b = prev.ravel()[flat], nxt.ravel()[flat]
+        ca, cb = c_prev.ravel()[flat], c_nxt.ravel()[flat]
+        lo_k, hi_k = lo.ravel()[flat], hi.ravel()[flat]
+        grid[0], cells[0] = grid[-1], cells[-1]
+        t_block = t_start
         t_start += block * step
-        if path.size == 0:
+        if col.size == 0:
             continue
-        a, b = prev[k, path], nxt[k, path]
-        ca, cb = c_prev[k, path], c_nxt[k, path]
-        lo_k, hi_k = lo[k, path], hi[k, path]
+        path = cols[col]
         rising = b >= a
         first = np.where(rising, ca + 1 - lo_k, ca + hi_k)
         last = np.where(rising, cb + hi_k, cb + 1 - lo_k)
@@ -420,6 +469,10 @@ def _mean_window_for_n_crossings(
         events[path[ends]] = cum[ends]
         pos[path[ends]] = last[ends]
 
+    late = np.count_nonzero(~(t_done <= t_max))
+    if late:
+        raise RuntimeError(
+            f"{late} of {n_paths} windows unfinished at t_max={t_max}")
     windows = t_done - t_first
     units = 0.5 * (windows[:n_draw] + windows[n_draw:]) if antithetic \
         else windows

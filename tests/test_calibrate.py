@@ -5,6 +5,7 @@ import pytest
 
 from clmtree.calibrate import (
     WINDOW_BLOCK_VALUES,
+    _bridge_touches,
     _brownian_increments,
     _grid_block,
     _mean_window_for_n_crossings,
@@ -107,6 +108,13 @@ class TestDeltaMc:
         with pytest.raises(RuntimeError, match="unfinished"):
             _mean_window_for_n_crossings(ProcessSpec("bm"), 0.1, 1e-3, 20, 1,
                                          1000, t_max=0.5)
+
+    def test_window_ending_past_t_max_raises(self):
+        # every window of 50 crossings ends within the first block, which
+        # runs to t = 5; some end after t_max
+        with pytest.raises(RuntimeError, match="unfinished"):
+            _mean_window_for_n_crossings(ProcessSpec("bm"), 0.1, 1e-3, 20, 1,
+                                         50, t_max=0.3)
 
     def test_refined_increments_keep_the_coarse_path(self):
         # a finer grid splits each coarse increment: same Brownian path,
@@ -212,17 +220,34 @@ class TestFellerGridBlock:
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         return ref, rng
 
-    @pytest.mark.parametrize("n_paths", [40, 500])
-    def test_matches_per_step_reference(self, n_paths):
+    @pytest.mark.parametrize("spec, n_paths", [
+        pytest.param(FELLER, 40, id="40"),
+        pytest.param(FELLER, 500, id="500"),
+        # sigma != 1 shows a dropped or misplaced sigma factor
+        pytest.param(ProcessSpec("feller", kappa=6.0, mu=0.2, sigma=0.7), 40,
+                     id="sigma0.7-40"),
+    ])
+    def test_matches_per_step_reference(self, spec, n_paths):
         # one calibration block of stationary starts at step 1e-4
         step = 1e-4
         rng = np.random.default_rng(n_paths)
-        a = 2.0 * FELLER.kappa * FELLER.mu / FELLER.sigma**2
-        x0 = rng.gamma(shape=a, scale=FELLER.sigma**2 / (2.0 * FELLER.kappa),
+        a = 2.0 * spec.kappa * spec.mu / spec.sigma**2
+        x0 = rng.gamma(shape=a, scale=spec.sigma**2 / (2.0 * spec.kappa),
                        size=n_paths)
         g = rng.standard_normal((WINDOW_BLOCK_VALUES // n_paths, n_paths)) \
             * math.sqrt(step)
-        self._both(FELLER, x0, g, step)
+        self._both(spec, x0, g, step)
+
+    def test_writes_into_the_given_buffer(self):
+        rng = np.random.default_rng(8)
+        x0 = rng.gamma(2.4, 1.0 / 12.0, size=40)
+        g = rng.standard_normal((200, 40)) * 1e-2
+        grid = np.empty((201, 40))
+        grid[0] = x0
+        out = _grid_block(FELLER, grid[0], g, 1e-4, rng, out=grid[1:])
+        assert out.base is grid
+        assert np.array_equal(
+            grid[1:], _grid_block(FELLER, x0, g, 1e-4, rng))
 
     def test_redraws_match_per_step_reference(self):
         # 2 kappa mu / sigma**2 = 1.  A step from x lands at
@@ -247,3 +272,53 @@ class TestFellerGridBlock:
         assert np.all(ref[:, 6] != ref[:, 6])
         assert rng.bit_generator.state \
             != np.random.default_rng(6).bit_generator.state
+
+
+class TestBridgeTouchesOnColumnSubsets:
+    """The open windows of a pass go through ``_bridge_touches`` as a
+    column subset; a fancy-indexed subset is F-ordered, and its touches
+    must be those of the same columns in the full call."""
+
+    COLS = np.array([0, 3, 4, 9, 10, 17, 30, 31, 38])
+
+    @staticmethod
+    def _inputs(spec, x0, step, delta, seed):
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((500, x0.size)) * math.sqrt(step)
+        grid = np.concatenate([x0[None, :], _grid_block(spec, x0, g, step,
+                                                        rng)])
+        cells = np.floor(grid / delta)
+        e = rng.standard_exponential((2, 500, x0.size))
+        return grid[:-1], grid[1:], cells[:-1], cells[1:], e[0], e[1]
+
+    def _check(self, spec, inputs, step, delta):
+        lo, hi = _bridge_touches(spec, *inputs, step, delta)
+        sub = [v[:, self.COLS] for v in inputs]
+        assert all(v.flags.f_contiguous and not v.flags.c_contiguous
+                   for v in sub)
+        work = np.empty((6, lo.size))  # larger than the subset needs
+        lo_s, hi_s = _bridge_touches(spec, *sub, step, delta, work)
+        assert np.array_equal(lo_s, lo[:, self.COLS])
+        assert np.array_equal(hi_s, hi[:, self.COLS])
+        return lo, hi
+
+    def test_feller(self):
+        rng = np.random.default_rng(1)
+        x0 = rng.gamma(2.4, 1.0 / 12.0, size=40)
+        lo, hi = self._check(FELLER, self._inputs(FELLER, x0, 1e-3, 0.028, 2),
+                             1e-3, 0.028)
+        assert lo[:, self.COLS].any() and hi[:, self.COLS].any()
+
+    def test_bm_with_steps_near_both_lines(self):
+        # delta of one step's standard deviation: many steps are within
+        # reach of both lines of their cell, so the two-sided term is used
+        spec, step, delta = ProcessSpec("bm"), 1e-4, 0.01
+        inputs = self._inputs(spec, np.zeros(40), step, delta, 3)
+        prev, nxt, c_prev, c_nxt = inputs[:4]
+        lo_line = np.minimum(c_prev, c_nxt) * delta
+        hi_line = (np.maximum(c_prev, c_nxt) + 1.0) * delta
+        q_sum = ((prev - lo_line) * (nxt - lo_line)
+                 + (hi_line - prev) * (hi_line - nxt)) * 2.0 / step
+        assert (q_sum[:, self.COLS] < 30.0).sum() > 1000
+        lo, hi = self._check(spec, inputs, step, delta)
+        assert (lo & hi)[:, self.COLS].any()
