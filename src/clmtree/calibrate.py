@@ -249,7 +249,7 @@ def _exp_neg(q):
 
 
 def _bridge_touches(spec, prev, nxt, c_prev, c_nxt, e_lo, e_hi, step, delta,
-                    work=None):
+                    work):
     """Whether the Brownian bridge between consecutive grid values touches
     the nearest lattice line below both ends (lo) and above both (hi).
 
@@ -268,20 +268,19 @@ def _bridge_touches(spec, prev, nxt, c_prev, c_nxt, e_lo, e_hi, step, delta,
 
     The inputs may have any shape and memory layout; lo and hi come back
     C-ordered in the shape of ``prev``.  The per-step intermediates go
-    into ``work``, a scratch array of at least (6, prev.size), if given.
+    into ``work``, a scratch array of at least (6, prev.size) that a pass
+    reuses for every block.
     """
     shape = prev.shape
     a, b, ca, cb, el, eh = map(np.ravel, (prev, nxt, c_prev, c_nxt, e_lo,
                                           e_hi))
     n = a.size
-    if work is None:
-        work = np.empty((6, n))
     lo_line, hi_line, q_lo, q_hi, tmp, two_over_var = work[:, :n]
     if spec.kind == "feller":
         np.divide(2.0 / (spec.sigma**2 * step), a, out=two_over_var)
     else:
-        two_over_var = 2.0 / ((spec.sigma**2 if spec.kind == "ou" else 1.0)
-                              * step)
+        two_over_var.fill(2.0 / ((spec.sigma**2 if spec.kind == "ou" else 1.0)
+                                 * step))
     np.minimum(ca, cb, out=lo_line)
     lo_line *= delta
     np.maximum(ca, cb, out=hi_line)
@@ -309,8 +308,7 @@ def _bridge_touches(spec, prev, nxt, c_prev, c_nxt, e_lo, e_hi, step, delta,
             idx = near[both]
             a_b, b_b = a[idx], b[idx]
             l, u = lo_line[idx], hi_line[idx]
-            s = two_over_var[idx] if spec.kind == "feller" else two_over_var
-            w = u - l
+            s, w = two_over_var[idx], u - l
             p_both[both] = np.clip(
                 _exp_neg(s * w * (w - (b_b - a_b)))
                 + _exp_neg(s * w * (w + (b_b - a_b)))
@@ -406,16 +404,18 @@ def _mean_window_for_n_crossings(
         if cols.size == 0:
             break
         g = _brownian_increments(gauss_rngs, roots, n_draw, root_step)
-        # (block, 2 n_draw) exponentials: lower-touch variates, then upper
         e = bridge_rng.standard_exponential((block, 2, n_draw)) \
             .reshape(block, -1)
-        if antithetic:  # the partner's upper touch mirrors the lower one
+        if antithetic:  # the partner steps by -g
             g = np.concatenate([g, -g], axis=1)
         _grid_block(spec, grid[0], g, step, redraw_rng, out=grid[1:])
         np.divide(grid[1:], delta, out=cells[1:])
         np.floor(cells[1:], out=cells[1:])
-        # C-ordered copies of the open columns: a fancy-indexed column
-        # subset is F-ordered
+        # C-ordered copies of the open columns (a fancy-indexed column
+        # subset is F-ordered).  Path j takes its lower-touch variates
+        # from column j of e and its upper ones from column j + n_draw,
+        # cyclically, so an antithetic partner's upper touch mirrors the
+        # lower one
         e_lo = e.take(cols, axis=1)
         e_hi = e.take((cols + n_draw) % e.shape[1], axis=1)
         if cols.size == n_paths:

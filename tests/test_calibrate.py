@@ -185,7 +185,8 @@ class TestContinuousMonitoringEvidence:
 def test_mean_window_is_pinned(spec, delta, seed, root_step, pinned):
     # 30 paths of 300 crossings at step 1e-4, a few blocks each; the Feller
     # case refines root increments of 1e-3 and runs antithetic pairs.  A
-    # rework of the pass must keep every draw and decision, so these bits
+    # rework of the pass that keeps every draw and decision keeps these
+    # bits
     w, se = _mean_window_for_n_crossings(spec, delta, 1e-4, 30, seed, 300,
                                          30.0, root_step)
     assert (repr(w), repr(se)) == tuple(map(repr, pinned))
@@ -292,11 +293,11 @@ class TestBridgeTouchesOnColumnSubsets:
         return grid[:-1], grid[1:], cells[:-1], cells[1:], e[0], e[1]
 
     def _check(self, spec, inputs, step, delta):
-        lo, hi = _bridge_touches(spec, *inputs, step, delta)
+        work = np.empty((6, inputs[0].size))  # larger than the subset needs
+        lo, hi = _bridge_touches(spec, *inputs, step, delta, work)
         sub = [v[:, self.COLS] for v in inputs]
         assert all(v.flags.f_contiguous and not v.flags.c_contiguous
                    for v in sub)
-        work = np.empty((6, lo.size))  # larger than the subset needs
         lo_s, hi_s = _bridge_touches(spec, *sub, step, delta, work)
         assert np.array_equal(lo_s, lo[:, self.COLS])
         assert np.array_equal(hi_s, hi[:, self.COLS])

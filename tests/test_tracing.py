@@ -4,13 +4,13 @@ here, not only in a traced benchmark run."""
 
 import importlib.util
 import logging
+import math
 import os
 
 import numpy as np
 
 from clmtree import calibrate, harness, simulate
 from clmtree.series import TickSeries, save_ticks
-from clmtree.simulate import ProcessSpec
 
 TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "bench", "tracing.py")
@@ -107,30 +107,31 @@ def test_tracer_counts_the_trees_built(tmp_path):
 
 
 def test_delta_mc_logs_one_record_per_pass(caplog, monkeypatch):
-    """The tracer's pass counts and times come from these records."""
+    """The tracer's calibration pass counts and times come from
+    ``delta_mc``'s DEBUG records: one per pass, whose message starts with
+    "step 1e-" and whose first argument is the step exponent."""
     passes = []
     window = calibrate._mean_window_for_n_crossings
 
     def counted(spec, delta, step, *args):
-        passes.append(round(-np.log10(step)))
+        passes.append(round(-math.log10(step)))
         return window(spec, delta, step, *args)
 
     monkeypatch.setattr(calibrate, "_mean_window_for_n_crossings", counted)
-    spec = ProcessSpec("feller", kappa=6.0, mu=0.2, sigma=1.0)
-    with caplog.at_level(logging.DEBUG, logger=calibrate.__name__):
-        calibrate.delta_mc(spec, 50, 0.2, step_exponents=(2, 3),
-                           n_paths=20, seed=3)
+    spec = simulate.ProcessSpec("feller", kappa=6.0, mu=0.2, sigma=1.0)
+    tracer = _tracing().Tracer()
+    tracer.install()
+    try:
+        with caplog.at_level(logging.DEBUG, logger=calibrate.__name__):
+            calibrate.delta_mc(spec, 50, 0.2, step_exponents=(2, 3),
+                               n_paths=20, seed=3)
+    finally:
+        tracer.remove()
     records = [r for r in caplog.records if r.name == calibrate.__name__]
     assert len(passes) >= 3 and set(passes) == {2, 3}
     assert [r.args[0] for r in records] == passes
     assert all(r.levelno == logging.DEBUG and r.msg.startswith("step 1e-")
                for r in records)
-
-    tracing = _tracing()
-    tracer = tracing.Tracer()
-    tracer._pass_clock = 0.0  # set when delta_mc starts
-    handler = tracing._PassHandler(tracer)
-    for record in records:
-        handler.emit(record)
-    assert [len(tracer.pass_times.get(m, ())) for m in (2, 3)] \
+    metrics = tracer.metrics()
+    assert [metrics[f"calibrate.passes.1e-{m}"] for m in (2, 3)] \
         == [passes.count(m) for m in (2, 3)]
