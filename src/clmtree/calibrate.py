@@ -3,7 +3,6 @@ number of level-0 crossings per time window."""
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -13,6 +12,7 @@ from scipy import special
 
 from .simulate import (
     ProcessSpec,
+    _gamma_shape_scale,
     expected_crossing_time,
     hitting_prob,  # unused here; bench/tracing.py patches this name
     mean_crossing_times,
@@ -21,11 +21,13 @@ from .simulate import (
 
 logger = logging.getLogger(__name__)
 
-DRIFT_REL_TOL = 1e-12
-OU_TARGET_REL_TOL = 2e-4
-MC_WINDOW_REL_TOL = 1e-4  # |log(mean window / t0)| accepted per step size
-MC_DELTA_REL_TOL = 1e-6  # bracket width on log(delta) that also stops
-MC_SECANT_STEPS = 30  # simulation passes per step size beyond the first
+# stopping pairs of the crossing-scale secant: |log(mean window / target)|
+# accepted, and the width on log(delta) of the bracket or of the next step
+MC_WINDOW_REL_TOL = 1e-4  # Monte Carlo windows, per step size
+MC_DELTA_REL_TOL = 1e-6
+EXACT_WINDOW_REL_TOL = 1e-15  # exact windows: a few ulps above rounding
+EXACT_DELTA_REL_TOL = 1e-15
+SECANT_STEPS = 30  # window evaluations per solve beyond the first
 MC_MAX_WINDOW_FACTOR = 20.0  # hard cap on simulated time, in units of t0
 WINDOW_BLOCK_VALUES = 100_000  # grid values per simulated block
 TOUCH_EXPONENT_MAX = 30.0  # bridge touch probabilities below e**-30 drop
@@ -47,11 +49,52 @@ class CalibrationResult:
     warnings: tuple = ()
 
 
-def delta_closed_form(spec: ProcessSpec, n_crossings: int, t0: float) -> float:
-    """Exact delta for BM; monotone bracketing root solve for drift.
+def _solve_log_window(mean_window, target, guess, window_tol, delta_tol,
+                      gain=2.0):
+    """The crossing size delta at which the mean window matches ``target``.
 
-    Both cases equate the constant expected crossing duration to t0/n.
+    ``mean_window(delta)`` returns a tuple whose first entry is the mean
+    window, increasing in delta.  A secant runs on f = log(window /
+    target) against x = log(delta) from ``guess``, with the slope ``gain``
+    = df/dx (about 2, since a window grows like delta**2) re-estimated by
+    each step and clamped to [1, 4].  The signs of f bracket the root, and
+    a step that leaves the bracket bisects it instead: a Monte Carlo
+    window is a noisy staircase in delta.  The solve stops when the best
+    |f| is within ``window_tol``, or the bracket or the next step is
+    within ``delta_tol`` on x.  Returns (delta, mean_window(delta), gain)
+    at the best point, with the last slope for a caller that solves a
+    nearby equation next.
     """
+    lo, hi = -math.inf, math.inf  # log-delta bracket of the root
+    x = math.log(guess)
+    out = mean_window(guess)
+    f = math.log(out[0] / target)
+    best = (abs(f), x, *out)
+    for _ in range(SECANT_STEPS):
+        if f < 0.0:
+            lo = max(lo, x)
+        else:
+            hi = min(hi, x)
+        if best[0] <= window_tol or min(hi - lo, abs(f) / gain) <= delta_tol:
+            return math.exp(best[1]), best[2:], gain
+        x_new = x - f / gain
+        if not lo < x_new < hi:
+            x_new = 0.5 * (lo + hi)
+        out = mean_window(math.exp(x_new))
+        f_new = math.log(out[0] / target)
+        if f_new != f:
+            gain = min(max((f_new - f) / (x_new - x), 1.0), 4.0)
+        x, f = x_new, f_new
+        best = min(best, (abs(f), x, *out))
+    raise RuntimeError(f"no crossing scale within {SECANT_STEPS} secant "
+                       f"steps: delta {math.exp(x)!r} gives log(window / "
+                       f"target) {f!r}")
+
+
+def delta_closed_form(spec: ProcessSpec, n_crossings: int, t0: float) -> float:
+    """Exact delta for BM, and for drift the root of its closed-form
+    expected crossing duration at t0/n, by ``_solve_log_window`` to the
+    exact tolerances."""
     if n_crossings < 1 or t0 <= 0:
         raise ValueError("need n_crossings >= 1 and t0 > 0")
     target = t0 / n_crossings
@@ -59,31 +102,10 @@ def delta_closed_form(spec: ProcessSpec, n_crossings: int, t0: float) -> float:
         return math.sqrt(target)
     if spec.kind != "bm_drift":
         raise ValueError("closed-form calibration covers bm and bm_drift only")
-
-    mean_duration = functools.partial(expected_crossing_time, spec, 0.0)
-    lo, hi = 0.5 * math.sqrt(target), 2.0 * math.sqrt(target)
-    f_lo, f_hi = mean_duration(lo), mean_duration(hi)
-    for _ in range(64):
-        if f_lo < target < f_hi:
-            break
-        if f_lo >= target:
-            lo *= 0.5
-            f_lo = mean_duration(lo)
-        if f_hi <= target:
-            hi *= 2.0
-            f_hi = mean_duration(hi)
-    else:
-        raise ValueError(f"root not bracketed in [{lo}, {hi}]")
-    while (hi - lo) / hi > DRIFT_REL_TOL:
-        mid = 0.5 * (lo + hi)
-        f_mid = mean_duration(mid)
-        if not f_lo < f_mid < f_hi:
-            raise AssertionError("mean crossing duration not increasing")
-        if f_mid < target:
-            lo, f_lo = mid, f_mid
-        else:
-            hi, f_hi = mid, f_mid
-    return 0.5 * (lo + hi)
+    return _solve_log_window(
+        lambda d: (expected_crossing_time(spec, 0.0, d),), target,
+        _delta_scale_guess(spec, n_crossings, t0),
+        EXACT_WINDOW_REL_TOL, EXACT_DELTA_REL_TOL)[0]
 
 
 def ou_mean_crossing_duration(
@@ -95,41 +117,14 @@ def ou_mean_crossing_duration(
     return float(np.dot(pi, mean_crossing_times(spec, sites, delta)))
 
 
-def delta_ou(
-    alpha: float, sigma: float, n_crossings: int, t0: float,
-    rel_tol: float = OU_TARGET_REL_TOL,
-) -> float:
-    """delta solving the stationary-lattice mean-duration equation by
-    monotone bisection, to the given relative error on the target."""
-    if alpha <= 0 or sigma <= 0:
-        raise ValueError("need alpha > 0 and sigma > 0")
-    target = t0 / n_crossings
-    guess = sigma * math.sqrt(target)
-    lo, hi = 0.7 * guess, 1.5 * guess
-    f_lo = ou_mean_crossing_duration(alpha, sigma, lo)
-    f_hi = ou_mean_crossing_duration(alpha, sigma, hi)
-    for _ in range(32):
-        if f_lo < target < f_hi:
-            break
-        if f_lo >= target:
-            lo *= 0.7
-            f_lo = ou_mean_crossing_duration(alpha, sigma, lo)
-        if f_hi <= target:
-            hi *= 1.5
-            f_hi = ou_mean_crossing_duration(alpha, sigma, hi)
-    else:
-        raise ValueError("failed to bracket the OU mean-duration equation")
-    mid, f_mid = 0.5 * (lo + hi), None
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        f_mid = ou_mean_crossing_duration(alpha, sigma, mid)
-        if abs(f_mid - target) <= rel_tol * target:
-            return mid
-        if f_mid < target:
-            lo = mid
-        else:
-            hi = mid
-    raise RuntimeError("OU bisection did not reach the target tolerance")
+def delta_ou(alpha: float, sigma: float, n_crossings: int, t0: float) -> float:
+    """delta at which the stationary-walk mean crossing duration is t0/n,
+    by ``_solve_log_window`` to the exact tolerances."""
+    spec = ProcessSpec("ou", alpha=alpha, sigma=sigma)  # checks alpha, sigma
+    return _solve_log_window(
+        lambda d: (ou_mean_crossing_duration(alpha, sigma, d),),
+        t0 / n_crossings, _delta_scale_guess(spec, n_crossings, t0),
+        EXACT_WINDOW_REL_TOL, EXACT_DELTA_REL_TOL)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +377,7 @@ def _mean_window_for_n_crossings(
     cells = np.empty((block + 1, n_paths))  # floor(grid / delta)
     work = np.empty((6, block * n_paths))  # _bridge_touches' scratch
     if spec.kind == "feller":
-        a = 2.0 * spec.kappa * spec.mu / spec.sigma**2
-        b = spec.sigma**2 / (2.0 * spec.kappa)
+        a, b = _gamma_shape_scale(spec)
         u0 = start_rng.random(n_draw)
         grid[0] = special.gammaincinv(a, np.concatenate([u0, 1.0 - u0])) * b
     elif spec.kind == "ou":
@@ -490,14 +484,14 @@ def delta_mc(
 ) -> CalibrationResult:
     """Trial-and-error calibration on simulated paths.
 
-    At each step size 10**-m, delta is found by a secant iteration on
-    log(mean window) against log(delta), safeguarded by the bracket it
-    builds, re-simulating the same common-random-number paths until the
-    continuously monitored, uncensored mean window of
+    At each step size 10**-m, delta is found by ``_solve_log_window`` to
+    the Monte Carlo tolerances, re-simulating the same common-random-number
+    paths until the continuously monitored, uncensored mean window of
     ``_mean_window_for_n_crossings`` matches t0 to a relative
-    MC_WINDOW_REL_TOL (or the bracket closes to MC_DELTA_REL_TOL).  All
-    step sizes refine the Brownian paths of the coarsest one, so the
-    per-step deltas differ by discretisation error rather than by
+    MC_WINDOW_REL_TOL (or the bracket closes to MC_DELTA_REL_TOL).  Each
+    step size starts from the delta and the secant slope of the one
+    before.  All step sizes refine the Brownian paths of the coarsest one,
+    so the per-step deltas differ by discretisation error rather than by
     independent noise.  For Feller, that residual step-size dependence
     (Milstein error, the bridge's frozen variance) is removed by fitting
     log10(delta_{m+1} - delta_m) linearly in m and extrapolating the
@@ -508,56 +502,31 @@ def delta_mc(
     step is reported with a 95% confidence interval (from antithetic pair
     means for Feller).
     """
-    warnings: list[str] = []
     t_max = MC_MAX_WINDOW_FACTOR * t0
     exps = sorted(step_exponents) if spec.kind == "feller" \
         else [max(step_exponents)]
     root_step = 10.0 ** -exps[0]
-    gain = 2.0  # d log(window) / d log(delta); ~2 to first order
-
-    def calibrate_at(m: int, guess: float) -> tuple[float, float, float]:
-        nonlocal gain
-        step = 10.0 ** -m
-
-        def log_ratio(d: float) -> tuple[float, float, float]:
+    deltas: dict[int, float] = {}
+    delta = _delta_scale_guess(spec, n_crossings, t0)
+    gain = 2.0
+    for m in exps:
+        def mean_window(d: float) -> tuple[float, float]:
             w, se = _mean_window_for_n_crossings(
-                spec, d, step, n_paths, seed, n_crossings, t_max, root_step,
+                spec, d, 10.0 ** -m, n_paths, seed, n_crossings, t_max,
+                root_step,
             )
             logger.debug("step 1e-%d: delta %r -> mean window %r +- %r",
                          m, d, w, se)
-            return math.log(w / t0), w, se
+            return w, se
 
-        lo, hi = -math.inf, math.inf  # log-delta bracket of the root
-        x = math.log(guess)
-        f, w, se = log_ratio(guess)
-        best = (abs(f), x, w, se)
-        for _ in range(MC_SECANT_STEPS):
-            if f < 0.0:
-                lo = max(lo, x)
-            else:
-                hi = min(hi, x)
-            if best[0] <= MC_WINDOW_REL_TOL or hi - lo <= MC_DELTA_REL_TOL:
-                return math.exp(best[1]), best[2], best[3]
-            x_new = x - f / gain
-            if not lo < x_new < hi:  # the window is a noisy staircase
-                x_new = 0.5 * (lo + hi)
-            f_new, w, se = log_ratio(math.exp(x_new))
-            if f_new != f:
-                gain = min(max((f_new - f) / (x_new - x), 1.0), 4.0)
-            x, f = x_new, f_new
-            best = min(best, (abs(f), x, w, se))
-        raise RuntimeError(f"step 1e-{m}: calibration did not reach the "
-                           f"target window within {MC_SECANT_STEPS} passes")
+        delta, (mean_w, se), gain = _solve_log_window(
+            mean_window, t0, delta, MC_WINDOW_REL_TOL, MC_DELTA_REL_TOL, gain)
+        deltas[m] = delta
 
+    warnings: list[str] = []
+    fit = (None,) * 3
     if spec.kind == "feller":
-        deltas: dict[int, float] = {}
-        guess = _delta_scale_guess(spec, n_crossings, t0)
-        for m in exps:
-            deltas[m], mean_w, se = calibrate_at(m, guess)
-            guess = deltas[m]
         diffs = np.diff([deltas[m] for m in exps])
-        final = deltas[exps[-1]]
-        fit = (None,) * 3
         if np.any(diffs <= 0):
             warnings.append("non-monotone per-step deltas; regression refused")
         elif diffs.size < 2:
@@ -575,25 +544,14 @@ def delta_mc(
                 warnings.append("non-contracting delta differences; "
                                 "extrapolation refused")
             else:
-                final += float(10.0 ** (slope * exps[-1] + intercept)
+                delta += float(10.0 ** (slope * exps[-1] + intercept)
                                / (1.0 - ratio))
-        return CalibrationResult(
-            kind=spec.kind, n_crossings=n_crossings, t0=t0,
-            params=_spec_params(spec), delta=final,
-            deltas_by_step=deltas, fit_intercept=fit[0], fit_slope=fit[1],
-            fit_rms=fit[2], achieved_mean_window=mean_w,
-            achieved_ci_half=1.96 * se, warnings=tuple(warnings),
-        )
-
-    # generic single-resolution route
-    m = exps[0]
-    delta, mean_w, se = calibrate_at(
-        m, _delta_scale_guess(spec, n_crossings, t0))
     return CalibrationResult(
         kind=spec.kind, n_crossings=n_crossings, t0=t0,
-        params=_spec_params(spec), delta=delta,
-        deltas_by_step={m: delta}, achieved_mean_window=mean_w,
-        achieved_ci_half=1.96 * se, warnings=tuple(warnings),
+        params=_spec_params(spec), delta=delta, deltas_by_step=deltas,
+        fit_intercept=fit[0], fit_slope=fit[1], fit_rms=fit[2],
+        achieved_mean_window=mean_w, achieved_ci_half=1.96 * se,
+        warnings=tuple(warnings),
     )
 
 

@@ -10,6 +10,7 @@ bit for bit.
 from __future__ import annotations
 
 import os
+import pathlib
 from collections.abc import Callable
 from dataclasses import dataclass
 from importlib import resources
@@ -261,37 +262,32 @@ def load_table(path: str) -> CriticalValueTable:
         return _parse_table(fh.read())
 
 
-def load_table_dir(directory: str, test_id: str) -> CriticalValueTable:
-    """Load the table for one test from a directory, preferring the largest
-    n_mc when several generations coexist."""
+def load_table_dir(directory, test_id: str) -> CriticalValueTable:
+    """Load the table for one test from a directory, a path or a package
+    resource, preferring the largest n_mc when several generations
+    coexist."""
+    if isinstance(directory, str):
+        directory = pathlib.Path(directory)
     hits = sorted(
-        f for f in os.listdir(directory)
-        if f.startswith(test_id + "__") and f.endswith(".csv")
+        (p for p in directory.iterdir()
+         if p.name.startswith(test_id + "__") and p.name.endswith(".csv")),
+        key=lambda p: p.name,
     )
     if not hits:
         raise CriticalValueError(f"no table for {test_id!r} in {directory}")
-    tables = [load_table(os.path.join(directory, f)) for f in hits]
+    tables = [_parse_table(p.read_text(encoding="utf-8")) for p in hits]
     return max(tables, key=lambda t: t.n_mc)
 
 
 def shipped_table(test_id: str) -> CriticalValueTable:
     """Table bundled with the package (regenerate via the gen-cv command)."""
-    pkg = resources.files("clmtree.tables")
-    hits = sorted(
-        p.name for p in pkg.iterdir()
-        if p.name.startswith(test_id + "__") and p.name.endswith(".csv")
-    )
-    if not hits:
-        raise CriticalValueError(f"no shipped table for {test_id!r}")
-    return _parse_table((pkg / hits[-1]).read_text(encoding="utf-8"))
+    return load_table_dir(resources.files("clmtree.tables"), test_id)
 
 
 def load_all_tables(directory: str | None = None) -> dict:
-    """The shipped tables the serving tests need, keyed by table id."""
-    out = {}
-    for test_id in SHIPPED_TABLES:
-        if directory is None:
-            out[test_id] = shipped_table(test_id)
-        else:
-            out[test_id] = load_table_dir(directory, test_id)
-    return out
+    """The tables the serving tests need, keyed by table id: the shipped
+    ones, or those in ``directory``."""
+    if directory is None:
+        directory = resources.files("clmtree.tables")
+    return {test_id: load_table_dir(directory, test_id)
+            for test_id in SHIPPED_TABLES}

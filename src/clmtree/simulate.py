@@ -161,8 +161,9 @@ def hitting_prob(spec: ProcessSpec, x: float, delta: float) -> float:
     if spec.kind == "bm" or (spec.kind == "bm_drift" and spec.alpha == 0.0):
         return 0.5
     if spec.kind == "bm_drift":
-        e = math.exp(2.0 * spec.alpha * delta)
-        return (e - 1.0) / (e - math.exp(-2.0 * spec.alpha * delta))
+        # (e**2ad - 1) / (e**2ad - e**-2ad), free of its cancellation at
+        # small alpha
+        return 1.0 / (1.0 + math.exp(-2.0 * spec.alpha * delta))
     return float(_scale_odds(spec, x - delta, x, x + delta))
 
 
@@ -172,10 +173,8 @@ def expected_crossing_time(spec: ProcessSpec, x: float, delta: float) -> float:
     _check_interior(spec, x, delta)
     if spec.kind == "bm" or (spec.kind == "bm_drift" and spec.alpha == 0.0):
         return delta * delta
-    if spec.kind == "bm_drift":
-        a = spec.alpha
-        e = math.exp(2.0 * a * delta)
-        return delta * (e - 1.0) / (a * (e + 1.0))
+    if spec.kind == "bm_drift":  # delta (e**2ad - 1) / (a (e**2ad + 1))
+        return delta * math.tanh(spec.alpha * delta) / spec.alpha
     return float(mean_crossing_times(spec, x, delta))
 
 

@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from clmtree import calibrate
 from clmtree.calibrate import (
+    SECANT_STEPS,
     WINDOW_BLOCK_VALUES,
     _bridge_touches,
     _brownian_increments,
     _grid_block,
     _mean_window_for_n_crossings,
+    _solve_log_window,
     delta_closed_form,
     delta_mc,
     delta_ou,
@@ -40,8 +43,18 @@ class TestClosedForm:
         assert abs(d - 0.06334057822) < 5e-10
 
     def test_drift_small_alpha_limit(self):
-        d = delta_closed_form(ProcessSpec("bm_drift", alpha=1e-6), 1250, 5.0)
-        assert math.isclose(d, math.sqrt(0.004), rel_tol=1e-9)
+        for alpha in (1e-6, 1e-10):
+            d = delta_closed_form(ProcessSpec("bm_drift", alpha=alpha), 1250,
+                                  5.0)
+            assert math.isclose(d, math.sqrt(0.004), rel_tol=1e-12)
+
+    # roots of delta tanh(alpha delta) / alpha = 0.004 from mpmath.findroot
+    # at 50 digits, rounded to double
+    @pytest.mark.parametrize("alpha, root", [(1.0, 0.06328774783919686),
+                                             (1.5, 0.06334057822123894)])
+    def test_drift_root_to_the_ulp(self, alpha, root):
+        d = delta_closed_form(ProcessSpec("bm_drift", alpha=alpha), 1250, 5.0)
+        assert abs(d - root) <= math.ulp(root)
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
@@ -54,7 +67,20 @@ class TestDeltaOu:
     def test_solver_meets_its_target_tolerance(self):
         d = delta_ou(8.0, 1.0, 1250, 5.0)
         achieved = ou_mean_crossing_duration(8.0, 1.0, d)
-        assert abs(achieved - 0.004) <= 2e-4 * 0.004
+        assert abs(achieved - 0.004) <= 1e-14 * 0.004
+        # the converged root that c07 cites
+        assert abs(d - 0.063078) <= 1e-6
+
+    def test_secant_needs_few_quadratures(self, monkeypatch):
+        calls = []
+
+        def counted(alpha, sigma, delta):
+            calls.append(delta)
+            return ou_mean_crossing_duration(alpha, sigma, delta)
+
+        monkeypatch.setattr(calibrate, "ou_mean_crossing_duration", counted)
+        delta_ou(8.0, 1.0, 1250, 5.0)
+        assert len(calls) <= 5
 
     def test_small_alpha_approaches_bm(self):
         d = delta_ou(1e-3, 1.0, 1250, 5.0)
@@ -66,6 +92,26 @@ class TestDeltaOu:
         d1 = delta_ou(8.0, 1.0, 1250, 5.0)
         d2 = delta_ou(8.0, 2.0, 1250, 5.0)
         assert math.isclose(d2, 2 * d1, rel_tol=1e-3)
+
+
+class TestSolveLogWindow:
+    def test_carries_the_window_and_the_slope(self):
+        delta, out, gain = _solve_log_window(
+            lambda d: (d**3, "info"), 8.0, 1.0, 1e-15, 1e-15)
+        assert math.isclose(delta, 2.0, rel_tol=1e-14)
+        assert out[1] == "info" and math.isclose(out[0], 8.0, rel_tol=1e-14)
+        assert math.isclose(gain, 3.0, rel_tol=1e-6)
+
+    def test_raises_when_the_window_never_moves(self):
+        calls = []
+
+        def flat(d):
+            calls.append(d)
+            return (2.0,)
+
+        with pytest.raises(RuntimeError, match="secant"):
+            _solve_log_window(flat, 1.0, 1.0, 1e-4, 1e-6)
+        assert len(calls) == SECANT_STEPS + 1
 
 
 class TestDeltaMc:

@@ -10,6 +10,7 @@ from clmtree.critical_values import (
     SHIPPED_TABLES,
     TABLES,
     CriticalValueError,
+    CriticalValueTable,
     generate_cv_table,
     load_all_tables,
     load_table,
@@ -71,6 +72,15 @@ def test_save_load_roundtrip(tmp_path):
     assert (back.test_id, back.seed, back.n_mc) == ("larsen", 5, 10_000)
     again = load_table_dir(str(tmp_path), "larsen")
     assert again.entries == tab.entries
+
+
+def test_load_table_dir_prefers_the_largest_n_mc(tmp_path):
+    # the larger generation sorts first by file name
+    for seed, n_mc in ((9, 10_000), (5, 20_000)):
+        save_table(CriticalValueTable("larsen", {(10, 0.5): float(seed)},
+                                      n_mc=n_mc, seed=seed), str(tmp_path))
+    assert load_table_dir(str(tmp_path), "larsen").n_mc == 20_000
+    assert load_table_dir(tmp_path, "larsen").n_mc == 20_000
 
 
 def test_load_table_dir_missing(tmp_path):

@@ -78,6 +78,20 @@ class TestHittingProb:
             assert gaps[2] < 2e-3
 
 
+@pytest.mark.parametrize("alpha", [1e-10, 1e-6, 1.0])
+def test_drift_formulas_match_high_precision(alpha):
+    # the closed forms are differences of exp(2 alpha delta) terms, which
+    # cancel at small alpha in doubles but not at 40 digits
+    mpmath = pytest.importorskip("mpmath")
+    spec, d = ProcessSpec("bm_drift", alpha=alpha), math.sqrt(0.004)
+    with mpmath.workdps(40):
+        a, e = mpmath.mpf(alpha), mpmath.exp(2 * alpha * mpmath.mpf(d))
+        p = float((e - 1) / (e - 1 / e))
+        w = float(d * (e - 1) / (a * (e + 1)))
+    assert math.isclose(hitting_prob(spec, 0.0, d), p, rel_tol=3e-16)
+    assert math.isclose(expected_crossing_time(spec, 0.0, d), w, rel_tol=3e-16)
+
+
 class TestExpectedCrossingTime:
     def test_bm_square_law(self):
         w = expected_crossing_time(ProcessSpec("bm"), 1.3, 0.2)
