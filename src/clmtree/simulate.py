@@ -162,8 +162,13 @@ def hitting_prob(spec: ProcessSpec, x: float, delta: float) -> float:
         return 0.5
     if spec.kind == "bm_drift":
         # (e**2ad - 1) / (e**2ad - e**-2ad), free of its cancellation at
-        # small alpha
-        return 1.0 / (1.0 + math.exp(-2.0 * spec.alpha * delta))
+        # small alpha; where e**z overflows, the same logistic as e / (1 + e)
+        z = -2.0 * spec.alpha * delta
+        try:
+            return 1.0 / (1.0 + math.exp(z))
+        except OverflowError:
+            e = math.exp(-z)
+            return e / (1.0 + e)
     return float(_scale_odds(spec, x - delta, x, x + delta))
 
 

@@ -1,5 +1,7 @@
+import importlib.util
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -89,10 +91,16 @@ def _outcome(path):
 
 
 def _loop_outcome(path):
-    """The same, with numpy's reader switched off so the line loop parses."""
+    """The same, with both fast readers off so that the line loop parses."""
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(series, "_fixed_rows", lambda fh: None)
         mp.setattr(series, "_loadtxt_rows", lambda fh: None)
         return _outcome(path)
+
+
+def _fixed_reader_takes(path):
+    with open(path, "rb") as fh:
+        return series._fixed_rows(fh) is not None
 
 
 def test_reader_matches_line_loop(tmp_path):
@@ -126,6 +134,131 @@ def test_reader_matches_line_loop(tmp_path):
                 assert series._loadtxt_rows(fh) is not None
 
     check()
+
+
+def _fixed_layout_files():
+    """(text, digits per field) of files in one fixed layout: each field
+    has the same digits before and after its '.' on every row, with
+    leading zeros, and up to 22 digits after the '.'; times repeat and
+    come sorted or not."""
+    st = pytest.importorskip("hypothesis").strategies
+
+    @st.composite
+    def layout(draw):
+        # one field in four is too long for the fixed-layout reader
+        too_long = draw(st.integers(0, 3)) == 3
+        n = draw(st.integers(16, 23) if too_long
+                 else st.integers(1, series.FIXED_MAX_DIGITS))
+        frac = draw(st.integers(0, min(n, 22)))
+        return n - frac, frac, frac > 0 or draw(st.booleans())
+
+    @st.composite
+    def files(draw):
+        layouts = [draw(layout()), draw(layout())]
+
+        def field(whole, frac, dot):
+            digits = st.text("0123456789", min_size=whole + frac,
+                             max_size=whole + frac)
+            return digits.map(lambda d: d[:whole] + "." * dot + d[whole:])
+
+        # at one width and '.' column, text order is numeric order
+        pool = sorted(draw(st.lists(field(*layouts[0]), min_size=2,
+                                    max_size=12, unique=True)))
+        times = draw(st.one_of(
+            st.just(pool), st.permutations(pool),
+            st.lists(st.sampled_from(pool[:3]), min_size=2, max_size=12)))
+        values = draw(st.lists(field(*layouts[1]), min_size=len(times),
+                               max_size=len(times)))
+        preamble = draw(st.sampled_from(["", "# epoch 2003-01-01\n", "\n \n"]))
+        text = preamble + "time,value\n" + "".join(
+            f"{t},{v}\n" for t, v in zip(times, values))
+        return text, [whole + frac for whole, frac, _ in layouts]
+
+    return files()
+
+
+def test_fixed_reader_matches_line_loop(tmp_path):
+    hypothesis = pytest.importorskip("hypothesis")
+    path = tmp_path / "fixed.csv"
+
+    @hypothesis.given(case=_fixed_layout_files())
+    def check(case):
+        text, digits = case
+        path.write_bytes(text.encode("utf-8"))
+        assert _fixed_reader_takes(path) == all(
+            1 <= d <= series.FIXED_MAX_DIGITS for d in digits)
+        assert _outcome(str(path)) == _loop_outcome(str(path))
+
+    check()
+
+
+def test_fixed_reader_refuses_near_misses(tmp_path):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    path = tmp_path / "near.csv"
+
+    def mutate(text, kind, at, col):
+        head, _, body = text.partition("time,value\n")
+        rows = body.split("\n")[:-1]
+        row = rows[at % len(rows)]
+        digits = [i for i, c in enumerate(row) if c.isdigit()]
+        i = digits[col % len(digits)]
+        if kind in "-e_":  # a sign, exponent or underscore float may take
+            row = row[:i] + kind + row[i + 1:]
+        elif kind == "wider":
+            row = row[:i] + "0" + row[i:]
+        rows[at % len(rows)] = row
+        eol = "\r\n" if kind == "crlf" else "\n"
+        last = "" if kind == "no final newline" else eol
+        return head + "time,value\n" + eol.join(rows) + last
+
+    @hypothesis.given(
+        case=_fixed_layout_files(),
+        kind=st.sampled_from(["-", "e", "_", "crlf", "no final newline",
+                              "wider"]),
+        at=st.integers(0, 11), col=st.integers(0, 29))
+    def check(case, kind, at, col):
+        text, digits = case
+        hypothesis.assume(all(1 <= d <= series.FIXED_MAX_DIGITS
+                              for d in digits))
+        path.write_bytes(mutate(text, kind, at, col).encode("utf-8"))
+        assert not _fixed_reader_takes(path)
+        assert _outcome(str(path)) == _loop_outcome(str(path))
+
+    check()
+
+
+@pytest.mark.parametrize("preamble", [b"# a\rb\n", b"# \xff\n"])
+def test_fixed_reader_leaves_text_mode_preambles(tmp_path, preamble):
+    # text mode ends a line at '\r' and refuses bytes that are not UTF-8
+    path = tmp_path / "pre.csv"
+    path.write_bytes(preamble + b"time,value\n0,1\n1,2\n")
+    assert not _fixed_reader_takes(path)
+    assert _outcome(str(path)) == _loop_outcome(str(path))
+
+
+def test_sixteen_digits_go_to_the_other_readers(tmp_path):
+    path = write(tmp_path, "time,value\n0,1234567890.123456\n1,2.5\n")
+    assert not _fixed_reader_takes(path)
+    assert load_ticks(path).values.tolist() == [1234567890.123456, 2.5]
+
+
+def test_bench_tick_files_take_the_fixed_reader(tmp_path, monkeypatch):
+    # the benchmark's own generator, loaded from its file and not edited
+    source = Path(__file__).resolve().parents[1] / "bench" / "ticks.py"
+    spec = importlib.util.spec_from_file_location("bench_ticks", source)
+    ticks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ticks)
+    monkeypatch.setattr(ticks, "N_TICKS", 2_000)
+    ticks.write_inputs(201, str(tmp_path))
+    monkeypatch.setattr(series, "_loadtxt_rows", lambda fh: pytest.fail(
+        "a bench tick file left the fixed-layout reader"))
+    for index, (pair, _, decimals, _) in enumerate(ticks.PAIRS):
+        micros, pips = ticks.generate_pair(201, index)
+        s = load_ticks(str(tmp_path / f"{pair}.csv"))
+        assert s.collapsed == 0
+        assert np.array_equal(s.times, micros.astype(np.float64))
+        assert np.array_equal(s.values, pips / 10**decimals)
 
 
 def test_whitespace_only_lines_stay_with_the_reader(tmp_path):

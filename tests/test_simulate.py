@@ -92,6 +92,20 @@ def test_drift_formulas_match_high_precision(alpha):
     assert math.isclose(expected_crossing_time(spec, 0.0, d), w, rel_tol=3e-16)
 
 
+@pytest.mark.parametrize("alpha", [-4000.0, -400.0, -20.0])
+def test_drift_against_the_step_does_not_overflow(alpha):
+    # -2 alpha delta = 800 overflows exp; the odds are e**-800, 0 in doubles
+    spec, d = ProcessSpec("bm_drift", alpha=alpha), 0.1
+    p = hitting_prob(spec, 0.0, d)
+    assert 0.0 <= p < 0.5
+    mpmath = pytest.importorskip("mpmath")
+    # the logistic of the double -2 alpha delta: 0.1's own rounding error
+    # moves e**-80 by 4e-15 relative
+    with mpmath.workdps(40):
+        exact = float(1 / (1 + mpmath.exp(mpmath.mpf(-2.0 * alpha * d))))
+    assert math.isclose(p, exact, rel_tol=3e-16)
+
+
 class TestExpectedCrossingTime:
     def test_bm_square_law(self):
         w = expected_crossing_time(ProcessSpec("bm"), 1.3, 0.2)
