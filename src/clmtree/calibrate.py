@@ -548,17 +548,11 @@ def delta_mc(
                                / (1.0 - ratio))
     return CalibrationResult(
         kind=spec.kind, n_crossings=n_crossings, t0=t0,
-        params=_spec_params(spec), delta=delta, deltas_by_step=deltas,
+        params=spec.params, delta=delta, deltas_by_step=deltas,
         fit_intercept=fit[0], fit_slope=fit[1], fit_rms=fit[2],
         achieved_mean_window=mean_w, achieved_ci_half=1.96 * se,
         warnings=tuple(warnings),
     )
-
-
-def _spec_params(spec: ProcessSpec) -> dict:
-    keys = {"bm": (), "bm_drift": ("alpha",), "ou": ("alpha", "sigma"),
-            "feller": ("kappa", "mu", "sigma"), "fbm": ("hurst", "sigma2")}
-    return {k: getattr(spec, k) for k in keys[spec.kind]}
 
 
 def _delta_scale_guess(spec: ProcessSpec, n: int, t0: float) -> float:

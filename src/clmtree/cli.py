@@ -1,17 +1,17 @@
-"""Command-line front end: studies, dataset analysis, calibration, tables."""
+"""Command-line front end: studies, dataset analysis, calibration, tables.
+
+Each subcommand declares only the flags its code path reads.  A flag not
+given stays out of the parsed arguments, so the library's default applies.
+"""
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import sys
 
-from .calibrate import (
-    CalibrationResult,
-    _spec_params,
-    delta_closed_form,
-    delta_mc,
-    delta_ou,
-)
+from .calibrate import CalibrationResult, delta_closed_form, delta_mc, delta_ou
 from .critical_values import (
     SHIPPED_N_MC,
     SHIPPED_SEED,
@@ -21,7 +21,6 @@ from .critical_values import (
     save_table,
 )
 from .harness import (
-    ALL_TESTS,
     DELTA0_POLICIES,
     StudyConfig,
     analyze_dataset,
@@ -30,71 +29,55 @@ from .harness import (
     run_qv_study,
     run_type1_study,
 )
-from .simulate import ProcessSpec
+from .simulate import DIFFUSIONS, PROCESS_PARAMS, ProcessSpec
+
+DEFAULT_PROCESS = "bm"
+MC_ARGS = ("step_exponents", "n_paths", "seed")  # delta_mc's keywords
 
 
-def _add_process_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--process", default="bm",
-                   choices=["bm", "bm_drift", "ou", "feller", "fbm"])
-    p.add_argument("--alpha", type=float, default=0.0)
-    p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--kappa", type=float, default=0.0)
-    p.add_argument("--mu", type=float, default=0.0)
-    p.add_argument("--hurst", type=float, default=0.5)
-    p.add_argument("--sigma2", type=float, default=1.0)
+def _comma_list(kind):
+    """An argparse type: a comma-separated list of ``kind`` values."""
+    def parse(text: str) -> tuple:
+        return tuple(kind(x.strip()) for x in text.split(",") if x.strip())
+    parse.__name__ = f"comma-separated {kind.__name__}"
+    return parse
 
 
-def _add_common_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n-crossings", type=int, default=1250)
-    p.add_argument("--n-paths", type=int, default=1000)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--delta0-policy", default="latticed",
-                   choices=DELTA0_POLICIES)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tests", default=",".join(ALL_TESTS),
-                   help="comma-separated test roster")
-    p.add_argument("--cv-dir", default=None,
+def _add_process_args(p: argparse.ArgumentParser, kinds) -> None:
+    p.add_argument("--process", dest="kind", default=DEFAULT_PROCESS,
+                   choices=kinds)
+    params = (k for kind in kinds for k in PROCESS_PARAMS[kind])
+    for name in dict.fromkeys(params):
+        p.add_argument(f"--{name}", type=float)
+
+
+def _add_roster_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--delta0-policy", choices=DELTA0_POLICIES)
+    p.add_argument("--tests", type=_comma_list(str),
+                   help="comma-separated test roster (default: all)")
+    p.add_argument("--cv-dir",
                    help="critical-value table directory (default: shipped)")
-    p.add_argument("--out", default=None, help="output file")
+
+
+def _add_output_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--out", help="output file")
     p.add_argument("--format", default="text", choices=["text", "csv", "json"])
-    p.add_argument("--log-transform", action="store_true")
-    p.add_argument("--fbm-grid", type=float, default=1e-5)
-    p.add_argument("--config", default=None,
+    p.add_argument("--config",
                    help="key=value file of defaults; flags override")
 
 
-def _spec_from_args(args) -> ProcessSpec:
-    return ProcessSpec(
-        kind=args.process, alpha=args.alpha, sigma=args.sigma,
-        kappa=args.kappa, mu=args.mu, hurst=args.hurst, sigma2=args.sigma2,
-    )
-
-
-def _config_from_args(args, dataset: str | None = None) -> StudyConfig:
-    return StudyConfig(
-        process=None if dataset else _spec_from_args(args),
-        n_paths=args.n_paths,
-        n_crossings=args.n_crossings,
-        delta=args.delta,
-        delta0_policy=args.delta0_policy,
-        tests=tuple(t.strip() for t in args.tests.split(",") if t.strip()),
-        seed=args.seed,
-        cv_dir=args.cv_dir,
-        log_transform=args.log_transform,
-        fbm_grid=args.fbm_grid,
-        qv_n_points=getattr(args, "n_points", 1250),
-        qv_spacing=getattr(args, "spacing", 1.0 / 250.0),
-        qv_process=getattr(args, "qv_process", "bm"),
-        qv_drop_last=getattr(args, "drop_last", False),
-    )
+def _fields(args: argparse.Namespace, cls) -> dict:
+    """The parsed arguments that are fields of the dataclass ``cls``."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    return {k: v for k, v in vars(args).items() if k in names}
 
 
 def _emit(report, args) -> None:
-    text = render_report(report, args.format, args.out)
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
+    if "out" in args:
+        render_report(report, args.format, args.out)
         print(f"wrote {args.out}")
+    else:
+        sys.stdout.write(render_report(report, args.format))
 
 
 def _apply_config_file(argv: list[str],
@@ -146,34 +129,52 @@ def main(argv=None) -> int:
                     "continuous martingale hypothesis.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(sub.add_parser,
+                                   argument_default=argparse.SUPPRESS)
 
-    p_type1 = sub.add_parser("type1", help="null-process rejection study")
-    _add_process_args(p_type1)
-    _add_common_args(p_type1)
+    for name, text in (("type1", "null-process rejection study"),
+                       ("power", "alternative-process rejection study")):
+        p = add_parser(name, help=text)
+        _add_process_args(p, list(PROCESS_PARAMS))
+        p.add_argument("--n-crossings", type=int)
+        p.add_argument("--n-paths", type=int)
+        p.add_argument("--delta", type=float, required=True)
+        p.add_argument("--seed", type=int)
+        p.add_argument("--fbm-grid", type=float)
+        _add_roster_args(p)
+        _add_output_args(p)
 
-    p_power = sub.add_parser("power", help="alternative-process rejection study")
-    _add_process_args(p_power)
-    _add_common_args(p_power)
-
-    p_an = sub.add_parser("analyze", help="per-level analysis of a tick file")
+    p_an = add_parser("analyze", help="per-level analysis of a tick file")
     p_an.add_argument("dataset")
-    _add_process_args(p_an)
-    _add_common_args(p_an)
+    p_an.add_argument("--delta", type=float,
+                      help="crossing size (default: chosen from the data)")
+    p_an.add_argument("--log-transform", action="store_true")
+    _add_roster_args(p_an)
+    _add_output_args(p_an)
 
-    p_qv = sub.add_parser("qv", help="quadratic-variation c-sweep study")
-    _add_process_args(p_qv)
-    _add_common_args(p_qv)
-    p_qv.add_argument("--c-list", default="20,60,100,140")
-    p_qv.add_argument("--n-points", type=int, default=1250)
-    p_qv.add_argument("--spacing", type=float, default=1.0 / 250.0)
-    p_qv.add_argument("--qv-process", default="bm", choices=["bm", "expbm"])
-    p_qv.add_argument("--drop-last", action="store_true")
+    p_qv = add_parser("qv", help="quadratic-variation c-sweep study")
+    p_qv.add_argument("--n-paths", type=int)
+    p_qv.add_argument("--seed", type=int)
+    p_qv.add_argument("--c-list", type=_comma_list(float),
+                      default=(20.0, 60.0, 100.0, 140.0))
+    p_qv.add_argument("--n-points", dest="qv_n_points", type=int)
+    p_qv.add_argument("--spacing", dest="qv_spacing", type=float)
+    p_qv.add_argument("--qv-process", choices=["bm", "expbm"])
+    p_qv.add_argument("--drop-last", dest="qv_drop_last", action="store_true")
+    # the paths come from --qv-process; the report's config has always
+    # named the default process
+    p_qv.set_defaults(kind=DEFAULT_PROCESS)
+    _add_output_args(p_qv)
 
-    p_cal = sub.add_parser("calibrate", help="crossing-scale determination")
-    _add_process_args(p_cal)
-    _add_common_args(p_cal)
+    p_cal = add_parser("calibrate", help="crossing-scale determination")
+    _add_process_args(p_cal, DIFFUSIONS)
+    p_cal.add_argument("--n-crossings", type=int, default=1250)
     p_cal.add_argument("--t0", type=float, default=5.0)
-    p_cal.add_argument("--step-exponents", default="3,4,5")
+    p_cal.add_argument("--step-exponents", type=_comma_list(int),
+                       help="feller only")
+    p_cal.add_argument("--n-paths", type=int, help="feller only")
+    p_cal.add_argument("--seed", type=int, help="feller only")
+    _add_output_args(p_cal)
 
     p_gen = sub.add_parser("gen-cv", help="regenerate critical-value tables")
     p_gen.add_argument("--test", default="all", choices=["all", *TABLES],
@@ -186,37 +187,6 @@ def main(argv=None) -> int:
     p_gen.add_argument("--quantiles", default=None, help="comma list")
 
     args = parser.parse_args(_apply_config_file(argv, parser))
-
-    if args.command in ("type1", "power"):
-        cfg = _config_from_args(args)
-        runner = run_type1_study if args.command == "type1" else run_power_study
-        _emit(runner(cfg), args)
-        return 0
-    if args.command == "analyze":
-        cfg = _config_from_args(args, dataset=args.dataset)
-        _emit(analyze_dataset(args.dataset, cfg), args)
-        return 0
-    if args.command == "qv":
-        cfg = _config_from_args(args)
-        c_values = [float(c) for c in args.c_list.split(",") if c.strip()]
-        _emit(run_qv_study(cfg, c_values), args)
-        return 0
-    if args.command == "calibrate":
-        spec = _spec_from_args(args)
-        if spec.kind in ("bm", "bm_drift", "ou"):
-            delta = (delta_ou(spec.alpha, spec.sigma, args.n_crossings, args.t0)
-                     if spec.kind == "ou" else
-                     delta_closed_form(spec, args.n_crossings, args.t0))
-            result = CalibrationResult(
-                kind=spec.kind, n_crossings=args.n_crossings, t0=args.t0,
-                delta=delta, params=_spec_params(spec))
-        else:
-            exps = tuple(int(m) for m in args.step_exponents.split(","))
-            result = delta_mc(spec, args.n_crossings, args.t0,
-                              step_exponents=exps, n_paths=args.n_paths,
-                              seed=args.seed)
-        _emit(result, args)
-        return 0
     if args.command == "gen-cv":
         names = SHIPPED_TABLES if args.test == "all" else [args.test]
         for name in names:
@@ -233,7 +203,38 @@ def main(argv=None) -> int:
             path = save_table(table, args.out)
             print(f"wrote {path}")
         return 0
-    return 1
+
+    try:
+        spec = ProcessSpec(**_fields(args, ProcessSpec)) if "kind" in args \
+            else None
+        cfg = None if args.command == "calibrate" else \
+            StudyConfig(process=spec, **_fields(args, StudyConfig))
+    except ValueError as exc:
+        sub.choices[args.command].error(str(exc))
+    if args.command == "calibrate":
+        report = _calibrate(spec, args)
+    elif args.command == "analyze":
+        report = analyze_dataset(args.dataset, cfg)
+    elif args.command == "qv":
+        report = run_qv_study(cfg, args.c_list)
+    else:
+        runner = run_type1_study if args.command == "type1" else run_power_study
+        report = runner(cfg)
+    _emit(report, args)
+    return 0
+
+
+def _calibrate(spec: ProcessSpec, args) -> CalibrationResult:
+    """Monte Carlo calibration for Feller; exact for the other diffusions."""
+    if spec.kind == "feller":
+        mc_args = {k: v for k, v in vars(args).items() if k in MC_ARGS}
+        return delta_mc(spec, args.n_crossings, args.t0, **mc_args)
+    if spec.kind == "ou":
+        delta = delta_ou(spec.alpha, spec.sigma, args.n_crossings, args.t0)
+    else:
+        delta = delta_closed_form(spec, args.n_crossings, args.t0)
+    return CalibrationResult(kind=spec.kind, n_crossings=args.n_crossings,
+                             t0=args.t0, delta=delta, params=spec.params)
 
 
 def _parse_lengths(text: str):

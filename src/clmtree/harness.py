@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,33 +31,31 @@ from .tree import (
 
 @dataclass(frozen=True)
 class RosterEntry:
-    """One test id: the segmented function that runs it (looked up on
-    ``module`` at call time), the level sample it reads ("counts" Z, their
-    "twos" indicator bits or the "excursions" bits) and its table id, if
-    any."""
+    """One test id: the segmented function that runs it, the level sample
+    it reads ("counts" Z, their "twos" indicator bits or the "excursions"
+    bits) and its table id, if any."""
 
-    module: object
-    func: str
+    func: Callable[..., SegmentOutcomes]
     sample: str
     table: str | None = None
 
 
 ROSTER = {
-    "chi2": RosterEntry(dt, "chi2_geometric_segments", "counts", "chi2_geometric"),
-    "twos": RosterEntry(dt, "twos_segments", "counts"),
-    "g": RosterEntry(dt, "g_segments", "counts"),
-    "ks_discrete": RosterEntry(dt, "ks_discrete_segments", "counts", "ks_discrete"),
-    "klp": RosterEntry(dt, "klp_nb_segments", "counts"),
-    "joint": RosterEntry(it, "joint_dist_segments", "counts"),
-    "autocorr": RosterEntry(it, "lag1_autocorr_segments", "counts", "autocorr"),
-    "runs": RosterEntry(it, "wald_wolfowitz_segments", "twos"),
-    "larsen": RosterEntry(it, "larsen_segments", "twos", "larsen"),
-    "obrien76": RosterEntry(it, "obrien76_segments", "twos", "obrien76"),
-    "obrien85": RosterEntry(it, "obrien_dyck85_segments", "twos"),
-    "runs_ud": RosterEntry(it, "wald_wolfowitz_segments", "excursions"),
-    "larsen_ud": RosterEntry(it, "larsen_segments", "excursions", "larsen"),
-    "obrien76_ud": RosterEntry(it, "obrien76_segments", "excursions", "obrien76"),
-    "obrien85_ud": RosterEntry(it, "obrien_dyck85_segments", "excursions"),
+    "chi2": RosterEntry(dt.chi2_geometric_segments, "counts", "chi2_geometric"),
+    "twos": RosterEntry(dt.twos_segments, "counts"),
+    "g": RosterEntry(dt.g_segments, "counts"),
+    "ks_discrete": RosterEntry(dt.ks_discrete_segments, "counts", "ks_discrete"),
+    "klp": RosterEntry(dt.klp_nb_segments, "counts"),
+    "joint": RosterEntry(it.joint_dist_segments, "counts"),
+    "autocorr": RosterEntry(it.lag1_autocorr_segments, "counts", "autocorr"),
+    "runs": RosterEntry(it.wald_wolfowitz_segments, "twos"),
+    "larsen": RosterEntry(it.larsen_segments, "twos", "larsen"),
+    "obrien76": RosterEntry(it.obrien76_segments, "twos", "obrien76"),
+    "obrien85": RosterEntry(it.obrien_dyck85_segments, "twos"),
+    "runs_ud": RosterEntry(it.wald_wolfowitz_segments, "excursions"),
+    "larsen_ud": RosterEntry(it.larsen_segments, "excursions", "larsen"),
+    "obrien76_ud": RosterEntry(it.obrien76_segments, "excursions", "obrien76"),
+    "obrien85_ud": RosterEntry(it.obrien_dyck85_segments, "excursions"),
 }
 ALL_TESTS = tuple(ROSTER)
 
@@ -110,7 +109,7 @@ def run_test(test_id: str, samples: dict, tables: dict) -> SegmentOutcomes:
     entry = ROSTER[test_id]
     sample = samples[entry.sample]
     args = (sample,) if entry.table is None else (sample, tables[entry.table])
-    res = getattr(entry.module, entry.func)(*args)
+    res = entry.func(*args)
     if entry.sample != "counts":
         res.skipped[sample.lengths == 0] = "no bits at this level"
     return res
@@ -160,8 +159,6 @@ class StudyReport:
 
 def _simulate_series(cfg: StudyConfig, path_index: int) -> TickSeries:
     spec = cfg.process
-    if spec is None or cfg.delta is None:
-        raise ValueError("simulation studies need a process spec and delta")
     if spec.kind == "fbm":
         # self-similar scaling gives the crossing-duration order of
         # magnitude; the margin absorbs the H-dependent constant
@@ -196,6 +193,8 @@ def run_study(cfg: StudyConfig, label: str) -> StudyReport:
     """Simulate n_paths crossing records and build their trees, then run
     each roster test once per level over all paths and tally rejections
     per test and level."""
+    if cfg.process is None or cfg.delta is None:
+        raise ValueError("simulation studies need a process spec and delta")
     tables = load_all_tables(cfg.cv_dir)
     trees = []  # per path: (counts, excursions) of levels 1, 2, ...
     for i in range(cfg.n_paths):

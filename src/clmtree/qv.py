@@ -28,9 +28,7 @@ MIN_TEST_VALUES = 5
 class QvPath:
     """Cumulative squared increments from the second one onward."""
 
-    times: np.ndarray  # grid times k*spacing, k = 2..n
     qv: np.ndarray
-    spacing: float
 
     def total(self) -> float:
         return float(self.qv[-1])
@@ -53,7 +51,7 @@ def estimate_qv(series: TickSeries) -> QvPath:
     if np.max(np.abs(steps - spacing)) > GRID_RTOL * abs(spacing):
         raise ValueError("observations are not on a regular grid")
     inc = np.diff(series.values)
-    return QvPath(times=t[2:], qv=np.cumsum(inc[1:] ** 2), spacing=spacing)
+    return QvPath(qv=np.cumsum(inc[1:] ** 2))
 
 
 def select_increment(qv: QvPath, c: float) -> float:

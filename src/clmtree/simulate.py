@@ -32,15 +32,16 @@ OU_TRUNCATION_SDS = 10.0
 FELLER_START_TAIL = 1e-13  # stationary Gamma tail cut by the Feller table
 FBM_MAX_EMBED = 2 ** 26
 
+# each process kind and the parameters it reads
+PROCESS_PARAMS = {"bm": (), "bm_drift": ("alpha",), "ou": ("alpha", "sigma"),
+                  "feller": ("kappa", "mu", "sigma"), "fbm": ("hurst", "sigma2")}
+DIFFUSIONS = tuple(kind for kind in PROCESS_PARAMS if kind != "fbm")
+
 
 @dataclass(frozen=True)
 class ProcessSpec:
-    """A simulatable process and its parameters.
-
-    kinds: "bm"; "bm_drift" (alpha); "ou" (alpha, sigma); "feller"
-    (kappa, mu, sigma, with 2*kappa*mu/sigma**2 >= 1); "fbm" (hurst,
-    sigma2).
-    """
+    """A process kind of ``PROCESS_PARAMS`` and the parameters it reads;
+    feller needs 2*kappa*mu/sigma**2 >= 1."""
 
     kind: str
     alpha: float = 0.0
@@ -51,7 +52,7 @@ class ProcessSpec:
     sigma2: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("bm", "bm_drift", "ou", "feller", "fbm"):
+        if self.kind not in PROCESS_PARAMS:
             raise ValueError(f"unknown process kind {self.kind!r}")
         if self.kind == "ou" and not (self.alpha > 0 and self.sigma > 0):
             raise ValueError("ou needs alpha > 0 and sigma > 0")
@@ -65,7 +66,12 @@ class ProcessSpec:
 
     @property
     def is_diffusion(self) -> bool:
-        return self.kind in ("bm", "bm_drift", "ou", "feller")
+        return self.kind in DIFFUSIONS
+
+    @property
+    def params(self) -> dict:
+        """The parameters this kind reads, by name, in table order."""
+        return {k: getattr(self, k) for k in PROCESS_PARAMS[self.kind]}
 
 
 # ---------------------------------------------------------------------------

@@ -90,13 +90,28 @@ class TestStudy:
         with pytest.raises(ValueError, match="policy"):
             bm_cfg(delta0_policy="median")
 
+    @pytest.mark.parametrize("cfg", [
+        StudyConfig(process=ProcessSpec("bm"), n_paths=2),
+        StudyConfig(delta=BM_DELTA, n_paths=2),
+    ], ids=["no-delta", "no-process"])
+    def test_study_needs_process_and_delta_before_simulating(self, cfg,
+                                                             monkeypatch):
+        from clmtree import harness
+
+        def simulate(*args, **kwargs):
+            raise AssertionError("simulated a path")
+
+        monkeypatch.setattr(harness, "simulate_crossings_batch", simulate)
+        with pytest.raises(ValueError, match="need a process spec and delta"):
+            run_type1_study(cfg)
+
     def test_roster_entries_resolve(self):
         from clmtree.critical_values import TABLES
         from clmtree.harness import ROSTER
 
         assert ALL_TESTS == tuple(ROSTER)
         for test_id, entry in ROSTER.items():
-            assert callable(getattr(entry.module, entry.func)), test_id
+            assert callable(entry.func), test_id
             assert entry.sample in ("counts", "twos", "excursions"), test_id
             assert entry.table is None or TABLES[entry.table].lengths, test_id
 
@@ -220,6 +235,41 @@ class TestCli:
             [sys.executable, "-m", "clmtree.cli", *args],
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
         )
+
+    @pytest.mark.parametrize("argv, reason", [
+        (["analyze", "{ticks}", "--seed", "1"],
+         "unrecognized arguments: --seed 1"),
+        (["qv", "--n-paths", "2", "--delta", "0.1"],
+         "unrecognized arguments: --delta 0.1"),
+        (["calibrate", "--tests", "twos"],
+         "unrecognized arguments: --tests twos"),
+        (["type1", "--delta", "0.0632", "--n-paths", "2", "--n-crossings",
+          "150", "--log-transform"],
+         "unrecognized arguments: --log-transform"),
+        (["type1", "--delta", "0.0632", "--n-paths", "2", "--tests", "bogus"],
+         "clmtree type1: error: unknown tests: ['bogus']"),
+        (["power", "--process", "ou", "--delta", "0.0632", "--n-paths", "2"],
+         "clmtree power: error: ou needs alpha > 0 and sigma > 0"),
+        (["type1", "--n-paths", "2"],
+         "the following arguments are required: --delta"),
+        (["calibrate", "--process", "fbm"],
+         "argument --process: invalid choice: 'fbm'"),
+    ], ids=["analyze-unread", "qv-unread", "calibrate-unread", "type1-unread",
+            "type1-bad-tests", "power-bad-spec", "type1-no-delta",
+            "calibrate-not-diffusion"])
+    def test_usage_errors(self, argv, reason, tmp_path):
+        """A flag the subcommand does not read, and a value the library
+        refuses, are usage errors rather than tracebacks."""
+        ticks = str(tmp_path / "t.csv")
+        vals = np.cumsum(np.r_[0.0, np.random.default_rng(3).choice(
+            [-1.0, 1.0], 500)])
+        save_ticks(TickSeries(times=np.arange(vals.size, dtype=float),
+                              values=vals), ticks)
+        out = self.run_cli(*(a.format(ticks=ticks) for a in argv))
+        assert out.returncode == 2, out.stderr
+        assert reason in out.stderr
+        assert "Traceback" not in out.stderr
+        assert out.stdout == ""
 
     def test_type1_csv(self):
         out = self.run_cli("type1", "--process", "bm", "--n-paths", "3",

@@ -84,7 +84,7 @@ def _scalar(test_id, sample, cv):
 def _check(test_id, samples, tables):
     entry = ROSTER[test_id]
     cv = () if entry.table is None else (tables[entry.table],)
-    res = getattr(entry.module, entry.func)(Segments.of(samples), *cv)
+    res = entry.func(Segments.of(samples), *cv)
     for i, sample in enumerate(samples):
         got = res.outcome(i, BASE[test_id]).__dict__
         want = _scalar(test_id, sample, cv)

@@ -6,6 +6,8 @@ from scipy.special import erfi
 
 from clmtree.series import TickSeries
 from clmtree.simulate import (
+    DIFFUSIONS,
+    PROCESS_PARAMS,
     ProcessSpec,
     _scale_odds,
     _walk_table,
@@ -35,6 +37,15 @@ class TestProcessSpec:
             ProcessSpec("fbm", hurst=1.2)
         with pytest.raises(ValueError):
             ProcessSpec("weird")
+
+    def test_params_follow_the_kind_table(self):
+        specs = [ProcessSpec("bm"), ProcessSpec("bm_drift", alpha=1.0), OU,
+                 FELLER, ProcessSpec("fbm", hurst=0.7, sigma2=2.0)]
+        assert [s.kind for s in specs] == list(PROCESS_PARAMS)
+        assert [s.kind for s in specs if s.is_diffusion] == list(DIFFUSIONS)
+        assert FELLER.params == {"kappa": 6.0, "mu": 0.2, "sigma": 1.0}
+        for spec in specs:
+            assert tuple(spec.params) == PROCESS_PARAMS[spec.kind]
 
 
 class TestHittingProb:
