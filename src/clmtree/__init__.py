@@ -3,7 +3,7 @@ martingale hypothesis."""
 
 from .calibrate import (
     CalibrationResult,
-    delta_closed_form,
+    delta_exact,
     delta_mc,
     delta_ou,
 )
@@ -65,7 +65,6 @@ from .simulate import (
     expected_crossing_time,
     fgn,
     hitting_prob,
-    ou_stationary_lattice_law,
     simulate_fbm_path,
 )
 from .tree import (

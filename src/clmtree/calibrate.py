@@ -13,10 +13,11 @@ from scipy import special
 from .simulate import (
     ProcessSpec,
     _gamma_shape_scale,
+    _stationary_law,
+    _walk_table,
     expected_crossing_time,
     hitting_prob,  # unused here; bench/tracing.py patches this name
     mean_crossing_times,
-    ou_stationary_lattice_law,
 )
 
 logger = logging.getLogger(__name__)
@@ -91,40 +92,39 @@ def _solve_log_window(mean_window, target, guess, window_tol, delta_tol,
                        f"target) {f!r}")
 
 
-def delta_closed_form(spec: ProcessSpec, n_crossings: int, t0: float) -> float:
-    """Exact delta for BM, and for drift the root of its closed-form
-    expected crossing duration at t0/n, by ``_solve_log_window`` to the
-    exact tolerances."""
+def mean_crossing_duration(spec: ProcessSpec, delta: float) -> float:
+    """Exact mean crossing duration: from 0 for BM and drift, and averaged
+    over the stationary law of the crossing walk for OU."""
+    if spec.kind != "ou":
+        return expected_crossing_time(spec, 0.0, delta)
+    lo, p_up = _walk_table(spec, delta)
+    sites = (lo + np.arange(p_up.size)) * delta
+    return float(np.dot(_stationary_law(p_up),
+                        mean_crossing_times(spec, sites, delta)))
+
+
+def delta_exact(spec: ProcessSpec, n_crossings: int, t0: float) -> float:
+    """delta at which the exact mean crossing duration is t0/n: sqrt(t0/n)
+    for BM, and for drift and OU the root of ``mean_crossing_duration`` by
+    ``_solve_log_window`` to the exact tolerances.  Feller takes
+    ``delta_mc``."""
+    if spec.kind not in ("bm", "bm_drift", "ou"):
+        raise ValueError(f"no exact calibration for {spec.kind!r}")
     if n_crossings < 1 or t0 <= 0:
         raise ValueError("need n_crossings >= 1 and t0 > 0")
     target = t0 / n_crossings
-    if spec.kind == "bm" or (spec.kind == "bm_drift" and spec.alpha == 0.0):
+    if spec.alpha == 0.0:  # BM, or drift 0
         return math.sqrt(target)
-    if spec.kind != "bm_drift":
-        raise ValueError("closed-form calibration covers bm and bm_drift only")
     return _solve_log_window(
-        lambda d: (expected_crossing_time(spec, 0.0, d),), target,
+        lambda d: (mean_crossing_duration(spec, d),), target,
         _delta_scale_guess(spec, n_crossings, t0),
         EXACT_WINDOW_REL_TOL, EXACT_DELTA_REL_TOL)[0]
 
 
-def ou_mean_crossing_duration(
-    alpha: float, sigma: float, delta: float
-) -> float:
-    """Stationary-walk-weighted expected crossing duration of the OU chain."""
-    spec = ProcessSpec("ou", alpha=alpha, sigma=sigma)
-    sites, pi = ou_stationary_lattice_law(alpha, sigma, delta)
-    return float(np.dot(pi, mean_crossing_times(spec, sites, delta)))
-
-
 def delta_ou(alpha: float, sigma: float, n_crossings: int, t0: float) -> float:
-    """delta at which the stationary-walk mean crossing duration is t0/n,
-    by ``_solve_log_window`` to the exact tolerances."""
-    spec = ProcessSpec("ou", alpha=alpha, sigma=sigma)  # checks alpha, sigma
-    return _solve_log_window(
-        lambda d: (ou_mean_crossing_duration(alpha, sigma, d),),
-        t0 / n_crossings, _delta_scale_guess(spec, n_crossings, t0),
-        EXACT_WINDOW_REL_TOL, EXACT_DELTA_REL_TOL)[0]
+    """``delta_exact`` for OU(alpha, sigma)."""
+    return delta_exact(ProcessSpec("ou", alpha=alpha, sigma=sigma),
+                       n_crossings, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -180,9 +180,8 @@ def _grid_block(spec, x, g, step, redraw, out=None):
     """
     if out is None:
         out = np.empty_like(g)
-    if spec.kind in ("bm", "bm_drift"):
-        drift = spec.alpha if spec.kind == "bm_drift" else 0.0
-        np.cumsum(drift * step + g, axis=0, out=out)
+    if spec.kind in ("bm", "bm_drift"):  # BM's alpha is 0
+        np.cumsum(spec.alpha * step + g, axis=0, out=out)
         out += x
         return out
     if spec.kind == "ou":
@@ -273,9 +272,8 @@ def _bridge_touches(spec, prev, nxt, c_prev, c_nxt, e_lo, e_hi, step, delta,
     lo_line, hi_line, q_lo, q_hi, tmp, two_over_var = work[:, :n]
     if spec.kind == "feller":
         np.divide(2.0 / (spec.sigma**2 * step), a, out=two_over_var)
-    else:
-        two_over_var.fill(2.0 / ((spec.sigma**2 if spec.kind == "ou" else 1.0)
-                                 * step))
+    else:  # sigma is 1 for BM and drift
+        two_over_var.fill(2.0 / (spec.sigma**2 * step))
     np.minimum(ca, cb, out=lo_line)
     lo_line *= delta
     np.maximum(ca, cb, out=hi_line)
@@ -557,10 +555,8 @@ def delta_mc(
 
 def _delta_scale_guess(spec: ProcessSpec, n: int, t0: float) -> float:
     """Order-of-magnitude start: BM-like scaling with the local diffusion
-    coefficient at the process centre."""
+    coefficient at the process centre (sigma, which is 1 for BM and drift)."""
     target = t0 / n
     if spec.kind == "feller":
         return math.sqrt(target * spec.sigma**2 * spec.mu)
-    if spec.kind == "ou":
-        return spec.sigma * math.sqrt(target)
-    return math.sqrt(target)
+    return spec.sigma * math.sqrt(target)

@@ -11,7 +11,7 @@ import dataclasses
 import functools
 import sys
 
-from .calibrate import CalibrationResult, delta_closed_form, delta_mc, delta_ou
+from .calibrate import CalibrationResult, delta_exact, delta_mc
 from .critical_values import (
     SHIPPED_N_MC,
     SHIPPED_SEED,
@@ -204,22 +204,25 @@ def main(argv=None) -> int:
             print(f"wrote {path}")
         return 0
 
+    # a ValueError from the spec, the config or the run's own checks is a
+    # usage error
     try:
         spec = ProcessSpec(**_fields(args, ProcessSpec)) if "kind" in args \
             else None
         cfg = None if args.command == "calibrate" else \
             StudyConfig(process=spec, **_fields(args, StudyConfig))
+        if args.command == "calibrate":
+            report = _calibrate(spec, args)
+        elif args.command == "analyze":
+            report = analyze_dataset(args.dataset, cfg)
+        elif args.command == "qv":
+            report = run_qv_study(cfg, args.c_list)
+        else:
+            runner = run_type1_study if args.command == "type1" \
+                else run_power_study
+            report = runner(cfg)
     except ValueError as exc:
         sub.choices[args.command].error(str(exc))
-    if args.command == "calibrate":
-        report = _calibrate(spec, args)
-    elif args.command == "analyze":
-        report = analyze_dataset(args.dataset, cfg)
-    elif args.command == "qv":
-        report = run_qv_study(cfg, args.c_list)
-    else:
-        runner = run_type1_study if args.command == "type1" else run_power_study
-        report = runner(cfg)
     _emit(report, args)
     return 0
 
@@ -229,12 +232,9 @@ def _calibrate(spec: ProcessSpec, args) -> CalibrationResult:
     if spec.kind == "feller":
         mc_args = {k: v for k, v in vars(args).items() if k in MC_ARGS}
         return delta_mc(spec, args.n_crossings, args.t0, **mc_args)
-    if spec.kind == "ou":
-        delta = delta_ou(spec.alpha, spec.sigma, args.n_crossings, args.t0)
-    else:
-        delta = delta_closed_form(spec, args.n_crossings, args.t0)
-    return CalibrationResult(kind=spec.kind, n_crossings=args.n_crossings,
-                             t0=args.t0, delta=delta, params=spec.params)
+    return CalibrationResult(
+        kind=spec.kind, n_crossings=args.n_crossings, t0=args.t0,
+        delta=delta_exact(spec, args.n_crossings, args.t0), params=spec.params)
 
 
 def _parse_lengths(text: str):

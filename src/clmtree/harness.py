@@ -149,12 +149,8 @@ class StudyReport:
         rej, tested = self.cells.get((test_id, level), (0, 0))
         return rej, tested
 
-    def rejection_rate(self, test_id: str, level: int,
-                       of_tested: bool = False) -> float | None:
-        rej, tested = self.cell(test_id, level)
-        if of_tested:
-            return rej / tested if tested else None
-        return rej / self.n_paths
+    def rejection_rate(self, test_id: str, level: int) -> float:
+        return self.cell(test_id, level)[0] / self.n_paths
 
 
 def _simulate_series(cfg: StudyConfig, path_index: int) -> TickSeries:

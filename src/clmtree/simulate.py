@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy import special
@@ -41,7 +41,8 @@ DIFFUSIONS = tuple(kind for kind in PROCESS_PARAMS if kind != "fbm")
 @dataclass(frozen=True)
 class ProcessSpec:
     """A process kind of ``PROCESS_PARAMS`` and the parameters it reads;
-    feller needs 2*kappa*mu/sigma**2 >= 1."""
+    a parameter the kind does not read keeps its default, and feller
+    needs 2*kappa*mu/sigma**2 >= 1."""
 
     kind: str
     alpha: float = 0.0
@@ -54,6 +55,10 @@ class ProcessSpec:
     def __post_init__(self):
         if self.kind not in PROCESS_PARAMS:
             raise ValueError(f"unknown process kind {self.kind!r}")
+        for f in fields(self)[1:]:  # the parameters after kind
+            if (f.name not in PROCESS_PARAMS[self.kind]
+                    and getattr(self, f.name) != f.default):
+                raise ValueError(f"{self.kind} does not read {f.name}")
         if self.kind == "ou" and not (self.alpha > 0 and self.sigma > 0):
             raise ValueError("ou needs alpha > 0 and sigma > 0")
         if self.kind == "feller":
@@ -152,8 +157,7 @@ def mean_crossing_times(spec: ProcessSpec, x, delta: float) -> np.ndarray:
         y_up, y_down = x + w_up * u, lo + w_down * u
         up += w * speed(y_up) * _gauss_legendre(sprime, y_up, w_up * rest)
         down += w * speed(y_down) * _gauss_legendre(sprime, lo, w_down * u)
-    below = _gauss_legendre(sprime, lo, w_down)
-    p = below / (below + _gauss_legendre(sprime, x, w_up))
+    p = _scale_odds(spec, lo, x, hi)
     return p * w_up * up + (1.0 - p) * w_down * down
 
 
@@ -164,11 +168,10 @@ def hitting_prob(spec: ProcessSpec, x: float, delta: float) -> float:
     scale-function odds of x in [x - delta, x + delta] for OU and Feller.
     """
     _check_interior(spec, x, delta)
-    if spec.kind == "bm" or (spec.kind == "bm_drift" and spec.alpha == 0.0):
-        return 0.5
-    if spec.kind == "bm_drift":
+    if spec.kind in ("bm", "bm_drift"):
         # (e**2ad - 1) / (e**2ad - e**-2ad), free of its cancellation at
-        # small alpha; where e**z overflows, the same logistic as e / (1 + e)
+        # small alpha, and exactly 1/2 at alpha = 0 (BM); where e**z
+        # overflows, the same logistic as e / (1 + e)
         z = -2.0 * spec.alpha * delta
         try:
             return 1.0 / (1.0 + math.exp(z))
@@ -194,21 +197,19 @@ def expected_crossing_time(spec: ProcessSpec, x: float, delta: float) -> float:
 # ---------------------------------------------------------------------------
 
 @functools.cache
-def _walk_table(spec: ProcessSpec, delta: float,
-                truncation_sds: float = OU_TRUNCATION_SDS,
-                ) -> tuple[int, np.ndarray]:
+def _walk_table(spec: ProcessSpec, delta: float) -> tuple[int, np.ndarray]:
     """Lowest site index and read-only up-step probabilities of the OU or
     Feller crossing walk on a truncated lattice.
 
-    OU sites are i*delta with |i| * delta <= truncation_sds stationary sds
-    (rounded up); Feller sites run from delta up to two sites beyond the
+    OU sites are i*delta with |i| * delta <= OU_TRUNCATION_SDS stationary
+    sds (rounded up); Feller sites run from delta up to two sites beyond the
     stationary Gamma quantile 1 - FELLER_START_TAIL.  The end sites force
     the walk inward: Feller never touches 0, and either law leaves
     negligible mass beyond the truncation.
     """
     if spec.kind == "ou":
         sd = spec.sigma / math.sqrt(2.0 * spec.alpha)
-        half = max(int(math.ceil(truncation_sds * sd / delta)), 2)
+        half = max(int(math.ceil(OU_TRUNCATION_SDS * sd / delta)), 2)
         lo, hi = -half, half
     else:
         a, b = _gamma_shape_scale(spec)
@@ -238,20 +239,6 @@ def _stationary_law(p_up: np.ndarray) -> np.ndarray:
         raise ValueError("lattice truncation too small: boundary mass "
                          f"{pi[0] + pi[-1]:.2e}")
     return pi
-
-
-def ou_stationary_lattice_law(
-    alpha: float, sigma: float, delta: float,
-    truncation_sds: float = OU_TRUNCATION_SDS,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stationary law of the OU crossing walk: (lattice sites, probabilities).
-
-    Solves detailed balance on the truncated lattice; fails loudly when the
-    truncation leaves visible mass at the ends.
-    """
-    spec = ProcessSpec("ou", alpha=alpha, sigma=sigma)
-    lo, p_up = _walk_table(spec, delta, truncation_sds)
-    return (lo + np.arange(p_up.size)) * delta, _stationary_law(p_up)
 
 
 def _gamma_shape_scale(spec: ProcessSpec) -> tuple[float, float]:

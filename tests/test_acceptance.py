@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from clmtree.calibrate import delta_closed_form, delta_mc, delta_ou
+from clmtree.calibrate import delta_exact, delta_mc, delta_ou
 from clmtree.critical_values import load_all_tables
 from clmtree.dist_tests import (
     chi2_geometric_test,
@@ -156,12 +156,12 @@ def test_c07_calibration_reproduction():
     parts = []
     ok_all = True
 
-    d_bm = delta_closed_form(ProcessSpec("bm"), 1250, 5.0)
+    d_bm = delta_exact(ProcessSpec("bm"), 1250, 5.0)
     ok = abs(d_bm - 0.0632456) < 5e-8
     ok_all &= ok
     parts.append(f"BM {d_bm:.7f} vs 0.0632456 {'ok' if ok else 'FAIL'}")
 
-    d_dr = delta_closed_form(ProcessSpec("bm_drift", alpha=1.0), 1250, 5.0)
+    d_dr = delta_exact(ProcessSpec("bm_drift", alpha=1.0), 1250, 5.0)
     ok = abs(d_dr - 0.06328774784) < 5e-10
     ok_all &= ok
     parts.append(f"drift {d_dr:.11f} vs 0.06328774784 {'ok' if ok else 'FAIL'}")

@@ -12,10 +12,10 @@ from clmtree.calibrate import (
     _grid_block,
     _mean_window_for_n_crossings,
     _solve_log_window,
-    delta_closed_form,
+    delta_exact,
     delta_mc,
     delta_ou,
-    ou_mean_crossing_duration,
+    mean_crossing_duration,
 )
 from clmtree.harness import render_report
 from clmtree.simulate import ProcessSpec
@@ -27,25 +27,25 @@ from oracle_calibration import (
 )
 
 FELLER = ProcessSpec("feller", kappa=6.0, mu=0.2, sigma=1.0)
+OU_8_1 = ProcessSpec("ou", alpha=8.0, sigma=1.0)
 
 
 class TestClosedForm:
     def test_bm_exact(self):
-        d = delta_closed_form(ProcessSpec("bm"), 1250, 5.0)
+        d = delta_exact(ProcessSpec("bm"), 1250, 5.0)
         assert math.isclose(d, math.sqrt(0.004), rel_tol=1e-15)
 
     def test_drift_nine_digits(self):
-        d = delta_closed_form(ProcessSpec("bm_drift", alpha=1.0), 1250, 5.0)
+        d = delta_exact(ProcessSpec("bm_drift", alpha=1.0), 1250, 5.0)
         assert abs(d - 0.06328774784) < 5e-10
 
     def test_drift_second_paper_value(self):
-        d = delta_closed_form(ProcessSpec("bm_drift", alpha=1.5), 1250, 5.0)
+        d = delta_exact(ProcessSpec("bm_drift", alpha=1.5), 1250, 5.0)
         assert abs(d - 0.06334057822) < 5e-10
 
     def test_drift_small_alpha_limit(self):
         for alpha in (1e-6, 1e-10):
-            d = delta_closed_form(ProcessSpec("bm_drift", alpha=alpha), 1250,
-                                  5.0)
+            d = delta_exact(ProcessSpec("bm_drift", alpha=alpha), 1250, 5.0)
             assert math.isclose(d, math.sqrt(0.004), rel_tol=1e-12)
 
     # roots of delta tanh(alpha delta) / alpha = 0.004 from mpmath.findroot
@@ -53,20 +53,40 @@ class TestClosedForm:
     @pytest.mark.parametrize("alpha, root", [(1.0, 0.06328774783919686),
                                              (1.5, 0.06334057822123894)])
     def test_drift_root_to_the_ulp(self, alpha, root):
-        d = delta_closed_form(ProcessSpec("bm_drift", alpha=alpha), 1250, 5.0)
+        d = delta_exact(ProcessSpec("bm_drift", alpha=alpha), 1250, 5.0)
         assert abs(d - root) <= math.ulp(root)
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
-            delta_closed_form(ProcessSpec("bm"), 0, 5.0)
-        with pytest.raises(ValueError):
-            delta_closed_form(ProcessSpec("ou", alpha=1.0, sigma=1.0), 10, 5.0)
+            delta_exact(ProcessSpec("bm"), 0, 5.0)
+        # Feller takes delta_mc, and fBm has no crossing walk
+        with pytest.raises(ValueError, match="no exact calibration"):
+            delta_exact(FELLER, 10, 5.0)
+        with pytest.raises(ValueError, match="no exact calibration"):
+            delta_exact(ProcessSpec("fbm", hurst=0.7), 10, 5.0)
+
+    # bit for bit: the CLI's calibrate output and the calibrate-feller
+    # benchmark's delta_ou report print these values with repr
+    @pytest.mark.parametrize("spec, pinned", [
+        (OU_8_1, 0.06307810007861883),
+        (ProcessSpec("ou", alpha=1e-3, sigma=1.0), 0.06324553212153605),
+        (ProcessSpec("ou", alpha=8.0, sigma=2.0), 0.12615620015723766),
+        (ProcessSpec("bm_drift", alpha=1.0), 0.06328774783919686),
+        (ProcessSpec("bm_drift", alpha=1.5), 0.06334057822123894),
+        (ProcessSpec("bm_drift", alpha=1e-6), 0.06324555320336757),
+        (ProcessSpec("bm"), 0.06324555320336758),
+    ], ids=["ou-8-1", "ou-1e-3-1", "ou-8-2", "drift-1", "drift-1.5",
+            "drift-1e-6", "bm"])
+    def test_pinned_to_the_bit(self, spec, pinned):
+        assert delta_exact(spec, 1250, 5.0) == pinned
+        if spec.kind == "ou":
+            assert delta_ou(spec.alpha, spec.sigma, 1250, 5.0) == pinned
 
 
 class TestDeltaOu:
     def test_solver_meets_its_target_tolerance(self):
-        d = delta_ou(8.0, 1.0, 1250, 5.0)
-        achieved = ou_mean_crossing_duration(8.0, 1.0, d)
+        d = delta_exact(OU_8_1, 1250, 5.0)
+        achieved = mean_crossing_duration(OU_8_1, d)
         assert abs(achieved - 0.004) <= 1e-14 * 0.004
         # the converged root that c07 cites
         assert abs(d - 0.063078) <= 1e-6
@@ -74,23 +94,23 @@ class TestDeltaOu:
     def test_secant_needs_few_quadratures(self, monkeypatch):
         calls = []
 
-        def counted(alpha, sigma, delta):
+        def counted(spec, delta):
             calls.append(delta)
-            return ou_mean_crossing_duration(alpha, sigma, delta)
+            return mean_crossing_duration(spec, delta)
 
-        monkeypatch.setattr(calibrate, "ou_mean_crossing_duration", counted)
-        delta_ou(8.0, 1.0, 1250, 5.0)
+        monkeypatch.setattr(calibrate, "mean_crossing_duration", counted)
+        delta_exact(OU_8_1, 1250, 5.0)
         assert len(calls) <= 5
 
     def test_small_alpha_approaches_bm(self):
-        d = delta_ou(1e-3, 1.0, 1250, 5.0)
+        d = delta_exact(ProcessSpec("ou", alpha=1e-3, sigma=1.0), 1250, 5.0)
         assert abs(d / math.sqrt(0.004) - 1.0) < 0.01
 
     def test_sigma_scaling(self):
         # scaling sigma at fixed alpha scales the whole solution linearly,
         # so the calibrated crossing size doubles
-        d1 = delta_ou(8.0, 1.0, 1250, 5.0)
-        d2 = delta_ou(8.0, 2.0, 1250, 5.0)
+        d1 = delta_exact(OU_8_1, 1250, 5.0)
+        d2 = delta_exact(ProcessSpec("ou", alpha=8.0, sigma=2.0), 1250, 5.0)
         assert math.isclose(d2, 2 * d1, rel_tol=1e-3)
 
 

@@ -254,9 +254,17 @@ class TestCli:
          "the following arguments are required: --delta"),
         (["calibrate", "--process", "fbm"],
          "argument --process: invalid choice: 'fbm'"),
+        (["calibrate", "--process", "bm", "--sigma", "3"],
+         "clmtree calibrate: error: bm does not read sigma"),
+        (["calibrate", "--process", "feller", "--kappa", "6", "--mu", "0.2",
+          "--sigma", "1", "--n-paths", "5"],
+         "clmtree calibrate: error: need n_paths >= 2, and even for feller"),
+        (["qv", "--c-list", ","],
+         "clmtree qv: error: need at least one c value"),
     ], ids=["analyze-unread", "qv-unread", "calibrate-unread", "type1-unread",
             "type1-bad-tests", "power-bad-spec", "type1-no-delta",
-            "calibrate-not-diffusion"])
+            "calibrate-not-diffusion", "calibrate-unread-param",
+            "calibrate-odd-feller-paths", "qv-no-c"])
     def test_usage_errors(self, argv, reason, tmp_path):
         """A flag the subcommand does not read, and a value the library
         refuses, are usage errors rather than tracebacks."""

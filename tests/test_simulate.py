@@ -10,12 +10,12 @@ from clmtree.simulate import (
     PROCESS_PARAMS,
     ProcessSpec,
     _scale_odds,
+    _stationary_law,
     _walk_table,
     expected_crossing_time,
     fgn,
     hitting_prob,
     mean_crossing_times,
-    ou_stationary_lattice_law,
     simulate_crossings_batch,
     simulate_fbm_path,
 )
@@ -46,6 +46,21 @@ class TestProcessSpec:
         assert FELLER.params == {"kappa": 6.0, "mu": 0.2, "sigma": 1.0}
         for spec in specs:
             assert tuple(spec.params) == PROCESS_PARAMS[spec.kind]
+
+    @pytest.mark.parametrize("kind, unread", [
+        ("bm", {"alpha": 1.0}), ("bm", {"sigma": 3.0}),
+        ("bm_drift", {"alpha": 1.0, "sigma": 2.0}),
+        ("ou", {"alpha": 8.0, "sigma": 1.0, "mu": 0.2}),
+        ("feller", {"kappa": 6.0, "mu": 0.2, "sigma": 1.0, "hurst": 0.7}),
+        ("fbm", {"hurst": 0.7, "alpha": 1.0}),
+    ], ids=["bm-alpha", "bm-sigma", "drift-sigma", "ou-mu", "feller-hurst",
+            "fbm-alpha"])
+    def test_unread_parameters_are_refused(self, kind, unread):
+        # a parameter the kind does not read may only keep its default
+        *read, (name, value) = unread.items()
+        ProcessSpec(kind, **dict(read))
+        with pytest.raises(ValueError, match=f"{kind} does not read {name}"):
+            ProcessSpec(kind, **unread)
 
 
 class TestHittingProb:
@@ -214,10 +229,15 @@ class TestQuadratureRule:
         assert np.max(np.abs(odds - ref)) <= 1e-14
 
 
+def _ou_stationary_lattice_law(delta):
+    lo, p_up = _walk_table(OU, delta)
+    return (lo + np.arange(p_up.size)) * delta, _stationary_law(p_up)
+
+
 class TestOuLattice:
     def test_detailed_balance_and_symmetry(self):
         d = 0.063015
-        sites, pi = ou_stationary_lattice_law(8.0, 1.0, d)
+        sites, pi = _ou_stationary_lattice_law(d)
         p = np.array([hitting_prob(OU, float(x), d) for x in sites])
         residual = pi[:-1] * p[:-1] - pi[1:] * (1 - p[1:])
         assert np.max(np.abs(residual[1:-1])) < 1e-12
@@ -225,8 +245,17 @@ class TestOuLattice:
         assert math.isclose(pi.sum(), 1.0, rel_tol=1e-12)
 
     def test_truncation_too_small(self):
-        with pytest.raises(ValueError, match="truncation"):
-            ou_stationary_lattice_law(8.0, 1.0, 0.063015, truncation_sds=2.0)
+        # a hand-made table whose inner up-step odds fall from 0.99 to
+        # 0.01: on 25 inner sites its ends keep 2e-9 of the mass, on 41
+        # they keep 5e-14
+        def table(n_inner):
+            return np.r_[1.0, np.linspace(0.99, 0.01, n_inner), 0.0]
+
+        with pytest.raises(ValueError, match="truncation too small"):
+            _stationary_law(table(25))
+        pi = _stationary_law(table(41))
+        assert pi[0] + pi[-1] < 1e-13
+        assert math.isclose(pi.sum(), 1.0, rel_tol=1e-12)
 
     def test_point_start_outside_the_table_raises(self):
         d = 0.063015  # the table ends 40 sites below 0
@@ -239,7 +268,7 @@ class TestOuLattice:
 
     def test_ergodic_occupation(self):
         d = 0.063015
-        sites, pi = ou_stationary_lattice_law(8.0, 1.0, d)
+        sites, pi = _ou_stationary_lattice_law(d)
         paths = simulate_crossings_batch(OU, d, 250_000, 4, 17)
         visits = np.concatenate([p[1:] for p in paths])
         idx = np.round(visits / d).astype(int) + (sites.size - 1) // 2
