@@ -392,19 +392,27 @@ def fgn(n: int, hurst: float, sigma2: float, rng: np.random.Generator,
     sigma2/2 (|j+1|^2H - 2|j|^2H + |j-1|^2H), by circulant embedding
     (Wood & Chan 1994; Dietrich & Newsam 1997).  The weighted Gaussian
     vector is Hermitian, so only its half spectrum 0 .. m/2 is drawn and
-    one real-output transform of size m gives the path.
+    one real-output transform of size m, ``scipy.fft.hfft`` (imported on
+    the first call), gives the path.  The draws and the scalings go into
+    one buffer in place; the result is a view of the transform's output.
     """
+    from scipy import fft
+
     sqrt_eig = _fgn_sqrt_eigenvalues(n, hurst)
     half = sqrt_eig.size - 1
     m = 2 * half
-    z = np.empty((size, half + 1), dtype=np.complex128)
+    z = np.zeros((size, half + 1), dtype=np.complex128)  # the ends are real
+    parts = z.view(np.float64)  # (re, im) pairs
     ends = rng.standard_normal((size, 2))
-    inner = rng.standard_normal((size, half - 1, 2)) / math.sqrt(2.0)
-    z[:, 0] = ends[:, 0]
-    z[:, half] = ends[:, 1]
-    z[:, 1:half] = inner.view(np.complex128)[:, :, 0]  # pairs (re, im)
-    x = np.fft.hfft(sqrt_eig[None, :] * z, m, axis=1) / math.sqrt(m)
-    return math.sqrt(sigma2) * x[:, :n]
+    for row in parts:  # row by row is the stream order of one (size, ...) draw
+        rng.standard_normal(out=row[2:m])
+    parts[:, 2:m] /= math.sqrt(2.0)
+    parts[:, 0], parts[:, m] = ends[:, 0], ends[:, 1]
+    z *= sqrt_eig
+    x = fft.hfft(z, m, axis=1, overwrite_x=True)[:, :n]
+    x /= math.sqrt(m)
+    x *= math.sqrt(sigma2)
+    return x
 
 
 def simulate_fbm_path(
@@ -417,7 +425,9 @@ def simulate_fbm_path(
     """
     spec = ProcessSpec("fbm", hurst=hurst, sigma2=sigma2)
     rng = np.random.default_rng(_seed_key(seed))
-    inc = fgn(n, spec.hurst, spec.sigma2, rng)[0]
-    values = np.concatenate([[0.0], np.cumsum(inc)]) * grid**hurst
+    values = np.empty(n + 1, dtype=np.float64)
+    values[0] = 0.0
+    np.cumsum(fgn(n, spec.hurst, spec.sigma2, rng)[0], out=values[1:])
+    values *= grid**hurst
     times = grid * np.arange(n + 1, dtype=np.float64)
     return TickSeries(times=times, values=values, meta=f"fbm H={hurst}")

@@ -52,38 +52,64 @@ def lattice_events(times, values, delta: float, origin: float):
     values = np.asarray(values, dtype=np.float64)
     if delta <= 0:
         raise TreeError("crossing size must be positive")
-    u = (values - origin) / delta
-    r = np.round(u)
+    u = np.subtract(values, origin)
+    u /= delta
     far = SNAP_ULPS * np.finfo(np.float64).eps * abs(origin) / delta
-    cap = SNAP_MAX / SNAP_TOL
-    snap = np.abs(u - r) <= SNAP_TOL * np.clip(np.abs(r), 1.0, cap) + far
-    np.copyto(u, r, where=snap)
-    fl, ce = np.floor(u), np.ceil(u)
+    fl = np.round(u)  # the distance to the nearest line, then floor(u)
+    np.subtract(u, fl, out=fl)
+    np.abs(fl, out=fl)
+    # Only values within SNAP_MAX + far of a line can snap, so only they
+    # take the test; their distance is within the bound that the cap of
+    # |r| at SNAP_MAX / SNAP_TOL sets, so the cap is left out.
+    near = np.flatnonzero(fl <= SNAP_MAX + far)
+    r = np.round(u[near])
+    snap = fl[near] <= SNAP_TOL * np.maximum(np.abs(r), 1.0) + far
+    u[near[snap]] = r[snap]
+    np.floor(u, out=fl)
 
-    up = u[1:] > u[:-1]
-    counts = np.where(up, fl[1:] - fl[:-1], ce[:-1] - ce[1:]).astype(np.int64)
-    # the per-hit work runs on the segments that hold a hit only
-    seg = np.flatnonzero(counts)
-    counts, up, a = counts[seg], up[seg], u[seg]
-    first = np.where(up, fl[seg] + 1.0, ce[seg] - 1.0)
-    step = np.where(up, 1.0, -1.0)
-    offsets = np.arange(int(counts.sum())) - np.repeat(
-        np.cumsum(counts) - counts, counts)
-    pos = np.repeat(first, counts) + np.repeat(step, counts) * offsets
-    frac = (pos - np.repeat(a, counts)) / np.repeat(u[seg + 1] - a, counts)
+    # A segment from a to b holds the lines in (a, b] going up and in
+    # [b, a) going down: floor(b) - floor(a) hits, moved by one where a
+    # down segment starts or ends on a line.  Of the segments that keep
+    # their floor, only a down one ending on a line holds a hit.
+    seg = np.flatnonzero((fl[1:] != fl[:-1])
+                         | ((u[1:] == fl[1:]) & (u[1:] < u[:-1])))
+    nxt = seg + 1
+    a, b, fa, fb = u[seg], u[nxt], fl[seg], fl[nxt]
+    counts = fb - fa
+    down = b < a
+    counts += down & (a == fa)
+    counts -= down & (b == fb)
+    hit = np.flatnonzero(counts != 0)
+    if hit.size < seg.size:
+        seg, nxt, counts, a, b, fa = (x[hit] for x in (seg, nxt, counts, a, b, fa))
+    up = counts > 0
+    counts = np.abs(counts).astype(np.int64)
+    pos = np.where(up, fa + 1.0, np.ceil(a) - 1.0)  # each segment's first hit
+    span = b - a
     t0 = times[seg]
-    hit_t = np.repeat(t0, counts) + frac * np.repeat(times[seg + 1] - t0, counts)
-    hit_k = np.round(pos).astype(np.int64)
+    dt = times[nxt] - t0
+    hit_t = t0 + (pos - a) / span * dt
+    hit_k = pos.astype(np.int64)
+    multi = np.flatnonzero(counts > 1)
+    if multi.size:  # the further hits of segments that hold several
+        extra = counts[multi] - 1
+        parent = np.repeat(multi, extra)
+        offsets = np.arange(1, extra.sum() + 1) - np.repeat(
+            np.cumsum(extra) - extra, extra)
+        pos = pos[parent] + np.where(up[parent], 1.0, -1.0) * offsets
+        more_t = t0[parent] + (pos - a[parent]) / span[parent] * dt[parent]
+        hit_t = np.insert(hit_t, parent + 1, more_t)
+        hit_k = np.insert(hit_k, parent + 1, pos.astype(np.int64))
 
     if u[0] == np.round(u[0]):  # path starts on the lattice
         hit_t = np.concatenate([[times[0]], hit_t])
         hit_k = np.concatenate([[np.int64(round(u[0]))], hit_k])
 
-    if hit_k.size == 0:
-        return hit_t, hit_k
     # A repeated touch of the current line is not a new passage.
-    keep = np.concatenate([[True], hit_k[1:] != hit_k[:-1]])
-    return hit_t[keep], hit_k[keep]
+    again = np.flatnonzero(hit_k[1:] == hit_k[:-1]) + 1
+    if again.size:
+        hit_t, hit_k = np.delete(hit_t, again), np.delete(hit_k, again)
+    return hit_t, hit_k
 
 
 @dataclass(frozen=True)
@@ -215,19 +241,27 @@ def select_base_scale(series: TickSeries) -> float:
 
     Even-length medians average the two central order statistics.  A zero
     median falls back to the smallest positive increment (with a warning);
-    all-zero increments are an error.
+    all-zero increments are an error.  The number of zero increments
+    fixes the median whenever it reaches half of them, so no selection
+    runs then.
     """
     inc = np.abs(series.increments())
-    nonzero = inc[inc > 0]
-    if nonzero.size == 0:
+    zeros = np.count_nonzero(inc == 0.0)
+    if zeros == inc.size:
         raise TreeError("all increments are zero; no crossing scale exists")
-    delta = float(np.median(inc))
-    if delta == 0.0:
-        delta = float(nonzero.min())
-        logger.warning(
-            "median absolute increment is 0; using smallest positive %g", delta
-        )
-    return delta
+    half = inc.size // 2  # the upper central order statistic
+    if zeros < half:
+        return float(np.median(inc))
+    # nonnegative doubles order as their bit patterns, and the pattern of
+    # zero less one wraps round to the largest
+    bits = inc.view(np.uint64) - np.uint64(1)
+    smallest = float((bits.min() + np.uint64(1)).view(np.float64))
+    if zeros == half:  # the upper central statistic is the smallest positive
+        return smallest if inc.size % 2 else smallest / 2.0  # mean of 0 and it
+    logger.warning(
+        "median absolute increment is 0; using smallest positive %g", smallest
+    )
+    return smallest
 
 
 def level_stats(tree: CrossingTree, level: int) -> dict:
@@ -246,21 +280,30 @@ def level_stats(tree: CrossingTree, level: int) -> dict:
 
 def multiple_crossing_shares(tree: CrossingTree, series: TickSeries) -> list[dict]:
     """Per level: share of crossings arising as >=2 / >=4 crossings inside a
-    single data segment (the small-delta continuity diagnostic)."""
+    single data segment (the small-delta continuity diagnostic).
+
+    The data segment of each level-0 hit is looked up once; a coarser
+    hit is a finer one (``prev_rank``) and keeps its segment.  Sorted,
+    the segments in which a level's crossings end hold each segment's
+    crossings in one run.  They come in order unless a hit time rounds
+    past the next tick, and a stable sort of a sorted array is one pass.
+    """
     out = []
+    where = np.searchsorted(series.times, tree.hit_times[0], side="right") - 1
     for level in range(tree.max_level + 1):
-        end_times = tree.hit_times[level][1:]
-        if end_times.size == 0:
+        if level:
+            where = where[tree.prev_rank[level]]
+        seg = np.sort(where[1:], kind="stable")
+        if seg.size == 0:
             out.append({"level": level, "ge2_pct": 0.0, "ge4_pct": 0.0})
             continue
-        seg = np.searchsorted(series.times, end_times, side="right") - 1
-        _, inverse, per_seg = np.unique(seg, return_inverse=True, return_counts=True)
-        crowd = per_seg[inverse]
+        bounds = np.flatnonzero(seg[1:] != seg[:-1]) + 1
+        runs = np.diff(bounds, prepend=0, append=seg.size)
         out.append(
             {
                 "level": level,
-                "ge2_pct": 100.0 * float(np.mean(crowd >= 2)),
-                "ge4_pct": 100.0 * float(np.mean(crowd >= 4)),
+                "ge2_pct": 100.0 * (int(runs[runs >= 2].sum()) / seg.size),
+                "ge4_pct": 100.0 * (int(runs[runs >= 4].sum()) / seg.size),
             }
         )
     return out

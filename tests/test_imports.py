@@ -1,7 +1,8 @@
 """clmtree runs on numpy and scipy.special: importing the package and its
 critical-value tables loads none of the scipy subpackages that cost most
 of the import time.  ``scipy.signal`` is imported where OU ``delta_mc``
-needs it, and ``scipy.stats`` only by the tests."""
+needs it, ``scipy.fft`` where ``fgn`` transforms its spectrum, and
+``scipy.stats`` only by the tests."""
 
 import os
 import subprocess
@@ -19,5 +20,6 @@ def test_import_loads_no_heavy_scipy_subpackage():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          stdout=subprocess.PIPE, text=True).stdout.split()
     assert "clmtree" in out and "scipy.special" in out
-    for name in ("scipy.integrate", "scipy.stats", "scipy.signal"):
+    for name in ("scipy.integrate", "scipy.stats", "scipy.signal",
+                 "scipy.fft"):
         assert name not in out

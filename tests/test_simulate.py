@@ -435,6 +435,57 @@ class TestFbm:
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
         assert got_rng.bit_generator.state == rng.bit_generator.state
 
+    @staticmethod
+    def _reference_fgn(n, hurst, sigma2, rng, size):
+        """fgn's arithmetic with a fresh array for every step: the half
+        spectrum from one (size, m/2 - 1, 2) draw, weighted, transformed,
+        then scaled by 1/sqrt(m) and sqrt(sigma2)."""
+        from scipy import fft
+
+        from clmtree.simulate import _fgn_sqrt_eigenvalues
+
+        sqrt_eig = _fgn_sqrt_eigenvalues(n, hurst)
+        half = sqrt_eig.size - 1
+        m = 2 * half
+        z = np.empty((size, half + 1), dtype=np.complex128)
+        ends = rng.standard_normal((size, 2))
+        inner = rng.standard_normal((size, half - 1, 2)) / math.sqrt(2.0)
+        z[:, 0] = ends[:, 0]
+        z[:, half] = ends[:, 1]
+        z[:, 1:half] = inner.view(np.complex128)[:, :, 0]
+        x = fft.hfft(sqrt_eig[None, :] * z, m, axis=1) / math.sqrt(m)
+        return math.sqrt(sigma2) * x[:, :n]
+
+    @pytest.mark.parametrize("n, hurst, sigma2, size, seed", [
+        (1, 0.7, 1.0, 1, 2), (7, 0.5, 1.0, 2, 1), (500, 0.3, 2.0, 5, 4),
+        (1000, 0.7, 0.3, 3, 21), (100_000, 0.7, 1.0 / 250.0, 1, 33),
+        (4096, 0.9, 0.5, 2, 8)])
+    def test_in_place_steps_give_the_same_bits(self, n, hurst, sigma2,
+                                               size, seed):
+        """The in-place draws and scalings of fgn, and the cumulation of
+        simulate_fbm_path into its own buffer, give exactly the numbers of
+        the step-by-step arithmetic."""
+        got = fgn(n, hurst, sigma2, np.random.default_rng(seed), size=size)
+        want = self._reference_fgn(n, hurst, sigma2,
+                                   np.random.default_rng(seed), size)
+        assert got.shape == want.shape == (size, n)
+        assert np.array_equal(got, want)
+        path = simulate_fbm_path(hurst, sigma2, n, 1e-3, seed=[seed, 1])
+        inc = self._reference_fgn(n, hurst, sigma2,
+                                  np.random.default_rng([seed, 1]), 1)[0]
+        want_values = np.concatenate([[0.0], np.cumsum(inc)]) * 1e-3**hurst
+        assert np.array_equal(path.values, want_values)
+
+    @pytest.mark.parametrize("size", [1, 3])
+    def test_consumes_the_stream_of_one_draw(self, size):
+        """Drawing row by row into the spectrum buffer leaves the
+        generator where one (size, ...) draw leaves it."""
+        got_rng, want_rng = (np.random.default_rng(5) for _ in range(2))
+        fgn(3000, 0.7, 1.0, got_rng, size=size)
+        self._reference_fgn(3000, 0.7, 1.0, want_rng, size)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        assert got_rng.standard_normal() == want_rng.standard_normal()
+
     def test_determinism(self):
         a = simulate_fbm_path(0.7, 1.0, 500, 1e-3, seed=11)
         b = simulate_fbm_path(0.7, 1.0, 500, 1e-3, seed=11)

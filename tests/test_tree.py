@@ -9,6 +9,8 @@ from clmtree.simulate import (
     simulate_fbm_path,
 )
 from clmtree.tree import (
+    SNAP_MAX,
+    SNAP_TOL,
     TreeError,
     build_tree,
     export_tree,
@@ -17,6 +19,7 @@ from clmtree.tree import (
     multiple_crossing_shares,
     select_base_scale,
 )
+from oracle_scan import reference_lattice_events
 from oracle_tree import brute_level_hits, brute_tree
 
 
@@ -54,6 +57,21 @@ class TestBaseScale:
         s = walk_series([1.0, 1.0, 1.0])
         with pytest.raises(TreeError):
             select_base_scale(s)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_zero_count_gives_the_median(self, n):
+        """With z of n increments 0 the median is 0 once z > n // 2, the
+        smallest positive increment at z = n // 2 for odd n, and half of
+        it (the mean of 0 and it) at z = n / 2: exactly ``np.median``, or
+        its fallback to the smallest positive increment when it is 0."""
+        rng = np.random.default_rng(n)
+        for zeros in range(n):
+            inc = rng.exponential(0.3, n) * rng.choice([-1.0, 1.0], n)
+            inc[rng.permutation(n)[:zeros]] = 0.0
+            series = walk_series(np.r_[0.0, np.cumsum(inc)])
+            steps = np.abs(series.increments())
+            want = float(np.median(steps)) or float(steps[steps > 0].min())
+            assert select_base_scale(series) == want, (n, zeros)
 
 
 class TestBuildTree:
@@ -390,3 +408,144 @@ def test_origin_shift_changes_lattice():
     assert t.n_crossings(0) == 3
     vals = t.origin + t.delta * t.hit_index[0][:-1]
     assert all(abs((v - 0.5) % 1.0) < 1e-12 for v in vals)
+
+
+def _level_by_level_shares(tree, series):
+    """The diagnostic with one segment lookup and one ``np.unique`` per
+    level, to check the single lookup against."""
+    out = []
+    for level in range(tree.max_level + 1):
+        end_times = tree.hit_times[level][1:]
+        if end_times.size == 0:
+            out.append({"level": level, "ge2_pct": 0.0, "ge4_pct": 0.0})
+            continue
+        seg = np.searchsorted(series.times, end_times, side="right") - 1
+        _, inverse, per_seg = np.unique(seg, return_inverse=True,
+                                        return_counts=True)
+        crowd = per_seg[inverse]
+        out.append({"level": level,
+                    "ge2_pct": 100.0 * float(np.mean(crowd >= 2)),
+                    "ge4_pct": 100.0 * float(np.mean(crowd >= 4))})
+    return out
+
+
+@pytest.mark.parametrize("kind", sorted(SINGLE_SCAN_PATHS))
+def test_multiple_crossing_shares_equal_level_by_level(kind):
+    make, delta = SINGLE_SCAN_PATHS[kind]
+    series = make()
+    delta = delta or select_base_scale(series)
+    for size in (delta, 4.0 * delta):  # 4 delta: several hits per segment
+        tree = build_tree(series, size, None)
+        assert (multiple_crossing_shares(tree, series)
+                == _level_by_level_shares(tree, series))
+
+
+def test_multiple_crossing_shares_on_jumps_equal_level_by_level():
+    rng = np.random.default_rng(3)
+    values = np.cumsum(rng.choice([-5.5, -1.0, 0.0, 0.5, 1.0, 3.25], 3000))
+    series = TickSeries(times=np.cumsum(rng.exponential(1.0, values.size)),
+                        values=values)
+    tree = build_tree(series, 0.75, None)
+    shares = multiple_crossing_shares(tree, series)
+    assert shares == _level_by_level_shares(tree, series)
+    assert shares[0]["ge4_pct"] > 0.0
+
+
+def test_multiple_crossing_shares_when_hit_times_leave_tick_order():
+    """A hit at the end of the segment from -1 to 0.6 ulp(1) is placed at
+    -1 + fl(1 + 0.6 ulp(1)) = ulp(1), past the next tick at 0.9 ulp(1),
+    while the next segment's hits fall before that tick: the segments in
+    which crossings end then leave their order, and must still be
+    grouped as ``np.unique`` groups them."""
+    times = np.array([-1.0, 0.6 * 2.0**-52, 0.9 * 2.0**-52, 1.0, 2.0, 3.0])
+    series = TickSeries(times=times,
+                        values=np.array([0.0, 1.0, 3.0, 0.5, 3.5, 0.2]))
+    tree = build_tree(series, 1.0, 0.0)
+    where = np.searchsorted(times, tree.hit_times[0], side="right") - 1
+    assert np.any(np.diff(where[1:]) < 0)
+    assert (multiple_crossing_shares(tree, series)
+            == _level_by_level_shares(tree, series))
+
+
+def _same_events(times, values, delta, origin):
+    got = lattice_events(times, values, delta, origin)
+    want = reference_lattice_events(times, values, delta, origin)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+    return got
+
+
+# crossing sizes from 1e-300 to 1e290: values from about 1e-300 to 1e302
+EXTREME_DELTAS = [1.0, 0.0625, 0.1, 0.037, 3.3e-7, 1e-300, 2.5e290]
+
+
+def test_lattice_events_on_lines_match_both_oracles():
+    """Property: on +-1/0 walks (chains, flat segments, repeated touches)
+    whose values lie on the lines of an origin up to 2**40 units out, or
+    up to 8 ulps off them, the scan gives the brute-force oracle's hits
+    and exactly the frozen vectorised scan's arrays."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=300)
+    @hypothesis.given(
+        steps=st.lists(st.sampled_from([-1, 0, 1]), min_size=1, max_size=150),
+        start=st.integers(-4, 4),
+        k=st.one_of(st.sampled_from([0, 2**30, 2**40, -(2**40)]),
+                    st.integers(-(2**40), 2**40)),
+        delta=st.sampled_from(EXTREME_DELTAS),
+        ulps=st.lists(st.integers(-8, 8), min_size=151, max_size=151))
+    def run(steps, start, k, delta, ulps):
+        walk = start + np.cumsum(np.r_[0, steps])
+        values = (k + walk).astype(np.float64) * delta
+        values += np.asarray(ulps[:values.size]) * np.spacing(values)
+        times = np.arange(values.size, dtype=np.float64)
+        hit_t, hit_k = _same_events(times, values, delta, k * delta)
+        want = brute_level_hits(walk, 1)
+        assert hit_t.tolist() == [float(t) for t, _ in want]
+        assert hit_k.tolist() == [v for _, v in want]
+
+    run()
+
+
+def test_lattice_events_match_the_frozen_scan():
+    """Property: on any path (jumps over several lines, values on lines,
+    within the snap tolerance of them or anywhere between, flat segments,
+    uneven tick times, origins far out and crossing sizes from 1e-300 to
+    1e290) the scan returns exactly the frozen vectorised scan's arrays."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    step = st.one_of(
+        st.sampled_from([-1.0, 0.0, 1.0, -3.0, 7.0, 0.5]),
+        st.floats(-7.5, 7.5, allow_nan=False),
+        st.sampled_from([SNAP_TOL, -SNAP_TOL, 2 * SNAP_TOL, SNAP_MAX]))
+
+    @hypothesis.settings(max_examples=400)
+    @hypothesis.given(
+        steps=st.lists(step, min_size=1, max_size=120),
+        start=st.floats(-4.0, 4.0, allow_nan=False),
+        k=st.one_of(st.sampled_from([0, 2**20, -(2**40)]),
+                    st.integers(-(2**40), 2**40)),
+        shift=st.sampled_from([0.0, 0.25, 1e-3, 0.5]),
+        delta=st.sampled_from(EXTREME_DELTAS),
+        gaps=st.lists(st.floats(1e-3, 10.0), min_size=121, max_size=121),
+        t_start=st.sampled_from([0.0, 1e9, -5.0]))
+    def run(steps, start, k, shift, delta, gaps, t_start):
+        units = start + np.cumsum(np.r_[0.0, steps])
+        values = (k + units) * delta
+        times = t_start + np.cumsum(np.r_[0.0, gaps[:values.size - 1]])
+        _same_events(times, values, delta, (k + shift) * delta)
+
+    run()
+
+
+@pytest.mark.parametrize("kind", sorted(SINGLE_SCAN_PATHS))
+def test_lattice_events_match_the_frozen_scan_on_paths(kind):
+    """Chains (every value on a line), an fBm path and pip log prices at
+    the origin 0 and at the latticed one."""
+    make, delta = SINGLE_SCAN_PATHS[kind]
+    series = make()
+    delta = delta or select_base_scale(series)
+    for origin in (0.0, build_tree(series, delta, None).origin,
+                   float(series.values[0])):
+        _same_events(series.times, series.values, delta, origin)
