@@ -32,6 +32,10 @@ SECANT_STEPS = 30  # window evaluations per solve beyond the first
 MC_MAX_WINDOW_FACTOR = 20.0  # hard cap on simulated time, in units of t0
 WINDOW_BLOCK_VALUES = 100_000  # grid values per simulated block
 TOUCH_EXPONENT_MAX = 30.0  # bridge touch probabilities below e**-30 drop
+# the upper-touch filter of _bridge_touches: its slack on the exponent, and
+# the floor on q_lo below which a step always takes the exact arithmetic
+TOUCH_BOUND_MARGIN = 1e-6
+TOUCH_Q_LO_MIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -131,22 +135,35 @@ def delta_ou(alpha: float, sigma: float, n_crossings: int, t0: float) -> float:
 # Monte Carlo calibration on simulated fine paths
 # ---------------------------------------------------------------------------
 
-def _brownian_increments(rngs, n_roots, n_cols, root_step):
-    """Brownian increments over ``n_roots`` root steps, refined by decades.
+def _brownian_increments(rngs, n_roots, n_cols, root_step, out=None):
+    """Brownian increments over ``n_roots`` root steps, refined by decades,
+    written into ``out`` (a new array if None) and returned.
 
     ``rngs[0]`` draws the root increments; each further generator splits
     every increment of the decade above into ten with their conditional
     law given the sum.  Grids that share the seed and the root step thus
-    sample the same Brownian path at every resolution.
+    sample the same Brownian path at every resolution.  Each decade is
+    formed in place as (g / 10 + z) - mean(z), the order of the whole-array
+    expression, so every value keeps its bits; the last one is formed in
+    ``out``, whose row axis splits into tens as a view at any column
+    stride.
     """
-    g = rngs[0].standard_normal((n_roots, n_cols)) * math.sqrt(root_step)
+    g = rngs[0].standard_normal((n_roots, n_cols))
+    if len(rngs) == 1:
+        return np.multiply(g, math.sqrt(root_step), out=out)
+    g *= math.sqrt(root_step)
     h = root_step
     for rng in rngs[1:]:
         h /= 10.0
-        z = rng.standard_normal((g.shape[0], 10, n_cols)) * math.sqrt(h)
-        g = (g[:, None, :] / 10.0 + z - z.mean(axis=1, keepdims=True)) \
-            .reshape(-1, n_cols)
-    return g
+        z = rng.standard_normal((g.shape[0], 10, n_cols))
+        z *= math.sqrt(h)
+        last = rng is rngs[-1] and out is not None
+        nxt = out.reshape(z.shape) if last else np.empty_like(z)
+        np.divide(g[:, None, :], 10.0, out=nxt)
+        nxt += z
+        nxt -= z.mean(axis=1)[:, None, :]
+        g = nxt.reshape(-1, n_cols)
+    return g if out is None else out
 
 
 def milstein_feller_step(spec: ProcessSpec, x, g, step: float):
@@ -242,34 +259,12 @@ def _exp_neg(q):
     return np.exp(-np.minimum(q, 700.0))
 
 
-def _bridge_touches(spec, prev, nxt, c_prev, c_nxt, e_lo, e_hi, step, delta,
-                    work):
-    """Whether the Brownian bridge between consecutive grid values touches
-    the nearest lattice line below both ends (lo) and above both (hi).
-
-    A bridge from a to b with variance v touches the line l below both
-    ends with probability exp(-q_lo), q_lo = 2 (a - l)(b - l) / v, and the
-    line above likewise.  It touches both with the leading image terms of
-    the two-sided exit law; the maximum and minimum of a bridge are
-    negatively associated, so that probability never exceeds
-    exp(-q_lo - q_hi).  The exponential variate ``e_lo`` decides the lower
-    touch (q_lo < e_lo) and ``e_hi`` the upper touch given the lower one,
-    so the joint law is kept.  Probabilities below
-    exp(-TOUCH_EXPONENT_MAX) are dropped: there the lower touch does not
-    happen and the upper one is decided by its marginal alone.  v is
-    sigma**2 * x * step for Feller (x at the step start; line 0 is never
-    touched) and sigma**2 * step otherwise.
-
-    The inputs may have any shape and memory layout; lo and hi come back
-    C-ordered in the shape of ``prev``.  The per-step intermediates go
-    into ``work``, a scratch array of at least (6, prev.size) that a pass
-    reuses for every block.
-    """
-    shape = prev.shape
-    a, b, ca, cb, el, eh = map(np.ravel, (prev, nxt, c_prev, c_nxt, e_lo,
-                                          e_hi))
-    n = a.size
-    lo_line, hi_line, q_lo, q_hi, tmp, two_over_var = work[:, :n]
+def _bridge_exponents(spec, a, b, ca, cb, step, delta, out):
+    """The touch exponents of the bridges from ``a`` to ``b`` (flat arrays,
+    in cells ``ca`` and ``cb``), into the rows of ``out``, which it returns:
+    the line below both ends, the line above, q_lo, q_hi, a scratch row,
+    and 2 / v."""
+    lo_line, hi_line, q_lo, q_hi, tmp, two_over_var = out
     if spec.kind == "feller":
         np.divide(2.0 / (spec.sigma**2 * step), a, out=two_over_var)
     else:  # sigma is 1 for BM and drift
@@ -289,31 +284,146 @@ def _bridge_touches(spec, prev, nxt, c_prev, c_nxt, e_lo, e_hi, step, delta,
     q_hi *= two_over_var
     if spec.kind == "feller":
         q_lo[lo_line <= 0.0] = np.inf
-    hi = q_hi < eh
-    lo = np.zeros(n, dtype=bool)
-    near = np.flatnonzero(q_lo < TOUCH_EXPONENT_MAX)
-    if near.size:
-        q_lo_n, q_hi_n = q_lo[near], q_hi[near]
+    return out
+
+
+def _bridge_touches(spec, prev, nxt, c_prev, c_nxt, e_lo, e_hi, step, delta,
+                    work):
+    """Whether the Brownian bridge between consecutive grid values touches
+    the nearest lattice line below both ends (lo) and above both (hi).
+
+    A bridge from a to b with variance v touches the line l below both
+    ends with probability exp(-q_lo), q_lo = 2 (a - l)(b - l) / v, and the
+    line above likewise.  It touches both with the leading image terms of
+    the two-sided exit law; the maximum and minimum of a bridge are
+    negatively associated, so that probability never exceeds
+    exp(-q_lo - q_hi).  The exponential variate ``e_lo`` decides the lower
+    touch (q_lo < e_lo) and ``e_hi`` the upper touch given the lower one,
+    so the joint law is kept.  Probabilities below
+    exp(-TOUCH_EXPONENT_MAX) are dropped: there the lower touch does not
+    happen and the upper one is decided by its marginal alone.  v is
+    sigma**2 * x * step for Feller (x at the step start; line 0 is never
+    touched) and sigma**2 * step otherwise.
+
+    The exact arithmetic runs only where it can decide an upper touch.  A
+    step near the lower line (q_lo < TOUCH_EXPONENT_MAX) touches above if
+    exp(-e_hi) < r, with r = p_both / p_lo after a lower touch and r =
+    (p_hi - p_both) / (1 - p_lo) otherwise, where p = exp(-q), p_hi is
+    floored at exp(-700) and p_both is clipped to [0, min(p_lo, p_hi)].
+    So r <= p_hi / p_lo after a lower touch, and r <= p_hi / (1 - p_lo) <=
+    p_hi (1 + 1 / q_lo) otherwise.  An upper touch thus needs e_hi + d >
+    min(q_hi, 700), with d = q_lo after a lower touch (and q_lo <
+    min(e_lo, TOUCH_EXPONENT_MAX) there) and d = log(1 + 1 / q_lo) < 1 /
+    q_lo otherwise.  The filter takes d = max(min(e_lo,
+    TOUCH_EXPONENT_MAX), 1 / max(q_lo, TOUCH_Q_LO_MIN)), which covers both
+    cases, plus TOUCH_BOUND_MARGIN; only the near steps that pass it take
+    the exact arithmetic.  The others keep hi = q_hi < e_hi, which is
+    False for them since d >= 0.  No decision moves: the rounding of the
+    exponentials, quotients and sums is a few ulps of 700, about 1e-13, far
+    below the margin, and without a lower touch 1 / q_lo also exceeds
+    log(1 + 1 / q_lo) by more than 5e-4.  The floor on q_lo keeps d finite:
+    a step that ends on or just beside the lower line, where 1 - p_lo loses
+    its relative accuracy, gets d >= 1 / TOUCH_Q_LO_MIN and always takes
+    the exact arithmetic.
+
+    The inputs may have any shape and memory layout; lo and hi come back
+    C-ordered in the shape of ``prev``.  The per-step intermediates go
+    into ``work``, a scratch array of at least (6, prev.size) that a pass
+    reuses for every block.
+    """
+    shape = prev.shape
+    a, b, ca, cb, el, eh = map(np.ravel, (prev, nxt, c_prev, c_nxt, e_lo,
+                                          e_hi))
+    # the lines and 2 / v are recomputed for the few steps that need them,
+    # so their rows are free once the exponents are formed
+    _, _, q_lo, q_hi, tmp, d = _bridge_exponents(spec, a, b, ca, cb, step,
+                                                 delta, work[:, :a.size])
+    hi = q_hi < eh  # the far steps' decision, and False where filtered
+    np.minimum(el, TOUCH_EXPONENT_MAX, out=tmp)
+    lo = q_lo < tmp  # only near steps touch below
+    np.maximum(q_lo, TOUCH_Q_LO_MIN, out=d)
+    np.divide(1.0, d, out=d)
+    np.maximum(d, tmp, out=d)
+    d += eh
+    d += TOUCH_BOUND_MARGIN
+    np.minimum(q_hi, 700.0, out=q_hi)  # p_hi's floor, so p_hi keeps its bits
+    cand = np.flatnonzero(q_hi < d)
+    cand = cand[q_lo[cand] < TOUCH_EXPONENT_MAX]
+    if cand.size:
+        q_lo_n, q_hi_n = q_lo[cand], q_hi[cand]
         p_lo, p_hi = np.exp(-q_lo_n), _exp_neg(q_hi_n)
-        p_both = np.zeros(near.size)
+        p_both = np.zeros(cand.size)
         both = np.flatnonzero(q_lo_n + q_hi_n < TOUCH_EXPONENT_MAX)
         if both.size:
-            idx = near[both]
+            idx = cand[both]
             a_b, b_b = a[idx], b[idx]
-            l, u = lo_line[idx], hi_line[idx]
-            s, w = two_over_var[idx], u - l
+            l, u, _, _, _, s = _bridge_exponents(
+                spec, a_b, b_b, ca[idx], cb[idx], step, delta,
+                np.empty((6, idx.size)))
+            w = u - l
             p_both[both] = np.clip(
                 _exp_neg(s * w * (w - (b_b - a_b)))
                 + _exp_neg(s * w * (w + (b_b - a_b)))
                 - _exp_neg(s * (a_b - l + w) * (b_b - l + w))
                 - _exp_neg(s * (u - a_b + w) * (u - b_b + w)),
                 0.0, np.minimum(p_lo[both], p_hi[both]))
-        lo_n = q_lo_n < el[near]
-        lo[near] = lo_n
+        lo_n = lo[cand]
         with np.errstate(divide="ignore", invalid="ignore"):
-            hi[near] = np.exp(-eh[near]) < np.where(
+            hi[cand] = np.exp(-eh[cand]) < np.where(
                 lo_n, p_both / p_lo, (p_hi - p_both) / (1.0 - p_lo))
     return lo.reshape(shape), hi.reshape(shape)
+
+
+def _count_touches(cols, prev, nxt, c_prev, c_nxt, lo, hi, t_block, step,
+                   delta, need, events, pos, t_first, t_done):
+    """Carry the open windows ``cols`` through one block of steps from time
+    ``t_block``: the grid values ``prev`` to ``nxt`` in cells ``c_prev`` to
+    ``c_nxt``, with the bridge touches ``lo`` and ``hi``, one column per
+    open window.
+
+    The steps that touch a line are taken path by path in time order.  Each
+    passes a run of consecutive lines, and a re-touch of the line hit last
+    (``pos``) is not a new passage.  ``events`` counts the passages; the
+    time of event 1 goes into ``t_first`` and that of event ``need`` into
+    ``t_done``.  The per-touch arrays are local, so they are freed before
+    the pass draws its next block.
+    """
+    col, k = np.nonzero(((c_prev != c_nxt) | lo | hi).T)
+    if col.size == 0:
+        return
+    flat = k * cols.size + col
+    a, b = prev.ravel()[flat], nxt.ravel()[flat]
+    ca, cb = c_prev.ravel()[flat], c_nxt.ravel()[flat]
+    lo_k, hi_k = lo.ravel()[flat], hi.ravel()[flat]
+    path = cols[col]
+    rising = b >= a
+    first = np.where(rising, ca + 1 - lo_k, ca + hi_k)
+    last = np.where(rising, cb + hi_k, cb + 1 - lo_k)
+    count = (np.abs(cb - ca) + lo_k + hi_k).astype(np.int64)
+    run_start = np.r_[True, path[1:] != path[:-1]]
+    pos_before = np.where(run_start, pos[path], np.r_[0, last[:-1]])
+    new = count - (first == pos_before)
+    csum = np.cumsum(new)
+    starts = np.flatnonzero(run_start)
+    base = (csum - new)[starts][np.cumsum(run_start) - 1]
+    events_before = events[path]
+    cum = events_before + csum - base
+
+    for target, times in ((1, t_first), (need, t_done)):
+        hit = np.flatnonzero((events_before < target) & (cum >= target))
+        hit = hit[np.unique(path[hit], return_index=True)[1]]
+        # the target's place among the lines of its step, travel order
+        rank = target - cum[hit] + count[hit] - 1
+        line = np.where(rising[hit], first[hit] + rank,
+                        first[hit] - rank) * delta
+        span = b[hit] - a[hit]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            frac = np.where(span != 0.0, (line - a[hit]) / span, 0.5)
+        times[path[hit]] = t_block + (k[hit] + np.clip(frac, 0.0, 1.0)) \
+            * step
+    ends = np.r_[starts[1:] - 1, path.size - 1]
+    events[path[ends]] = cum[ends]
+    pos[path[ends]] = last[ends]
 
 
 def _mean_window_for_n_crossings(
@@ -347,7 +457,8 @@ def _mean_window_for_n_crossings(
     at time ``t_max``, or ending after it, raises RuntimeError instead of
     being truncated.  The grid is simulated in blocks of steps, into one
     buffer whose first row carries the last values of the block before,
-    so memory stays bounded.  Every path is drawn for and stepped through
+    and a block's increments and bridge variates are drawn into buffers
+    that the pass reuses, so memory stays bounded.  Every path is drawn for and stepped through
     each block, so the random streams do not depend on when windows end;
     but finished paths are no longer counted: only the open windows go
     through the bridge touches and the count, and crossings are counted
@@ -374,6 +485,8 @@ def _mean_window_for_n_crossings(
     grid = np.empty((block + 1, n_paths))  # row 0: the block before's last
     cells = np.empty((block + 1, n_paths))  # floor(grid / delta)
     work = np.empty((6, block * n_paths))  # _bridge_touches' scratch
+    gauss = np.empty((block, n_paths))  # increments, then the partners' -g
+    e = np.empty((block, 2 * n_draw))  # bridge variates, lower then upper
     if spec.kind == "feller":
         a, b = _gamma_shape_scale(spec)
         u0 = start_rng.random(n_draw)
@@ -395,12 +508,12 @@ def _mean_window_for_n_crossings(
         cols = np.flatnonzero(np.isnan(t_done))  # the windows still open
         if cols.size == 0:
             break
-        g = _brownian_increments(gauss_rngs, roots, n_draw, root_step)
-        e = bridge_rng.standard_exponential((block, 2, n_draw)) \
-            .reshape(block, -1)
+        _brownian_increments(gauss_rngs, roots, n_draw, root_step,
+                             out=gauss[:, :n_draw])
+        bridge_rng.standard_exponential(out=e.reshape(block, 2, n_draw))
         if antithetic:  # the partner steps by -g
-            g = np.concatenate([g, -g], axis=1)
-        _grid_block(spec, grid[0], g, step, redraw_rng, out=grid[1:])
+            np.negative(gauss[:, :n_draw], out=gauss[:, n_draw:])
+        _grid_block(spec, grid[0], gauss, step, redraw_rng, out=grid[1:])
         np.divide(grid[1:], delta, out=cells[1:])
         np.floor(cells[1:], out=cells[1:])
         # C-ordered copies of the open columns (a fancy-indexed column
@@ -418,48 +531,10 @@ def _mean_window_for_n_crossings(
         lo, hi = _bridge_touches(spec, prev, nxt, c_prev, c_nxt, e_lo, e_hi,
                                  step, delta, work)
 
-        # steps that touch a line, path by path in time order; each passes
-        # a run of consecutive lines, and a re-touch of the line hit last
-        # is not a new passage
-        col, k = np.nonzero(((c_prev != c_nxt) | lo | hi).T)
-        flat = k * cols.size + col
-        a, b = prev.ravel()[flat], nxt.ravel()[flat]
-        ca, cb = c_prev.ravel()[flat], c_nxt.ravel()[flat]
-        lo_k, hi_k = lo.ravel()[flat], hi.ravel()[flat]
+        _count_touches(cols, prev, nxt, c_prev, c_nxt, lo, hi, t_start, step,
+                       delta, need, events, pos, t_first, t_done)
         grid[0], cells[0] = grid[-1], cells[-1]
-        t_block = t_start
         t_start += block * step
-        if col.size == 0:
-            continue
-        path = cols[col]
-        rising = b >= a
-        first = np.where(rising, ca + 1 - lo_k, ca + hi_k)
-        last = np.where(rising, cb + hi_k, cb + 1 - lo_k)
-        count = (np.abs(cb - ca) + lo_k + hi_k).astype(np.int64)
-        run_start = np.r_[True, path[1:] != path[:-1]]
-        pos_before = np.where(run_start, pos[path], np.r_[0, last[:-1]])
-        new = count - (first == pos_before)
-        csum = np.cumsum(new)
-        starts = np.flatnonzero(run_start)
-        base = (csum - new)[starts][np.cumsum(run_start) - 1]
-        events_before = events[path]
-        cum = events_before + csum - base
-
-        for target, times in ((1, t_first), (need, t_done)):
-            hit = np.flatnonzero((events_before < target) & (cum >= target))
-            hit = hit[np.unique(path[hit], return_index=True)[1]]
-            # the target's place among the lines of its step, travel order
-            rank = target - cum[hit] + count[hit] - 1
-            line = np.where(rising[hit], first[hit] + rank,
-                            first[hit] - rank) * delta
-            span = b[hit] - a[hit]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                frac = np.where(span != 0.0, (line - a[hit]) / span, 0.5)
-            times[path[hit]] = t_block + (k[hit] + np.clip(frac, 0.0, 1.0)) \
-                * step
-        ends = np.r_[starts[1:] - 1, path.size - 1]
-        events[path[ends]] = cum[ends]
-        pos[path[ends]] = last[ends]
 
     late = np.count_nonzero(~(t_done <= t_max))
     if late:
@@ -498,8 +573,12 @@ def delta_mc(
     finest-step delta with a warning.  For other kinds a single resolution
     (the largest exponent) is used.  The achieved window at the finest
     step is reported with a 95% confidence interval (from antithetic pair
-    means for Feller).
+    means for Feller).  An empty or repeated list of step exponents is
+    refused before anything is simulated.
     """
+    if not step_exponents or len(set(step_exponents)) < len(step_exponents):
+        raise ValueError(f"need distinct step exponents, got "
+                         f"{tuple(step_exponents)}")
     t_max = MC_MAX_WINDOW_FACTOR * t0
     exps = sorted(step_exponents) if spec.kind == "feller" \
         else [max(step_exponents)]

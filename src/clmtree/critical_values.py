@@ -9,6 +9,7 @@ bit for bit.
 
 from __future__ import annotations
 
+import functools
 import os
 import pathlib
 from collections.abc import Callable
@@ -40,7 +41,7 @@ class CriticalValueTable:
     seed: int
     version: int = GENERATOR_VERSION
 
-    @property
+    @functools.cached_property
     def max_n(self) -> int:
         return max(n for n, _ in self.entries)
 
@@ -286,8 +287,14 @@ def shipped_table(test_id: str) -> CriticalValueTable:
 
 def load_all_tables(directory: str | None = None) -> dict:
     """The tables the serving tests need, keyed by table id: the shipped
-    ones, or those in ``directory``."""
+    ones, parsed once per process and served read-only, or those in
+    ``directory``, read on every call (``gen-cv`` may rewrite them)."""
     if directory is None:
-        directory = resources.files("clmtree.tables")
+        return dict(_shipped_tables())
     return {test_id: load_table_dir(directory, test_id)
             for test_id in SHIPPED_TABLES}
+
+
+@functools.cache
+def _shipped_tables() -> dict:
+    return load_all_tables(resources.files("clmtree.tables"))

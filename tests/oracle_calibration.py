@@ -19,10 +19,16 @@ Independent of ``clmtree.calibrate`` and of the Gauss-Legendre rule of
 ``clmtree.simulate``: the scale odds and crossing times here are nested
 adaptive ``integrate.quad`` calls, one site at a time.
 
-``feller_grid_reference`` is the other reference here: the Feller grid
-stepped one ``milstein_feller_step`` call at a time, with a positivity
-check after every step, which ``calibrate._grid_block`` must reproduce bit
-for bit.
+The other references here are ones that ``clmtree.calibrate`` must
+reproduce bit for bit:
+
+* ``feller_grid_reference``: the Feller grid stepped one
+  ``milstein_feller_step`` call at a time, with a positivity check after
+  every step (``calibrate._grid_block``);
+* ``bridge_touches_reference``: the bridge touches with the exact
+  arithmetic on every step near a line (``calibrate._bridge_touches``);
+* ``brownian_increments_reference``: the decade refinement through whole
+  temporaries (``calibrate._brownian_increments``).
 """
 
 import math
@@ -224,3 +230,74 @@ def feller_grid_reference(spec, x, g, step, redraw):
                         spec, x[i], redraw.standard_normal() * sq, step)
         out[k] = x = x_new
     return out
+
+
+def brownian_increments_reference(rngs, n_roots, n_cols, root_step):
+    """Root increments refined by decades, each formed as one expression."""
+    g = rngs[0].standard_normal((n_roots, n_cols)) * math.sqrt(root_step)
+    h = root_step
+    for rng in rngs[1:]:
+        h /= 10.0
+        z = rng.standard_normal((g.shape[0], 10, n_cols)) * math.sqrt(h)
+        g = (g[:, None, :] / 10.0 + z - z.mean(axis=1, keepdims=True)) \
+            .reshape(-1, n_cols)
+    return g
+
+
+def _exp_neg(q):
+    return np.exp(-np.minimum(q, 700.0))
+
+
+def bridge_exponents_reference(spec, a, b, ca, cb, step, delta):
+    """The lines below and above both ends of each bridge from ``a`` to
+    ``b`` (flat arrays in cells ``ca`` and ``cb``), the touch exponents q_lo
+    and q_hi, and 2 / v."""
+    if spec.kind == "feller":
+        two_over_var = 2.0 / (spec.sigma**2 * step) / a
+    else:
+        two_over_var = np.full(a.size, 2.0 / (spec.sigma**2 * step))
+    lo_line = np.minimum(ca, cb) * delta
+    hi_line = (np.maximum(ca, cb) + 1.0) * delta
+    q_lo = (a - lo_line) * (b - lo_line) * two_over_var
+    q_hi = (hi_line - a) * (hi_line - b) * two_over_var
+    if spec.kind == "feller":
+        q_lo[lo_line <= 0.0] = np.inf
+    return lo_line, hi_line, q_lo, q_hi, two_over_var
+
+
+def bridge_touches_reference(spec, prev, nxt, c_prev, c_nxt, e_lo, e_hi,
+                             step, delta, touch_exponent_max=30.0):
+    """Lower and upper bridge touches, deciding every step whose lower
+    exponent q_lo is below ``touch_exponent_max`` with the exact arithmetic
+    (the touch probabilities, the two-sided term and the conditional upper
+    odds), and every other step by its upper marginal alone."""
+    shape = prev.shape
+    a, b, ca, cb, el, eh = (np.ravel(v) for v in (prev, nxt, c_prev, c_nxt,
+                                                  e_lo, e_hi))
+    lo_line, hi_line, q_lo, q_hi, two_over_var = bridge_exponents_reference(
+        spec, a, b, ca, cb, step, delta)
+    hi = q_hi < eh
+    lo = np.zeros(a.size, dtype=bool)
+    near = np.flatnonzero(q_lo < touch_exponent_max)
+    if near.size:
+        q_lo_n, q_hi_n = q_lo[near], q_hi[near]
+        p_lo, p_hi = np.exp(-q_lo_n), _exp_neg(q_hi_n)
+        p_both = np.zeros(near.size)
+        both = np.flatnonzero(q_lo_n + q_hi_n < touch_exponent_max)
+        if both.size:
+            idx = near[both]
+            a_b, b_b = a[idx], b[idx]
+            l, u = lo_line[idx], hi_line[idx]
+            s, w = two_over_var[idx], u - l
+            p_both[both] = np.clip(
+                _exp_neg(s * w * (w - (b_b - a_b)))
+                + _exp_neg(s * w * (w + (b_b - a_b)))
+                - _exp_neg(s * (a_b - l + w) * (b_b - l + w))
+                - _exp_neg(s * (u - a_b + w) * (u - b_b + w)),
+                0.0, np.minimum(p_lo[both], p_hi[both]))
+        lo_n = q_lo_n < el[near]
+        lo[near] = lo_n
+        with np.errstate(divide="ignore", invalid="ignore"):
+            hi[near] = np.exp(-eh[near]) < np.where(
+                lo_n, p_both / p_lo, (p_hi - p_both) / (1.0 - p_lo))
+    return lo.reshape(shape), hi.reshape(shape)

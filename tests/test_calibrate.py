@@ -21,6 +21,9 @@ from clmtree.harness import render_report
 from clmtree.simulate import ProcessSpec
 
 from oracle_calibration import (
+    bridge_exponents_reference,
+    bridge_touches_reference,
+    brownian_increments_reference,
     feller_delta_exact,
     feller_grid_reference,
     feller_mean_window,
@@ -389,3 +392,157 @@ class TestBridgeTouchesOnColumnSubsets:
         assert (q_sum[:, self.COLS] < 30.0).sum() > 1000
         lo, hi = self._check(spec, inputs, step, delta)
         assert (lo & hi)[:, self.COLS].any()
+
+
+class TestBridgeTouchFilter:
+    """``_bridge_touches`` runs the exact arithmetic only on the steps that
+    can touch the upper line; its lo and hi must equal those of the
+    reference, which runs it on every step near the lower line."""
+
+    SPECS = {"bm": ProcessSpec("bm"),
+             "ou": ProcessSpec("ou", alpha=8.0, sigma=0.7),
+             "feller": FELLER,
+             "feller-0.7": ProcessSpec("feller", kappa=6.0, mu=0.2,
+                                       sigma=0.7)}
+
+    @staticmethod
+    def _steps(spec, rng, shape, step, delta):
+        """Grid steps of every kind: within a cell, across lines, far and
+        near lines, wide enough to come near both lines of a cell, and for
+        Feller in cell 0, whose lower line is never touched."""
+        var = (spec.sigma**2 * step) * (0.2 if spec.kind == "feller" else 1.0)
+        scale = rng.choice([0.3, 1.0, 4.0], size=shape) * math.sqrt(var)
+        a = rng.uniform(0.0, 4.0 * delta, size=shape)
+        b = a + rng.standard_normal(shape) * scale
+        if spec.kind == "feller":
+            b = np.abs(b) + 1e-9
+        return a, b
+
+    def _check(self, spec, a, b, e_lo, e_hi, step, delta):
+        c_a, c_b = np.floor(a / delta), np.floor(b / delta)
+        args = (a, b, c_a, c_b, e_lo, e_hi)
+        work = np.empty((6, a.size))
+        lo, hi = _bridge_touches(spec, *args, step, delta, work)
+        want_lo, want_hi = bridge_touches_reference(spec, *args, step, delta)
+        assert np.array_equal(lo, want_lo) and np.array_equal(hi, want_hi)
+        # a column subset is F-ordered, as the open windows of a pass are
+        cols = np.arange(0, a.shape[1], 2)
+        sub = [v[:, cols] for v in args]
+        assert sub[0].flags.f_contiguous and not sub[0].flags.c_contiguous
+        lo_s, hi_s = _bridge_touches(spec, *sub, step, delta, work)
+        assert np.array_equal(lo_s, lo[:, cols])
+        assert np.array_equal(hi_s, hi[:, cols])
+        return lo, hi
+
+    def test_matches_the_reference(self):
+        """Property: on random steps with some of them ending exactly on a
+        line (q_lo = 0), some with q_lo in [1e-12, 1e-2], and upper
+        variates straddling the filter's bound and the exact bounds it
+        stands for, lo and hi equal the reference's."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        offsets = [-1e-3, -1e-5, -2e-6, -1e-6, -5e-7, -1e-12, 0.0, 1e-12,
+                   5e-7, 1e-6, 2e-6, 1e-5, 1e-3]
+
+        @hypothesis.settings(max_examples=150)
+        @hypothesis.given(
+            kind=st.sampled_from(sorted(self.SPECS)),
+            step=st.sampled_from([1e-2, 1e-3, 1e-4]),
+            delta=st.sampled_from([0.01, 0.028, 0.063]),
+            seed=st.integers(0, 2**32 - 1),
+            tiny_q=st.lists(st.floats(1e-12, 1e-2), min_size=1, max_size=8),
+            offsets=st.lists(st.sampled_from(offsets), min_size=24,
+                             max_size=24))
+        def run(kind, step, delta, seed, tiny_q, offsets):
+            spec = self.SPECS[kind]
+            rng = np.random.default_rng(seed)
+            shape = (30, 8)
+            a, b = self._steps(spec, rng, shape, step, delta)
+            flat_a, flat_b = a.reshape(-1), b.reshape(-1)
+            # ends, then starts, exactly on a line (cell 1 and up, so that
+            # Feller's line 0 is not the line)
+            lines = (rng.integers(1, 4, size=4) * delta)
+            flat_b[:4] = lines
+            flat_a[4:8] = lines
+            # q_lo in [1e-12, 1e-2]: the end just above its lower line
+            for i, q in enumerate(tiny_q, start=8):
+                cell = max(math.floor(flat_a[i] / delta), 1)
+                lo_line = cell * delta
+                flat_a[i] = lo_line + 0.5 * delta
+                var = spec.sigma**2 * step * (
+                    flat_a[i] if spec.kind == "feller" else 1.0)
+                flat_b[i] = lo_line + q * var / (2.0 * 0.5 * delta)
+            e_lo = rng.standard_exponential(shape)
+            e_hi = rng.standard_exponential(shape)
+            # upper variates at the filter's bound and at the exact bounds
+            # of a step after a lower touch and without one
+            _, _, q_lo, q_hi, _ = bridge_exponents_reference(
+                spec, flat_a, flat_b, np.floor(flat_a / delta),
+                np.floor(flat_b / delta), step, delta)
+            flat_el, flat_eh = e_lo.reshape(-1), e_hi.reshape(-1)
+            near = np.flatnonzero(q_lo < calibrate.TOUCH_EXPONENT_MAX)
+            for j, (i, off) in enumerate(zip(near[::-1], offsets)):
+                q = max(q_lo[i], calibrate.TOUCH_Q_LO_MIN)
+                bound = min(q_hi[i], 700.0)
+                if j % 3 == 0:  # the filter's own bound
+                    bound -= max(min(flat_el[i], 30.0), 1.0 / q) \
+                        + calibrate.TOUCH_BOUND_MARGIN
+                elif j % 3 == 1:  # after a lower touch
+                    flat_el[i] = q_lo[i] + 1.0 + abs(off)
+                    bound -= q_lo[i]
+                else:  # without one
+                    flat_el[i] = max(q_lo[i] - 1e-3, 0.0)
+                    bound -= 1.0 / q
+                flat_eh[i] = max(bound + off, 0.0)
+            self._check(spec, a, b, e_lo, e_hi, step, delta)
+
+        run()
+
+    def test_two_sided_steps_and_line_zero(self):
+        # a cell of about one step's standard deviation puts most steps
+        # near both lines, where the two-sided term is used; Feller paths
+        # in cell 0 have no lower line
+        rng = np.random.default_rng(4)
+        for spec, delta in ((ProcessSpec("bm"), 0.01), (FELLER, 0.028)):
+            a, b = self._steps(spec, rng, (400, 10), 1e-3, delta)
+            if spec.kind == "feller":
+                a[:50], b[:50] = a[:50] % delta + 1e-9, b[:50] % delta + 1e-9
+            lo, hi = self._check(spec, a, b, rng.standard_exponential(a.shape),
+                                 rng.standard_exponential(a.shape), 1e-3,
+                                 delta)
+            assert (lo & hi).any()
+            if spec.kind == "feller":
+                assert not lo[:50].any() and hi[:50].any()
+
+
+class TestBrownianIncrements:
+    """``_brownian_increments`` forms each decade in place; every value
+    must equal the one-expression reference's."""
+
+    @pytest.mark.parametrize("decades", [0, 1, 2])
+    @pytest.mark.parametrize("n_roots, n_cols", [(7, 3), (25, 20), (1, 1)])
+    def test_matches_the_reference(self, decades, n_roots, n_cols):
+        def rngs():
+            return [np.random.default_rng([5, 1, j])
+                    for j in range(decades + 1)]
+
+        want = brownian_increments_reference(rngs(), n_roots, n_cols, 1e-3)
+        assert np.array_equal(
+            _brownian_increments(rngs(), n_roots, n_cols, 1e-3), want)
+        # into the left half of a wider buffer, as a Feller pass does
+        buf = np.full((want.shape[0], 2 * n_cols + 1), np.nan)
+        out = _brownian_increments(rngs(), n_roots, n_cols, 1e-3,
+                                   out=buf[:, :n_cols])
+        assert np.shares_memory(out, buf)
+        assert np.array_equal(buf[:, :n_cols], want)
+        assert np.isnan(buf[:, n_cols:]).all()
+
+
+def test_delta_mc_refuses_empty_or_repeated_steps(monkeypatch):
+    def simulate(*args, **kwargs):
+        raise AssertionError("simulated before checking the steps")
+
+    monkeypatch.setattr(calibrate, "_mean_window_for_n_crossings", simulate)
+    for steps in ((), (2, 2), (3, 2, 3)):
+        with pytest.raises(ValueError, match="distinct step exponents"):
+            delta_mc(FELLER, 200, 0.8, step_exponents=steps, n_paths=4)

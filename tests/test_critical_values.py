@@ -148,6 +148,44 @@ def test_load_all_tables_shipped_and_dir(tmp_path):
         load_all_tables(str(tmp_path))
 
 
+def test_shipped_tables_are_parsed_once(monkeypatch):
+    from clmtree import critical_values
+
+    first = load_all_tables()
+
+    def parse(text):
+        raise AssertionError("a shipped table was parsed again")
+
+    monkeypatch.setattr(critical_values, "_parse_table", parse)
+    again = load_all_tables()
+    # a fresh mapping of the same tables
+    assert again is not first and again.keys() == first.keys()
+    assert all(again[k] is first[k] for k in first)
+
+
+def test_table_dir_is_read_on_every_call(tmp_path):
+    # gen-cv may rewrite a directory between calls
+    for table in load_all_tables().values():
+        save_table(table, str(tmp_path))
+    before = load_all_tables(str(tmp_path))
+    assert before == load_all_tables()
+    chi2 = before["chi2_geometric"]
+    key = next(iter(chi2.entries))
+    save_table(CriticalValueTable(
+        chi2.test_id, {**chi2.entries, key: chi2.entries[key] + 1.0},
+        chi2.n_mc, chi2.seed, chi2.version), str(tmp_path))
+    after = load_all_tables(str(tmp_path))
+    assert after["chi2_geometric"].entries[key] == chi2.entries[key] + 1.0
+    assert load_all_tables()["chi2_geometric"].entries[key] \
+        == chi2.entries[key]
+
+
+def test_max_n_is_computed_once():
+    table = CriticalValueTable("t", {(10, 0.95): 1.0, (40, 0.95): 2.0}, 1, 1)
+    assert table.max_n == 40
+    assert vars(table)["max_n"] == 40  # stored on first use
+
+
 def test_calibration_of_generated_tables():
     # using a table at nominal level keeps null rejection near 5%
     rng = np.random.default_rng(6)

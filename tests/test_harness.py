@@ -261,10 +261,17 @@ class TestCli:
          "clmtree calibrate: error: need n_paths >= 2, and even for feller"),
         (["qv", "--c-list", ","],
          "clmtree qv: error: need at least one c value"),
+        (["calibrate", "--process", "feller", "--kappa", "6", "--mu", "0.2",
+          "--sigma", "1", "--n-paths", "4", "--step-exponents", ","],
+         "clmtree calibrate: error: need distinct step exponents, got ()"),
+        (["calibrate", "--process", "feller", "--kappa", "6", "--mu", "0.2",
+          "--sigma", "1", "--n-paths", "4", "--step-exponents", "2,2"],
+         "clmtree calibrate: error: need distinct step exponents, got (2, 2)"),
     ], ids=["analyze-unread", "qv-unread", "calibrate-unread", "type1-unread",
             "type1-bad-tests", "power-bad-spec", "type1-no-delta",
             "calibrate-not-diffusion", "calibrate-unread-param",
-            "calibrate-odd-feller-paths", "qv-no-c"])
+            "calibrate-odd-feller-paths", "qv-no-c",
+            "calibrate-no-step-exponents", "calibrate-repeated-step"])
     def test_usage_errors(self, argv, reason, tmp_path):
         """A flag the subcommand does not read, and a value the library
         refuses, are usage errors rather than tracebacks."""
