@@ -31,6 +31,7 @@ EXACT_DELTA_REL_TOL = 1e-15
 SECANT_STEPS = 30  # window evaluations per solve beyond the first
 MC_MAX_WINDOW_FACTOR = 20.0  # hard cap on simulated time, in units of t0
 WINDOW_BLOCK_VALUES = 100_000  # grid values per simulated block
+FELLER_MAX_REDRAWS = 10_000  # per grid value; c07's passes redraw none
 TOUCH_EXPONENT_MAX = 30.0  # bridge touch probabilities below e**-30 drop
 # the upper-touch filter of _bridge_touches: its slack on the exponent, and
 # the floor on q_lo below which a step always takes the exact arithmetic
@@ -189,11 +190,14 @@ def _grid_block(spec, x, g, step, redraw, out=None):
     array); x and the noise term w[1] are added to the drift term w[0],
     and that to the row: seven ufunc calls a row.  A step that lands at or
     below 0 has its increment redrawn from ``redraw`` until it lands above
-    0.  Positivity is checked once per block: after stepping through the
-    block, the first row holding a value <= 0 has those values redrawn in
-    index order from the row before it, exactly as a check after every
-    step would, and the block is stepped again from the next row.  (A NaN,
-    which only a negative or non-finite start gives, is never redrawn.)
+    0.  A value still at or below 0 after FELLER_MAX_REDRAWS redraws
+    raises ValueError: at a step that coarse (kappa * step near 1 or
+    above) a large value may never land above 0.  Positivity is checked
+    once per block: after stepping through the block, the first row
+    holding a value <= 0 has those values redrawn in index order from the
+    row before it, exactly as a check after every step would, and the
+    block is stepped again from the next row.  (A NaN, which only a
+    negative or non-finite start gives, is never redrawn.)
     """
     if out is None:
         out = np.empty_like(g)
@@ -246,9 +250,16 @@ def _grid_block(spec, x, g, step, redraw, out=None):
         k = start + int(np.argmax(low))
         prev, row = (x if k == 0 else out[k - 1]), out[k]
         for i in np.flatnonzero(row <= 0.0):
-            while row[i] <= 0.0:
+            for _ in range(FELLER_MAX_REDRAWS):
                 row[i] = milstein_feller_step(
                     spec, prev[i], redraw.standard_normal() * sq, step)
+                if row[i] > 0.0:
+                    break
+            else:
+                raise ValueError(
+                    f"step {step:g} is too coarse for this Feller process: "
+                    f"a value stayed at or below 0 after "
+                    f"{FELLER_MAX_REDRAWS} redraws")
         start = k + 1
     return out
 

@@ -15,7 +15,13 @@ from . import indep_tests as it
 from .calibrate import CalibrationResult
 from .critical_values import load_all_tables
 from .outcomes import SegmentOutcomes, Segments, TestOutcome
-from .qv import estimate_qv, normal_gof_tests, select_increment, time_change_increments
+from .qv import GOF_TESTS, qv_rows, qv_tests
+from .qv import (  # unused here; bench/tracing.py patches these names
+    estimate_qv,
+    normal_gof_tests,
+    select_increment,
+    time_change_increments,
+)
 from .series import TickSeries, load_ticks, log_transform
 from .simulate import ProcessSpec, simulate_crossings_batch, simulate_fbm_path
 from .tree import (
@@ -60,6 +66,10 @@ ROSTER = {
 ALL_TESTS = tuple(ROSTER)
 
 DELTA0_POLICIES = ("zero", "first", "latticed")
+
+# path values the QV study simulates and tests at a time: a block's path
+# and QV matrices take about 2.4 MB
+QV_BLOCK_VALUES = 150_000
 
 
 @dataclass(frozen=True)
@@ -291,54 +301,64 @@ class QvStudyReport:
     rows: list  # per c: rejection rates and mean tested count
 
 
-def _qv_paths(cfg: StudyConfig) -> np.ndarray:
+def _qv_paths(cfg: StudyConfig, paths: range) -> np.ndarray:
+    """The given paths, one per row, filled in place from each path's
+    generator."""
     n, h = cfg.qv_n_points, cfg.qv_spacing
-    out = np.empty((cfg.n_paths, n + 1))
-    for i in range(cfg.n_paths):
-        rng = np.random.default_rng([cfg.seed, i])
-        bm = np.concatenate([[0.0],
-                             np.cumsum(rng.standard_normal(n) * math.sqrt(h))])
-        if cfg.qv_process == "bm":
-            out[i] = bm
-        elif cfg.qv_process == "expbm":
-            t = h * np.arange(n + 1)
-            out[i] = np.exp(bm - 0.5 * t)
-        else:
-            raise ValueError(f"unknown qv process {cfg.qv_process!r}")
+    if cfg.qv_process not in ("bm", "expbm"):
+        raise ValueError(f"unknown qv process {cfg.qv_process!r}")
+    out = np.empty((len(paths), n + 1))
+    out[:, 0] = 0.0
+    steps = out[:, 1:]
+    for i, row in zip(paths, steps):
+        np.random.default_rng([cfg.seed, i]).standard_normal(out=row)
+    steps *= math.sqrt(h)
+    np.cumsum(steps, axis=1, out=steps)
+    if cfg.qv_process == "expbm":
+        out -= 0.5 * (h * np.arange(n + 1))
+        np.exp(out, out=out)
     return out
 
 
 def run_qv_study(cfg: StudyConfig, c_values) -> QvStudyReport:
     """Rejection rates of the KS / CvM / SM baseline across the increment
-    multiplier sweep; reported per c, never auto-selected."""
+    multiplier sweep; reported per c, never auto-selected.
+
+    The paths are simulated in blocks of about QV_BLOCK_VALUES values, and
+    for each c every path of a block is decided at once
+    (``qv.qv_tests``)."""
     c_values = list(c_values)
     if not c_values:
         raise ValueError("need at least one c value")
-    paths = _qv_paths(cfg)
-    times = cfg.qv_spacing * np.arange(cfg.qv_n_points + 1)
-    series_all = [TickSeries(times=times, values=row, meta="qv-study")
-                  for row in paths]
-    qv_all = [estimate_qv(s) for s in series_all]
+    bad = [c for c in c_values if not (math.isfinite(c) and c > 0)]
+    if bad:
+        raise ValueError(f"c values must be finite and positive, got {bad}")
+    h, n = cfg.qv_spacing, cfg.qv_n_points
+    if n < 2 or not (h > 0 and math.isfinite(h * n)):
+        raise ValueError("need qv_n_points >= 2 and a finite, positive "
+                         "qv_spacing")
+    times = h * np.arange(n + 1)
+    n_blocks = -(-cfg.n_paths * (n + 1) // QV_BLOCK_VALUES)
+    block = -(-cfg.n_paths // n_blocks)
+    tested_n = [[] for _ in c_values]  # per c: the tested paths' sample sizes
+    counts = np.zeros((len(c_values), len(GOF_TESTS), 2), dtype=np.int64)
+    for start in range(0, cfg.n_paths, block):
+        paths = _qv_paths(cfg, range(start, min(start + block, cfg.n_paths)))
+        qv = qv_rows(times, paths)
+        for j, c in enumerate(c_values):
+            tested, res = qv_tests(paths, qv, c, cfg.qv_drop_last)
+            tested_n[j].append(res["sm"].n_used[tested])
+            # an untested path has an empty sample, which every test skips
+            counts[j] += [(np.count_nonzero(res[key].rejected),
+                           np.count_nonzero(res[key].applied))
+                          for key in GOF_TESTS]
     rows = []
-    for c in c_values:
-        counts = {"ks": [0, 0], "cvm": [0, 0], "sm": [0, 0]}
-        tested_sizes = []
-        for s, qv in zip(series_all, qv_all):
-            try:
-                inc = select_increment(qv, c)
-                norm = time_change_increments(s, qv, inc)
-            except ValueError:
-                continue
-            res = normal_gof_tests(norm, drop_last=cfg.qv_drop_last)
-            tested_sizes.append(res["sm"].n_used)
-            for key, outcome in res.items():
-                if outcome.applied:
-                    counts[key][1] += 1
-                    counts[key][0] += bool(outcome.reject_at_5pct)
+    for c, sizes, tally in zip(c_values, tested_n, counts.tolist()):
+        sizes = np.concatenate(sizes)
         rows.append({
             "c": float(c),
-            "mean_n_tested": float(np.mean(tested_sizes)) if tested_sizes else 0.0,
-            **{key: tuple(val) for key, val in counts.items()},
+            "mean_n_tested": float(np.mean(sizes)) if sizes.size else 0.0,
+            **{key: tuple(val) for key, val in zip(GOF_TESTS, tally)},
         })
     return QvStudyReport(label="qv", config=_config_summary(cfg),
                          n_paths=cfg.n_paths, rows=rows)

@@ -184,25 +184,32 @@ def build_tree(
     all_counts = [None]
     all_exc = [np.zeros(0, dtype=np.int8)]
 
+    # Hits move by +-1, so every other hit is on an even line, starting
+    # with the first or the second.  A coarser hit is an even hit whose
+    # halved line differs from the even hit's before it (the first even
+    # hit always is one).  Between two coarser hits the even hits lie on
+    # the same line, so the finer pair starting at each even hit whose
+    # successor is not a coarser hit is an excursion, down-up when its
+    # second hit lies below its first.
     level = 0
     while level < MAX_LEVELS:
         prev_t, prev_k = all_t[level], all_k[level]
-        even = np.flatnonzero(prev_k % 2 == 0)
-        if even.size == 0:
-            break
-        k_sel = prev_k[even] // 2
-        keep = np.concatenate([[True], k_sel[1:] != k_sel[:-1]])
-        rank = even[keep]
-        k_new = k_sel[keep]
-        if k_new.size < 2:  # no complete crossing at the coarser level
+        parity = int(prev_k[0]) & 1
+        half = prev_k[parity::2] >> 1
+        keep = np.empty(half.size, dtype=bool)
+        keep[:1] = True
+        np.not_equal(half[1:], half[:-1], out=keep[1:])
+        sel = np.flatnonzero(keep)
+        if sel.size < 2:  # no complete crossing at the coarser level
             break
         level += 1
+        rank = 2 * sel + parity
         all_t.append(prev_t[rank])
-        all_k.append(k_new)
+        all_k.append(half[sel])
         all_rank.append(rank)
-        z = np.diff(rank)
-        all_counts.append(z)
-        all_exc.append(_excursion_bits(prev_k, rank, z))
+        all_counts.append(rank[1:] - rank[:-1])
+        start = 2 * np.flatnonzero(~keep[1:sel[-1] + 1]) + parity
+        all_exc.append((prev_k[start + 1] < prev_k[start]).view(np.int8))
 
     return CrossingTree(
         delta=float(delta),
@@ -214,26 +221,6 @@ def build_tree(
         excursions=tuple(all_exc),
         max_level=level,
     )
-
-
-def _excursion_bits(prev_k, rank, z) -> np.ndarray:
-    """Pooled excursion indicators from the subcrossing orientation pairs.
-
-    Within one parent crossing the subcrossings come as excursion pairs
-    (up-down or down-up) followed by a single direct pair, which carries the
-    parent orientation and is not an excursion.
-    """
-    orient = np.sign(np.diff(prev_k)).astype(np.int8)
-    n_exc = (z - 2) // 2
-    total = int(n_exc.sum())
-    if total == 0:
-        return np.zeros(0, dtype=np.int8)
-    parent = np.repeat(np.arange(n_exc.size), n_exc)
-    within = np.arange(total) - np.repeat(
-        np.concatenate([[0], np.cumsum(n_exc)[:-1]]), n_exc
-    )
-    first_idx = rank[:-1][parent] + 2 * within
-    return (orient[first_idx] < 0).astype(np.int8)
 
 
 def select_base_scale(series: TickSeries) -> float:

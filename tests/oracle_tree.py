@@ -74,3 +74,51 @@ def brute_tree(values):
             "excursions": excursions,
         })
     return out
+
+
+def reference_levels(hit_t, hit_k, max_levels=62):
+    """Frozen reference copy of ``build_tree``'s level loop as it stood
+    before the excursion pairs were read off the even hits: the coarser
+    levels of the level-0 hits, as (hit_times, hit_index, prev_rank,
+    counts, excursions) lists with level 0 first."""
+    all_t = [hit_t]
+    all_k = [hit_k]
+    all_rank = [None]
+    all_counts = [None]
+    all_exc = [np.zeros(0, dtype=np.int8)]
+
+    level = 0
+    while level < max_levels:
+        prev_t, prev_k = all_t[level], all_k[level]
+        even = np.flatnonzero(prev_k % 2 == 0)
+        if even.size == 0:
+            break
+        k_sel = prev_k[even] // 2
+        keep = np.concatenate([[True], k_sel[1:] != k_sel[:-1]])
+        rank = even[keep]
+        k_new = k_sel[keep]
+        if k_new.size < 2:
+            break
+        level += 1
+        all_t.append(prev_t[rank])
+        all_k.append(k_new)
+        all_rank.append(rank)
+        z = np.diff(rank)
+        all_counts.append(z)
+        all_exc.append(reference_excursion_bits(prev_k, rank, z))
+    return all_t, all_k, all_rank, all_counts, all_exc
+
+
+def reference_excursion_bits(prev_k, rank, z):
+    """Pooled excursion indicators from the subcrossing orientation pairs."""
+    orient = np.sign(np.diff(prev_k)).astype(np.int8)
+    n_exc = (z - 2) // 2
+    total = int(n_exc.sum())
+    if total == 0:
+        return np.zeros(0, dtype=np.int8)
+    parent = np.repeat(np.arange(n_exc.size), n_exc)
+    within = np.arange(total) - np.repeat(
+        np.concatenate([[0], np.cumsum(n_exc)[:-1]]), n_exc
+    )
+    first_idx = rank[:-1][parent] + 2 * within
+    return (orient[first_idx] < 0).astype(np.int8)

@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from clmtree import calibrate
 from clmtree.calibrate import (
+    FELLER_MAX_REDRAWS,
     SECANT_STEPS,
     WINDOW_BLOCK_VALUES,
     _bridge_touches,
@@ -546,3 +550,24 @@ def test_delta_mc_refuses_empty_or_repeated_steps(monkeypatch):
     for steps in ((), (2, 2), (3, 2, 3)):
         with pytest.raises(ValueError, match="distinct step exponents"):
             delta_mc(FELLER, 200, 0.8, step_exponents=steps, n_paths=4)
+
+
+def test_coarse_feller_step_raises_within_seconds():
+    """At step 1 a Milstein step from a Feller value much above 2 all but
+    never lands above 0, so its redraws are bounded: the calibration
+    raises a ValueError naming the step instead of looping.  It runs in a
+    child process, so that a regression fails on the timeout rather than
+    hanging the suite."""
+    code = ("from clmtree.calibrate import delta_mc\n"
+            "from clmtree.simulate import ProcessSpec\n"
+            "delta_mc(ProcessSpec('feller', kappa=6, mu=0.2, sigma=1), 1250, 5,"
+            " step_exponents=(0,), n_paths=4)\n")
+    root = os.path.dirname(os.path.dirname(calibrate.__file__))
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert out.returncode != 0
+    assert ("ValueError: step 1 is too coarse for this Feller process: a "
+            f"value stayed at or below 0 after {FELLER_MAX_REDRAWS} redraws"
+            in out.stderr), out.stderr

@@ -261,6 +261,9 @@ class TestCli:
          "clmtree calibrate: error: need n_paths >= 2, and even for feller"),
         (["qv", "--c-list", ","],
          "clmtree qv: error: need at least one c value"),
+        (["qv", "--c-list=-1,0", "--n-paths", "3"],
+         "clmtree qv: error: c values must be finite and positive, "
+         "got [-1.0, 0.0]"),
         (["calibrate", "--process", "feller", "--kappa", "6", "--mu", "0.2",
           "--sigma", "1", "--n-paths", "4", "--step-exponents", ","],
          "clmtree calibrate: error: need distinct step exponents, got ()"),
@@ -270,7 +273,7 @@ class TestCli:
     ], ids=["analyze-unread", "qv-unread", "calibrate-unread", "type1-unread",
             "type1-bad-tests", "power-bad-spec", "type1-no-delta",
             "calibrate-not-diffusion", "calibrate-unread-param",
-            "calibrate-odd-feller-paths", "qv-no-c",
+            "calibrate-odd-feller-paths", "qv-no-c", "qv-bad-c",
             "calibrate-no-step-exponents", "calibrate-repeated-step"])
     def test_usage_errors(self, argv, reason, tmp_path):
         """A flag the subcommand does not read, and a value the library

@@ -3,13 +3,30 @@ import math
 import numpy as np
 import pytest
 
+from clmtree import harness
 from clmtree.qv import (
+    MIN_TEST_VALUES,
+    NormalizedIncrements,
+    QvPath,
     estimate_qv,
     normal_gof_tests,
+    qv_increments,
+    qv_rows,
+    qv_tests,
     select_increment,
     time_change_increments,
+    time_change_rows,
 )
 from clmtree.series import TickSeries
+from clmtree.simulate import ProcessSpec
+from oracle_qv import (
+    reference_estimate_qv,
+    reference_gof,
+    reference_path_outcomes,
+    reference_qv_study,
+    reference_select_increment,
+    reference_time_change,
+)
 
 
 def grid_series(values, spacing=1.0):
@@ -89,6 +106,28 @@ class TestTimeChange:
         idx = np.searchsorted(qv.qv, thresholds, side="right")
         assert np.all(np.diff(idx) >= 0)
         assert np.all(qv.qv[idx] > thresholds)  # strictly exceeds
+
+    def test_last_threshold_stays_below_the_total(self):
+        # On this line at c = 4, total / increment rounds up to 3 + 1 ulp,
+        # and 3 increments give exactly the total.  The per-path time
+        # change took N = 3 and read past the path's end; N is now 2, and
+        # in a batch the next path's values are not read.
+        s = grid_series(np.arange(14) / 3.0)
+        qv = estimate_qv(s)
+        inc = select_increment(qv, 4.0)
+        assert 3 * inc == qv.total()
+        with pytest.raises(IndexError):
+            reference_time_change(s, qv.qv, inc)
+        norm = time_change_increments(s, qv, inc)
+        assert norm.n_points == 2
+        idx = np.searchsorted(qv.qv, inc * np.arange(1, 3), side="right")
+        assert np.array_equal(norm.z, np.diff(s.values[idx + 2])
+                              / math.sqrt(inc))
+        values = np.array([s.values, s.values[::-1] * 5.0])
+        qvs = qv_rows(s.times, values)
+        z, n_points = time_change_rows(values, qvs, qv_increments(qvs, 4.0))
+        assert n_points[0] == 2
+        assert np.array_equal(z.values[:z.lengths[0]], norm.z)
 
     def test_null_normalised_variance(self):
         # across paths the normalised increments average unit variance
@@ -172,3 +211,219 @@ class TestNormalGof:
             res["cvm"].statistic > CVM_CRIT_5PCT)
         assert 0.0 < res["sm"].p_value < 1.0
 
+
+
+# ---------------------------------------------------------------------------
+# the batched study against the frozen per-path study
+# ---------------------------------------------------------------------------
+
+def _same_outcome(got, want):
+    assert got == want
+    assert type(got.statistic) is type(want.statistic)
+    assert type(got.reject_at_5pct) is type(want.reject_at_5pct)
+
+
+def _assert_rows_match_reference(values, times, c, drop_last):
+    """Every row's tested flag and KS / CvM / SM outcomes, field by field,
+    against the frozen per-path functions on that row alone."""
+    tested, res = qv_tests(values, qv_rows(times, values), c, drop_last)
+    for i, row in enumerate(values):
+        want = reference_path_outcomes(TickSeries(times, row), c, drop_last)
+        assert bool(tested[i]) == (want is not None), i
+        if want is not None:
+            for key, outcome in want.items():
+                _same_outcome(res[key].outcome(i, key), outcome)
+
+
+# c as the number of QV increments per tested step: ratios near 1 and 2
+# leave fewer than 2 full increments, ratios up to 7 fewer than
+# MIN_TEST_VALUES normalised increments
+RATIOS = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0)
+
+
+def test_study_matches_the_frozen_per_path_study(monkeypatch):
+    """Property: ``run_qv_study`` gives the frozen per-path study's rows,
+    and ``qv_tests`` every path's statistics, ``==``, for any number of
+    paths and points, in one block of paths or several, both processes,
+    ``qv_drop_last`` and c values that leave from fewer than 2 increments
+    to many."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=80)
+    @hypothesis.given(
+        n_paths=st.integers(1, 12),
+        n_points=st.integers(2, 400),
+        seed=st.integers(0, 2**32 - 1),
+        ratios=st.lists(st.one_of(st.sampled_from(RATIOS),
+                                  st.floats(0.2, 150.0)),
+                        min_size=1, max_size=4),
+        drop_last=st.booleans(),
+        process=st.sampled_from(["bm", "expbm"]),
+        spacing=st.sampled_from([1.0 / 250.0, 1.0, 0.37]),
+        block_values=st.sampled_from([harness.QV_BLOCK_VALUES, 1, 700]))
+    def run(n_paths, n_points, seed, ratios, drop_last, process, spacing,
+            block_values):
+        monkeypatch.setattr(harness, "QV_BLOCK_VALUES", block_values)
+        cfg = harness.StudyConfig(
+            process=ProcessSpec("bm"), n_paths=n_paths, seed=seed,
+            qv_n_points=n_points, qv_spacing=spacing, qv_process=process,
+            qv_drop_last=drop_last)
+        c_values = [max(n_points - 2, 1) / r for r in ratios]
+        rows, per_path = reference_qv_study(cfg, c_values)
+        assert harness.run_qv_study(cfg, c_values).rows == rows
+        paths = harness._qv_paths(cfg, range(n_paths))
+        times = spacing * np.arange(n_points + 1)
+        qv = qv_rows(times, paths)
+        for c, want in zip(c_values, per_path):
+            tested, res = qv_tests(paths, qv, c, drop_last)
+            assert tested.tolist() == [w is not None for w in want]
+            for i, outcomes in enumerate(want):
+                for key, outcome in (outcomes or {}).items():
+                    _same_outcome(res[key].outcome(i, key), outcome)
+
+    run()
+
+
+@pytest.mark.parametrize("seed", [201, 202, 203])
+def test_null_study_matches_the_frozen_study(seed):
+    """The benchmark's null-study QV call: 400 paths of 1250 points."""
+    cfg = harness.StudyConfig(process=ProcessSpec("bm"), n_paths=400,
+                              seed=seed, qv_n_points=1250,
+                              qv_spacing=1.0 / 250.0)
+    c_values = (20.0, 60.0, 100.0, 140.0)
+    rows, _ = reference_qv_study(cfg, c_values)
+    assert harness.run_qv_study(cfg, c_values).rows == rows
+
+
+def test_degenerate_paths_match_the_frozen_functions():
+    """Property: on paths that are constant, flat at the start or end,
+    mostly flat, a walk, or a +-1 walk (whose QV thresholds at an integer
+    c fall on QV values), the batch decides each row as the frozen
+    functions decide it alone."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    kinds = ("walk", "unit", "constant", "flat_head", "flat_tail", "sparse")
+
+    def path(kind, n, rng):
+        steps = rng.standard_normal(n - 1)
+        if kind == "unit":
+            steps = rng.choice([-1.0, 1.0], n - 1)
+        elif kind == "constant":
+            steps[:] = 0.0
+        elif kind == "flat_head":
+            steps[:rng.integers(0, n)] = 0.0
+        elif kind == "flat_tail":
+            steps[rng.integers(0, n):] = 0.0
+        elif kind == "sparse":
+            steps[rng.random(n - 1) < 0.9] = 0.0
+        return np.r_[3.0, 3.0 + np.cumsum(steps)]
+
+    @hypothesis.settings(max_examples=150)
+    @hypothesis.given(
+        rows=st.lists(st.sampled_from(kinds), min_size=1, max_size=8),
+        n=st.integers(3, 200),
+        seed=st.integers(0, 2**32 - 1),
+        ratio=st.one_of(st.sampled_from(RATIOS), st.floats(0.2, 100.0)),
+        whole_c=st.one_of(st.none(), st.integers(1, 40)),
+        drop_last=st.booleans())
+    def run(rows, n, seed, ratio, whole_c, drop_last):
+        rng = np.random.default_rng(seed)
+        values = np.array([path(kind, n, rng) for kind in rows])
+        c = max(n - 3, 1) / ratio if whole_c is None else float(whole_c)
+        _assert_rows_match_reference(values, np.arange(n, dtype=float), c,
+                                     drop_last)
+
+    run()
+
+
+class TestScalarFunctionsMatchTheFrozenOnes:
+    """The single-path functions are batches of one: the frozen functions'
+    values, and their ValueErrors with the same messages."""
+
+    @staticmethod
+    def _walk(n, seed, spacing=1.0):
+        rng = np.random.default_rng(seed)
+        return grid_series(np.r_[0.0, np.cumsum(rng.standard_normal(n - 1))],
+                           spacing=spacing)
+
+    @pytest.mark.parametrize("n", [3, 4, 17, 600])
+    @pytest.mark.parametrize("c", [0.5, 3.0, 40.0])
+    def test_values(self, n, c):
+        s = self._walk(n, n, spacing=0.01)
+        qv = estimate_qv(s)
+        want = reference_estimate_qv(s)
+        assert qv.qv.dtype == want.dtype and np.array_equal(qv.qv, want)
+        try:
+            inc = reference_select_increment(want, c)
+            z, n_points = reference_time_change(s, want, inc)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                time_change_increments(s, qv, select_increment(qv, c))
+            return
+        assert select_increment(qv, c) == inc
+        norm = time_change_increments(s, qv, inc)
+        assert np.array_equal(norm.z, z) and norm.n_points == n_points
+        assert type(norm.n_points) is int and type(norm.increment) is float
+        for drop_last in (False, True):
+            got = normal_gof_tests(norm, drop_last=drop_last)
+            for key, outcome in reference_gof(z, drop_last).items():
+                _same_outcome(got[key], outcome)
+
+    @pytest.mark.parametrize("m", [0, 1, MIN_TEST_VALUES - 1, MIN_TEST_VALUES,
+                                   8, 9, 64])
+    def test_gof_at_every_length(self, m):
+        z = np.random.default_rng(m).standard_normal(m) * 1.3 + 0.2
+        for drop_last in (False, True):
+            got = normal_gof_tests(NormalizedIncrements(z, 1.0, m + 1),
+                                   drop_last=drop_last)
+            for key, outcome in reference_gof(z, drop_last).items():
+                _same_outcome(got[key], outcome)
+
+    def test_errors(self):
+        s = self._walk(40, 1)
+        qv = estimate_qv(s)
+        cases = [
+            (lambda: estimate_qv(grid_series([0.0, 1.0])),
+             "need at least 3 observations on the grid"),
+            (lambda: estimate_qv(TickSeries(np.array([0.0, 1.0, 2.5]),
+                                            np.zeros(3))),
+             "observations are not on a regular grid"),
+            (lambda: select_increment(qv, 0.0), "c must be positive"),
+            (lambda: select_increment(qv, -2.0), "c must be positive"),
+            (lambda: select_increment(QvPath(np.array([1.0])), 2.0),
+             "degenerate quadratic variation"),
+            (lambda: select_increment(QvPath(np.array([1.0, 1.0])), 2.0),
+             "degenerate quadratic variation"),
+            (lambda: time_change_increments(s, qv, 0.0),
+             "increment must be positive"),
+            (lambda: time_change_increments(s, qv, qv.total() / 2.0),
+             "fewer than 2 full QV increments available"),
+        ]
+        for call, message in cases:
+            with pytest.raises(ValueError, match=message):
+                call()
+
+
+class TestStudyRefusesBadInput:
+    @pytest.mark.parametrize("c_values", [[-1.0, 0.0], [20.0, 0.0],
+                                          [math.nan], [math.inf, 20.0]])
+    def test_bad_c_before_simulating(self, c_values, monkeypatch):
+        def paths(cfg):
+            raise AssertionError("simulated before checking c")
+
+        monkeypatch.setattr(harness, "_qv_paths", paths)
+        cfg = harness.StudyConfig(process=ProcessSpec("bm"), n_paths=3)
+        with pytest.raises(ValueError, match="c values must be finite and "
+                                             "positive"):
+            harness.run_qv_study(cfg, c_values)
+
+    @pytest.mark.parametrize("spacing, n_points", [
+        (0.0, 50), (-0.004, 50), (math.nan, 50), (math.inf, 50),
+        (1e308, 50), (0.004, 1), (0.004, 0), (0.004, -3)])
+    def test_bad_grid(self, spacing, n_points):
+        cfg = harness.StudyConfig(process=ProcessSpec("bm"), n_paths=3,
+                                  qv_spacing=spacing, qv_n_points=n_points)
+        with pytest.raises(ValueError, match="need qv_n_points >= 2 and a "
+                                             "finite, positive qv_spacing"):
+            harness.run_qv_study(cfg, [20.0])

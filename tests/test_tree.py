@@ -20,7 +20,7 @@ from clmtree.tree import (
     select_base_scale,
 )
 from oracle_scan import reference_lattice_events
-from oracle_tree import brute_level_hits, brute_tree
+from oracle_tree import brute_level_hits, brute_tree, reference_levels
 
 
 def walk_series(values):
@@ -275,6 +275,51 @@ def test_single_scan_tree_equals_rescan(kind):
         atol = (4 * np.finfo(float).eps * np.max(np.abs(series.values)) / delta
                 * np.max(np.diff(series.times)))
     _assert_same_tree(t, rescan, ulps=4, atol=atol)
+
+
+def _assert_levels_match_the_frozen_loop(t):
+    """Every level above 0 of ``t`` against the frozen level loop run on
+    its level-0 hits: the same arrays, dtypes included."""
+    ref = reference_levels(t.hit_times[0], t.hit_index[0])
+    assert t.max_level == len(ref[0]) - 1
+    for mine, want in zip((t.hit_times, t.hit_index, t.prev_rank, t.counts,
+                           t.excursions), ref):
+        for level in range(1, t.max_level + 1):
+            assert mine[level].dtype == want[level].dtype
+            assert np.array_equal(mine[level], want[level])
+    assert t.excursions[0].dtype == np.int8 and t.excursions[0].size == 0
+
+
+def test_levels_match_the_frozen_loop_on_walks():
+    """Property: on +-1/0 walks (flat segments, re-touches, starts off the
+    lattice) at any origin, every coarser level is the frozen loop's."""
+    def check(walk, k, delta, series, shift):
+        for origin in (k * delta, None):
+            try:
+                t = build_tree(series, delta, origin)
+            except TreeError:
+                continue
+            _assert_levels_match_the_frozen_loop(t)
+
+    _shifted_walks(check)
+
+
+@pytest.mark.parametrize("kind", sorted(SINGLE_SCAN_PATHS))
+def test_levels_match_the_frozen_loop_on_paths(kind):
+    """OU and Feller chains, an fBm path and pip log prices, at the
+    latticed origin and at the first value."""
+    make, delta = SINGLE_SCAN_PATHS[kind]
+    series = make()
+    delta = delta or select_base_scale(series)
+    for origin in (None, float(series.values[0])):
+        _assert_levels_match_the_frozen_loop(build_tree(series, delta, origin))
+
+
+def test_levels_match_the_frozen_loop_on_bm_chains():
+    spec = ProcessSpec("bm")
+    for seed in range(5):
+        _assert_levels_match_the_frozen_loop(
+            build_tree(_chain(spec, 0.0632455532, seed), 0.0632455532))
 
 
 class TestLevelStats:
