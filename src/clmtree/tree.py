@@ -86,9 +86,9 @@ def lattice_events(times, values, delta: float, origin: float):
     counts = np.abs(counts).astype(np.int64)
     pos = np.where(up, fa + 1.0, np.ceil(a) - 1.0)  # each segment's first hit
     span = b - a
-    t0 = times[seg]
-    dt = times[nxt] - t0
-    hit_t = t0 + (pos - a) / span * dt
+    t0, t1 = times[seg], times[nxt]
+    dt = t1 - t0  # t0 + dt can round past t1, so hits are capped at t1
+    hit_t = np.minimum(t0 + (pos - a) / span * dt, t1)
     hit_k = pos.astype(np.int64)
     multi = np.flatnonzero(counts > 1)
     if multi.size:  # the further hits of segments that hold several
@@ -97,7 +97,8 @@ def lattice_events(times, values, delta: float, origin: float):
         offsets = np.arange(1, extra.sum() + 1) - np.repeat(
             np.cumsum(extra) - extra, extra)
         pos = pos[parent] + np.where(up[parent], 1.0, -1.0) * offsets
-        more_t = t0[parent] + (pos - a[parent]) / span[parent] * dt[parent]
+        more_t = np.minimum(t0[parent] + (pos - a[parent]) / span[parent]
+                            * dt[parent], t1[parent])
         hit_t = np.insert(hit_t, parent + 1, more_t)
         hit_k = np.insert(hit_k, parent + 1, pos.astype(np.int64))
 
@@ -270,17 +271,16 @@ def multiple_crossing_shares(tree: CrossingTree, series: TickSeries) -> list[dic
     single data segment (the small-delta continuity diagnostic).
 
     The data segment of each level-0 hit is looked up once; a coarser
-    hit is a finer one (``prev_rank``) and keeps its segment.  Sorted,
-    the segments in which a level's crossings end hold each segment's
-    crossings in one run.  They come in order unless a hit time rounds
-    past the next tick, and a stable sort of a sorted array is one pass.
+    hit is a finer one (``prev_rank``) and keeps its segment.  Hit times
+    never decrease, so the segments in which a level's crossings end come
+    in order and hold each segment's crossings in one run.
     """
     out = []
     where = np.searchsorted(series.times, tree.hit_times[0], side="right") - 1
     for level in range(tree.max_level + 1):
         if level:
             where = where[tree.prev_rank[level]]
-        seg = np.sort(where[1:], kind="stable")
+        seg = where[1:]
         if seg.size == 0:
             out.append({"level": level, "ge2_pct": 0.0, "ge4_pct": 0.0})
             continue

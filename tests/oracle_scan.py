@@ -2,8 +2,9 @@
 
 ``tree.lattice_events`` as it stood before its passes were fused: every
 value takes the full snap test, crossings are counted from floor and
-ceiling differences, and each hit is expanded with ``np.repeat``.  The
-package's scan must return ``==`` arrays on every input.
+ceiling differences, and each hit is expanded with ``np.repeat``.  Hit
+times are taken no later than their segment's end, as the scan takes
+them.  The package's scan must return ``==`` arrays on every input.
 """
 
 import numpy as np
@@ -35,7 +36,10 @@ def reference_lattice_events(times, values, delta, origin):
     pos = np.repeat(first, counts) + np.repeat(step, counts) * offsets
     frac = (pos - np.repeat(a, counts)) / np.repeat(u[seg + 1] - a, counts)
     t0 = times[seg]
-    hit_t = np.repeat(t0, counts) + frac * np.repeat(times[seg + 1] - t0, counts)
+    t1 = times[seg + 1]
+    hit_t = np.minimum(np.repeat(t0, counts)
+                       + frac * np.repeat(t1 - t0, counts),
+                       np.repeat(t1, counts))
     hit_k = np.round(pos).astype(np.int64)
 
     if u[0] == np.round(u[0]):  # path starts on the lattice

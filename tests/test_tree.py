@@ -496,20 +496,67 @@ def test_multiple_crossing_shares_on_jumps_equal_level_by_level():
     assert shares[0]["ge4_pct"] > 0.0
 
 
-def test_multiple_crossing_shares_when_hit_times_leave_tick_order():
-    """A hit at the end of the segment from -1 to 0.6 ulp(1) is placed at
-    -1 + fl(1 + 0.6 ulp(1)) = ulp(1), past the next tick at 0.9 ulp(1),
-    while the next segment's hits fall before that tick: the segments in
-    which crossings end then leave their order, and must still be
-    grouped as ``np.unique`` groups them."""
+def test_multiple_crossing_shares_when_a_hit_rounds_past_its_tick():
+    """A hit at the end of the segment from -1 to 0.6 ulp(1) would be
+    placed at -1 + fl(1 + 0.6 ulp(1)) = ulp(1), past the next tick at
+    0.9 ulp(1), before the next segment's hits.  It is taken at its
+    segment's end, so no duration is negative, the segments in which
+    crossings end come in order, and they are grouped as ``np.unique``
+    groups them."""
     times = np.array([-1.0, 0.6 * 2.0**-52, 0.9 * 2.0**-52, 1.0, 2.0, 3.0])
     series = TickSeries(times=times,
                         values=np.array([0.0, 1.0, 3.0, 0.5, 3.5, 0.2]))
     tree = build_tree(series, 1.0, 0.0)
+    assert tree.hit_times[0][1] == times[1]
+    for level in range(tree.max_level + 1):
+        assert np.all(tree.durations(level) >= 0.0)
     where = np.searchsorted(times, tree.hit_times[0], side="right") - 1
-    assert np.any(np.diff(where[1:]) < 0)
+    assert np.all(np.diff(where) >= 0)
     assert (multiple_crossing_shares(tree, series)
             == _level_by_level_shares(tree, series))
+
+
+def test_hit_times_are_taken_no_later_than_their_segment_end():
+    """Ticks at -1, 0.6 ulp(1) and 0.9 ulp(1) with values 0, 1 and 3: the
+    hit on line 1 is the second tick itself, before the hits on lines 2
+    and 3 of the next segment."""
+    times = np.array([-1.0, 0.6 * 2.0**-52, 0.9 * 2.0**-52])
+    hit_t, hit_k = lattice_events(times, np.array([0.0, 1.0, 3.0]), 1.0, 0.0)
+    assert hit_k.tolist() == [0, 1, 2, 3]
+    assert hit_t[:2].tolist() == times[:2].tolist()
+    assert hit_t[3] == times[2]
+    assert np.all(np.diff(hit_t) >= 0.0)
+
+
+def test_hit_times_never_decrease():
+    """Property: on tick times that cross 0 within a few ulps of 1, or sit
+    far from it (so that ``t1 - t0`` rounds), with values on lines,
+    between them and jumping over several, the hit times never decrease
+    and stay within the ticks' span."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    tick = st.one_of(st.sampled_from([-2.0, -1.0, 1.0, 3.0, -1e9, 1e9]),
+                     st.floats(-4.0 * 2.0**-52, 4.0 * 2.0**-52),
+                     st.floats(-10.0, 10.0),
+                     st.floats(1e9 - 1.0, 1e9 + 1.0))
+
+    @hypothesis.settings(max_examples=400)
+    @hypothesis.given(
+        ticks=st.lists(tick, min_size=2, max_size=40, unique=True),
+        steps=st.lists(st.sampled_from([-3.0, -1.0, 0.0, 0.5, 1.0, 2.0]),
+                       min_size=39, max_size=39),
+        delta=st.sampled_from([1.0, 0.1, 0.037]),
+        origin=st.sampled_from([0.0, 0.05, -3.0]))
+    def run(ticks, steps, delta, origin):
+        times = np.unique(np.array(ticks) + 0.0)  # -0.0 and 0.0 are one
+        if times.size < 2:
+            return
+        values = np.cumsum(np.r_[0.0, steps[:times.size - 1]]) * delta
+        hit_t, _ = lattice_events(times, values, delta, origin)
+        assert np.all(np.diff(hit_t) >= 0.0)
+        assert np.all((hit_t >= times[0]) & (hit_t <= times[-1]))
+
+    run()
 
 
 def _same_events(times, values, delta, origin):
