@@ -289,8 +289,8 @@ def save_ticks(series: TickSeries, path: str) -> None:
             fh.writelines(f"# {line}\n" for line in series.meta.splitlines()
                           if line.strip())
         fh.write(CANONICAL_HEADER + "\n")
-        for t, v in zip(series.times, series.values):
-            fh.write(f"{float(t)!r},{float(v)!r}\n")
+        fh.write("".join(f"{t!r},{v!r}\n" for t, v in
+                         zip(series.times.tolist(), series.values.tolist())))
 
 
 def log_transform(series: TickSeries) -> TickSeries:

@@ -81,6 +81,33 @@ def test_multiline_meta_roundtrips(tmp_path):
     assert np.array_equal(back.values, ts.values)
 
 
+def _per_row_writer(ts, path):
+    """``save_ticks`` as it stood with one ``float()`` and one write a row."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        if ts.meta and "," not in ts.meta and ts.meta != path:
+            fh.writelines(f"# {line}\n" for line in ts.meta.splitlines()
+                          if line.strip())
+        fh.write(series.CANONICAL_HEADER + "\n")
+        for t, v in zip(ts.times, ts.values):
+            fh.write(f"{float(t)!r},{float(v)!r}\n")
+
+
+def test_save_ticks_writes_the_per_row_bytes(tmp_path):
+    rng = np.random.default_rng(5)
+    values = np.r_[-0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e16, -1e16,
+                   0.1, 1.0 / 3.0, rng.standard_normal(200)]
+    times = np.r_[-1e16, np.cumsum(rng.exponential(1.0, values.size - 1))]
+    ts = TickSeries(times=times, values=values,
+                    meta="EURUSD 2003\nsource: broker\n")
+    for name, meta in (("meta", ts.meta), ("plain", "")):
+        ts_ = TickSeries(times=ts.times, values=ts.values, meta=meta)
+        got, want = tmp_path / f"{name}.csv", tmp_path / f"{name}_rows.csv"
+        save_ticks(ts_, str(got))
+        _per_row_writer(ts_, str(want))
+        assert got.read_bytes() == want.read_bytes()
+    assert got.read_text().startswith("time,value\n-1e+16,-0.0\n")
+
+
 def _outcome(path):
     """load_ticks's result fields, bit for bit, or its error message."""
     try:
