@@ -27,8 +27,10 @@ from .simulate import ProcessSpec, simulate_crossings_batch, simulate_fbm_path
 from .tree import (
     CrossingTree,
     TreeError,
+    build_levels,
     build_tree,
     lattice_events,  # unused here; bench/tracing.py patches this name
+    level0_hits,
     level_stats,
     multiple_crossing_shares,
     select_base_scale,
@@ -105,12 +107,10 @@ class StudyConfig:
             raise ValueError(f"unknown tests: {sorted(unknown)}")
 
 
-def level_samples(counts: list, excursions: list) -> dict[str, Segments]:
-    """One level's samples of many trees, one segment per tree: the
-    subcrossing counts, their twos-indicator bits and the excursion bits."""
-    z = Segments.of(counts)
+def _samples(z: Segments, excursions: Segments) -> dict[str, Segments]:
+    """The roster's samples: counts, their twos bits and excursion bits."""
     return {"counts": z, "twos": z.over((z.values == 2).astype(np.int8)),
-            "excursions": Segments.of(excursions)}
+            "excursions": excursions}
 
 
 def run_test(test_id: str, samples: dict, tables: dict) -> SegmentOutcomes:
@@ -139,8 +139,8 @@ def apply_tests_to_tree(
     if not levels:
         return {}
     # the tree's levels are the segments: one call per test
-    samples = level_samples([tree.counts[l] for l in levels],
-                            [tree.excursions[l] for l in levels])
+    samples = _samples(Segments.of([tree.counts[l] for l in levels]),
+                       Segments.of([tree.excursions[l] for l in levels]))
     res = {test_id: run_test(test_id, samples, tables) for test_id in roster}
     return {level: {test_id: res[test_id].outcome(i, test_id) for test_id in roster}
             for i, level in enumerate(levels)}
@@ -182,49 +182,68 @@ def _simulate_series(cfg: StudyConfig, path_index: int) -> TickSeries:
     return TickSeries(times=times, values=values, meta=f"{spec.kind} chain")
 
 
+def _origin(cfg: StudyConfig, series: TickSeries) -> float | None:
+    """The policy's lattice origin; None puts it on the median line."""
+    return {"zero": 0.0, "first": float(series.values[0])}.get(cfg.delta0_policy)
+
+
 def tree_for_series(cfg: StudyConfig, series: TickSeries,
                     delta: float) -> CrossingTree:
-    """Build the tree on the lattice origin of the configured policy: 0,
-    the first value, or (latticed) the median crossing line that
-    ``build_tree`` places from its own scan."""
-    origin = None
-    if cfg.delta0_policy == "zero":
-        origin = 0.0
-    elif cfg.delta0_policy == "first":
-        origin = float(series.values[0])
-    return build_tree(series, delta, origin)
+    """Build the tree on the lattice origin of the configured policy."""
+    return build_tree(series, delta, _origin(cfg, series))
+
+
+def _study_hits(cfg: StudyConfig) -> Segments:
+    """Every path's level-0 hit lines on the policy's lattice, one segment
+    a path.  fBm paths are scanned.  Each value of a chain is a hit on its
+    site times delta, so a policy shifts a row of rounded quotients by 0,
+    its first site or its median line (rounded as ``level0_hits`` does)."""
+    chain = cfg.process.kind != "fbm"
+    if chain and cfg.n_crossings < 2:
+        raise RuntimeError("path 0: fewer than 2 level-0 crossings")
+    sites = np.empty((cfg.n_paths if chain else 0, cfg.n_crossings + 1), np.int64)
+    hits = []  # fBm paths' hit lines
+    for i in range(cfg.n_paths):
+        try:
+            if chain:
+                values = simulate_crossings_batch(
+                    cfg.process, cfg.delta, cfg.n_crossings, 1, [cfg.seed, i])[0]
+                np.rint(values / cfg.delta, out=sites[i], casting="unsafe")
+            else:
+                series = _simulate_series(cfg, i)
+                hits.append(level0_hits(series, cfg.delta, _origin(cfg, series))[1])
+        except (TreeError, ValueError) as exc:
+            raise RuntimeError(f"path {i}: {exc}") from exc
+    if not chain:
+        return Segments.of(hits)
+    if cfg.delta0_policy == "first":
+        sites -= sites[:, :1]
+    elif cfg.delta0_policy == "latticed":
+        sites -= np.rint(np.median(sites[:, 1:], axis=1)).astype(np.int64)[:, None]
+    return Segments.rows(sites)
 
 
 def run_study(cfg: StudyConfig, label: str) -> StudyReport:
-    """Simulate n_paths crossing records and build their trees, then run
-    each roster test once per level over all paths and tally rejections
-    per test and level."""
+    """Simulate n_paths crossing records and build all their trees at
+    once, one level at a time; run each roster test once per level over
+    all paths and tally rejections per test and level."""
     if cfg.process is None or cfg.delta is None:
         raise ValueError("simulation studies need a process spec and delta")
     tables = load_all_tables(cfg.cv_dir)
-    trees = []  # per path: (counts, excursions) of levels 1, 2, ...
-    for i in range(cfg.n_paths):
-        try:
-            series = _simulate_series(cfg, i)
-            tree = tree_for_series(cfg, series, cfg.delta)
-        except (TreeError, ValueError) as exc:
-            raise RuntimeError(f"path {i}: {exc}") from exc
-        trees.append((tree.counts[1:], tree.excursions[1:]))
     cells: dict = {}
-    max_level = max(len(counts) for counts, _ in trees)
-    for level in range(1, max_level + 1):
-        deep = [t for t in trees if len(t[0]) >= level]
-        samples = level_samples([c[level - 1] for c, _ in deep],
-                                [e[level - 1] for _, e in deep])
+    levels = []
+    for _, _, z, excursions in build_levels(_study_hits(cfg)):
+        levels.append(len(levels) + 1)
+        samples = _samples(z, excursions)
         for test_id in cfg.tests:
             res = run_test(test_id, samples, tables)
-            cells[(test_id, level)] = [int(res.rejected.sum()),
-                                       int(res.applied.sum())]
+            cells[(test_id, levels[-1])] = [int(res.rejected.sum()),
+                                            int(res.applied.sum())]
     return StudyReport(
         label=label,
         config=_config_summary(cfg),
         n_paths=cfg.n_paths,
-        levels=list(range(1, max_level + 1)),
+        levels=levels,
         cells=cells,
         test_order=cfg.tests,
     )

@@ -32,6 +32,11 @@ def skipped_outcome(test_id: str, n: int, reason: str) -> TestOutcome:
     return TestOutcome(test_id=test_id, n_used=n, skipped=reason)
 
 
+def spans(lo: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """The indices ``lo[i] + arange(n[i])`` for every i, end to end."""
+    return np.repeat(lo - (n.cumsum() - n), n) + np.arange(n.sum())
+
+
 class Segments:
     """One level's samples from many paths, end to end: segment i is
     ``values[starts[i] : starts[i] + lengths[i]]``; ``ids`` gives the
@@ -72,9 +77,7 @@ class Segments:
         if rows.size == len(self):
             return self
         lengths = self.lengths[rows]
-        shift = np.repeat(self.starts[rows] - (lengths.cumsum() - lengths),
-                          lengths)
-        return Segments(self.values[shift + np.arange(shift.size)], lengths)
+        return Segments(self.values[spans(self.starts[rows], lengths)], lengths)
 
     def counts(self, mask: np.ndarray) -> np.ndarray:
         """Per segment, the number of values where ``mask`` holds."""

@@ -1,13 +1,13 @@
 """Crossing tree of a piecewise-linear path over nested lattices.
 
 Level-l crossings are first passages of size ``delta * 2**l`` over the
-lattice ``origin + delta * 2**l * Z``.  ``build_tree`` walks the
-interpolated path once to enumerate every level-0 lattice hit
-(``lattice_events``), then derives each coarser level from the finer one
-by subsampling and first-passage reduction.  Without an origin it centres
-the lattice on the path's median crossing line m of that one scan:
-hits found on ``delta * Z`` serve the origin ``m * delta`` once shifted
-by m.
+lattice ``origin + delta * 2**l * Z``.  ``lattice_events`` walks the
+interpolated path once to enumerate every level-0 lattice hit.  One
+segmented builder, ``build_levels``, derives each coarser level from the
+finer one by subsampling and first-passage reduction, for many paths at
+once; ``build_tree`` is a batch of one.  Without an origin the lattice is
+centred on the path's median crossing line m of that one scan: hits found
+on ``delta * Z`` serve the origin ``m * delta`` once shifted by m.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .outcomes import Segments, spans
 from .series import TickSeries
 
 logger = logging.getLogger(__name__)
@@ -150,24 +151,15 @@ class CrossingTree:
             raise TreeError(f"level {level} out of range [0, {self.max_level}]")
 
 
-def build_tree(
-    series: TickSeries, delta: float, origin: float | None = None
-) -> CrossingTree:
-    """Construct the crossing tree of the linearly interpolated series.
+def level0_hits(series: TickSeries, delta: float, origin: float | None):
+    """``(hit_times, hit_index, origin)`` of the level-0 lattice hits.
 
-    Level-0 crossings start from the first hit of ``origin + delta * Z``
-    (that hit initialises the position and is not itself a crossing);
-    incomplete trailing crossings are discarded at every level.
-
-    ``origin=None`` centres the lattice on the series: the median of the
-    crossing values of a scan anchored at 0, snapped to the nearest
-    multiple m of delta.  Snapping keeps every level-0 crossing of
-    exact-chain inputs (a fractional offset would merge the chain's
-    one-step excursions into single passages), and a location estimate
-    tight to within about one crossing size is what preserves the power
-    of the coarse levels against mean-reverting alternatives.  The tree
-    is built from that scan's hits shifted by m; its hit times are those
-    of a scan at ``m * delta`` up to rounding in the last bits.
+    ``origin=None`` centres the lattice on the series: the median line m
+    of a scan anchored at 0, whose hits shifted by m serve the origin
+    ``m * delta`` (their times up to rounding in the last bits).  A whole
+    m keeps every level-0 crossing of exact-chain inputs, and a location
+    tight to about one crossing size keeps the coarse levels' power
+    against mean-reverting alternatives.
     """
     hit_t, hit_k = lattice_events(series.times, series.values, delta,
                                   0.0 if origin is None else origin)
@@ -178,50 +170,74 @@ def build_tree(
     if origin is None:
         m = round(float(np.median(hit_k[1:])))
         hit_k, origin = hit_k - m, m * delta
+    return hit_t, hit_k, origin
 
-    all_t = [hit_t]
-    all_k = [hit_k]
-    all_rank = [None]
-    all_counts = [None]
-    all_exc = [np.zeros(0, dtype=np.int8)]
 
-    # Hits move by +-1, so every other hit is on an even line, starting
-    # with the first or the second.  A coarser hit is an even hit whose
-    # halved line differs from the even hit's before it (the first even
-    # hit always is one).  Between two coarser hits the even hits lie on
-    # the same line, so the finer pair starting at each even hit whose
-    # successor is not a coarser hit is an excursion, down-up when its
-    # second hit lies below its first.
-    level = 0
-    while level < MAX_LEVELS:
-        prev_t, prev_k = all_t[level], all_k[level]
-        parity = int(prev_k[0]) & 1
-        half = prev_k[parity::2] >> 1
-        keep = np.empty(half.size, dtype=bool)
-        keep[:1] = True
-        np.not_equal(half[1:], half[:-1], out=keep[1:])
-        sel = np.flatnonzero(keep)
-        if sel.size < 2:  # no complete crossing at the coarser level
-            break
-        level += 1
-        rank = 2 * sel + parity
-        all_t.append(prev_t[rank])
-        all_k.append(half[sel])
-        all_rank.append(rank)
-        all_counts.append(rank[1:] - rank[:-1])
-        start = 2 * np.flatnonzero(~keep[1:sel[-1] + 1]) + parity
-        all_exc.append((prev_k[start + 1] < prev_k[start]).view(np.int8))
+def build_levels(hits: Segments):
+    """Level 1, 2, ... of many paths' trees, from each path's level-0 hit
+    lines as one nonempty segment of ``hits``.  Yields per level each
+    hit's index among the finer level's hits, the hit lines, and the
+    subcrossing counts and excursion bits, one segment per tree that
+    reaches the level.
 
+    Hits move by +-1, so every other hit of a tree is on an even line.  A
+    coarser hit is a tree's first even hit or an even hit off the line of
+    the hit two before it; its coarser line is half its line.  Between two
+    coarser hits the even hits lie on one line, so the finer pair ending
+    at each other even hit is an excursion, down-up when its middle hit
+    lies below.  A tree with fewer than 2 coarser hits ends.
+    """
+    k, starts = hits.values, hits.starts
+    del hits  # a finer level is freed once the coarser one is built
+    for _ in range(MAX_LEVELS):
+        even = (k & 1) == 0
+        coarse = even.copy()
+        coarse[2:] &= k[2:] != k[:-2]
+        stops = np.append(starts[1:], k.size)
+        first = starts + (k[starts] & 1)  # each tree's first even hit
+        coarse[first[first < stops]] = True
+        rank = np.flatnonzero(coarse)
+        begin = np.searchsorted(rank, starts)  # each tree's first coarser hit
+        n = np.diff(begin, append=rank.size)
+        deep = n >= 2
+        if not deep.any():  # no complete crossing at the coarser level
+            return
+        has, last = n > 0, begin + n - 1
+        tail = rank[last[has]] + 1  # the hits after a last coarser hit
+        even ^= coarse
+        even[spans(tail, stops[has] - tail)] = False
+        end = np.flatnonzero(even)  # the hits that end an excursion pair
+        bits = (k[end - 1] < k[end]).view(np.int8)
+        lo, hi = rank[begin[deep]], rank[last[deep]]
+        if lo.size < np.count_nonzero(has):  # trees that end at this level
+            rank = np.delete(rank, begin[n == 1])
+        n = n[deep]
+        ends = np.cumsum(n)
+        k, starts = k[rank] >> 1, ends - n
+        del even, coarse, end  # before the level is read
+        counts = np.delete(rank[1:] - rank[:-1], ends[:-1] - 1)
+        yield rank, k, Segments(counts, n - 1), Segments(bits, (hi - lo) // 2 - n + 1)
+
+
+def build_tree(
+    series: TickSeries, delta: float, origin: float | None = None
+) -> CrossingTree:
+    """Construct the crossing tree of the linearly interpolated series.
+
+    Level-0 crossings start from the first hit of ``origin + delta * Z``
+    (that hit initialises the position and is not itself a crossing);
+    incomplete trailing crossings are discarded at every level.
+    ``origin=None`` centres the lattice on the series (``level0_hits``).
+    The coarser levels are ``build_levels``' of this one path.
+    """
+    hit_t, hit_k, origin = level0_hits(series, delta, origin)
+    levels = [(hit_t, hit_k, None, None, np.zeros(0, dtype=np.int8))]
+    for rank, k, z, exc in build_levels(Segments(hit_k, [hit_k.size])):
+        levels.append((levels[-1][0][rank], k, rank, z.values, exc.values))
+    t, k, rank, z, exc = map(tuple, zip(*levels))
     return CrossingTree(
-        delta=float(delta),
-        origin=float(origin),
-        hit_times=tuple(all_t),
-        hit_index=tuple(all_k),
-        prev_rank=tuple(all_rank),
-        counts=tuple(all_counts),
-        excursions=tuple(all_exc),
-        max_level=level,
-    )
+        delta=float(delta), origin=float(origin), hit_times=t, hit_index=k,
+        prev_rank=rank, counts=z, excursions=exc, max_level=len(levels) - 1)
 
 
 def select_base_scale(series: TickSeries) -> float:

@@ -119,10 +119,18 @@ class TestStudy:
         bm_cfg(n_paths=12, n_crossings=600),
         StudyConfig(process=ProcessSpec("ou", alpha=8.0, sigma=1.0), n_paths=8,
                     n_crossings=600, delta=0.063015, seed=3),
-    ], ids=["bm", "ou"])
+        bm_cfg(n_paths=6, n_crossings=300, delta0_policy="zero"),
+        StudyConfig(process=ProcessSpec("feller", kappa=8.0, mu=0.2, sigma=1.0),
+                    n_paths=6, n_crossings=600, delta=0.02833, seed=4,
+                    delta0_policy="first"),
+        StudyConfig(process=ProcessSpec("fbm", hurst=0.7, sigma2=1.0 / 250.0),
+                    n_paths=3, delta=0.0010176, seed=2, fbm_horizon=0.5,
+                    tests=("chi2", "twos", "runs_ud")),
+    ], ids=["bm", "ou", "bm-zero", "feller-first", "fbm"])
     def test_cells_tally_the_per_tree_outcomes(self, cfg):
-        """A study decides each level of all paths in one call per test; its
-        cells equal a tally of the per-tree outcomes."""
+        """A study builds every path's levels together and decides each
+        level of all paths in one call per test; its cells equal a tally
+        of the per-tree outcomes."""
         from clmtree.critical_values import load_all_tables
         from clmtree.harness import (_simulate_series, apply_tests_to_tree,
                                      run_study, tree_for_series)

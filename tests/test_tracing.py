@@ -75,35 +75,27 @@ def test_tracer_times_the_tick_load(tmp_path):
 
 
 def test_tracer_counts_the_trees_built(tmp_path):
-    """Every harness tree comes from ``harness.build_tree``, so a traced
-    study and a traced analysis count each tree they build and its
-    level-0 crossings."""
-    cfg = harness.StudyConfig(
-        process=simulate.ProcessSpec("bm"), n_paths=3, n_crossings=400,
-        delta=0.063, seed=2, tests=("chi2",))
-    study_trees = [harness.tree_for_series(cfg, harness._simulate_series(cfg, i),
-                                           cfg.delta) for i in range(cfg.n_paths)]
+    """An analysis builds its tree with ``harness.build_tree``, so a traced
+    analysis counts the tree and its level-0 crossings.  (Studies build
+    all their paths' levels at once with ``build_levels`` and no longer
+    call it.)"""
     rng = np.random.default_rng(14)
     series = TickSeries(times=np.arange(3000, dtype=float),
                         values=np.cumsum(rng.standard_normal(3000)))
     path = str(tmp_path / "ticks.csv")
     save_ticks(series, path)
     analysis = harness.StudyConfig(tests=("chi2",))
-    analysis_trees = [harness.tree_for_series(
+    trees = [harness.tree_for_series(
         analysis, series, harness.select_base_scale(series))]
-    tracing = _tracing()
-    for run, trees in ((lambda: harness.run_type1_study(cfg), study_trees),
-                       (lambda: harness.analyze_dataset(path, analysis),
-                        analysis_trees)):
-        tracer = tracing.Tracer()
-        tracer.install()
-        try:
-            run()
-        finally:
-            tracer.remove()
-        metrics = tracer.metrics()
-        assert metrics["tree.trees"] == len(trees)
-        assert metrics["tree.crossings"] == sum(t.n_crossings(0) for t in trees)
+    tracer = _tracing().Tracer()
+    tracer.install()
+    try:
+        harness.analyze_dataset(path, analysis)
+    finally:
+        tracer.remove()
+    metrics = tracer.metrics()
+    assert metrics["tree.trees"] == len(trees)
+    assert metrics["tree.crossings"] == sum(t.n_crossings(0) for t in trees)
 
 
 def test_delta_mc_logs_one_record_per_pass(caplog, monkeypatch):

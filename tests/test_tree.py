@@ -1,7 +1,16 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from clmtree.harness import StudyConfig, tree_for_series
+from clmtree.harness import (
+    StudyConfig,
+    _origin,
+    _simulate_series,
+    _study_hits,
+    tree_for_series,
+)
+from clmtree.outcomes import Segments
 from clmtree.series import TickSeries, log_transform
 from clmtree.simulate import (
     ProcessSpec,
@@ -12,9 +21,11 @@ from clmtree.tree import (
     SNAP_MAX,
     SNAP_TOL,
     TreeError,
+    build_levels,
     build_tree,
     export_tree,
     lattice_events,
+    level0_hits,
     level_stats,
     multiple_crossing_shares,
     select_base_scale,
@@ -320,6 +331,101 @@ def test_levels_match_the_frozen_loop_on_bm_chains():
     for seed in range(5):
         _assert_levels_match_the_frozen_loop(
             build_tree(_chain(spec, 0.0632455532, seed), 0.0632455532))
+
+
+def _segment(seg, j):
+    return seg.values[seg.starts[j]:seg.starts[j] + seg.lengths[j]]
+
+
+def _assert_batch_matches_each_walk(walks):
+    """Every level ``build_levels`` yields for the walks' hits together,
+    split back per walk, is the frozen loop's level of that walk alone
+    (dtypes included) and the brute-force oracle's.  A walk is present at
+    a level while its tree reaches it, in the order of the walks."""
+    walks = [np.asarray(w, dtype=np.int64) for w in walks]
+    refs = [reference_levels(np.arange(w.size, dtype=float), w) for w in walks]
+    brute = [brute_tree(w) for w in walks]
+    levels = list(build_levels(Segments.of(walks)))
+    assert len(levels) == max(len(r[0]) - 1 for r in refs)
+    present, starts = list(range(len(walks))), np.cumsum(
+        [0] + [w.size for w in walks])
+    for l, (rank, hit_index, counts, excursions) in enumerate(levels, start=1):
+        now = [i for i in present if len(refs[i][0]) > l]
+        assert len(counts) == len(excursions) == len(now)
+        assert counts.values.dtype == np.int64
+        assert excursions.values.dtype == np.int8
+        hit_lengths = counts.lengths + 1
+        k_starts = np.cumsum(hit_lengths) - hit_lengths
+        assert hit_index.size == rank.size == hit_lengths.sum()
+        for j, i in enumerate(now):
+            _, k, ref_rank, z, exc = (x[l] for x in refs[i])
+            hits = slice(k_starts[j], k_starts[j] + hit_lengths[j])
+            for got, want in ((hit_index[hits], k),
+                              (rank[hits] - starts[present.index(i)], ref_rank),
+                              (_segment(counts, j), z),
+                              (_segment(excursions, j), exc)):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert _segment(counts, j).tolist() == brute[i][l]["counts"]
+            assert _segment(excursions, j).tolist() == brute[i][l]["excursions"]
+        present, starts = now, k_starts
+
+
+def test_batched_levels_match_each_walk():
+    """Property: on lists of +-1 walks of unequal length, from one
+    crossing to a few hundred, every level of every walk is its own."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    walk = st.builds(lambda start, steps: start + np.cumsum(np.r_[0, steps]),
+                     st.integers(-5, 5),
+                     st.lists(st.sampled_from([-1, 1]), min_size=1,
+                              max_size=300))
+
+    @hypothesis.settings(max_examples=300)
+    @hypothesis.given(st.lists(walk, min_size=1, max_size=8))
+    def run(walks):
+        _assert_batch_matches_each_walk(walks)
+
+    run()
+
+
+def test_batched_levels_with_shallow_and_flat_trees():
+    """Walks of one and two crossings (no level 1), a monotone walk (no
+    excursions at any level), one that ends at level 1 and two that go
+    deeper, in one batch."""
+    rng = np.random.default_rng(7)
+    deep = [np.cumsum(np.r_[3, rng.choice([-1, 1], n)]) for n in (400, 90)]
+    walks = [[0, 1], deep[0], [1, 0, -1], np.arange(-3, 6), [0, 1, 0, 1, 2],
+             [5, 4], deep[1], [2, 3, 2, 1, 0, 1, 2, 3, 4]]
+    _assert_batch_matches_each_walk(walks)
+    walks = [np.asarray(w, dtype=np.int64) for w in walks]
+    depth = [len(brute_tree(w)) - 1 for w in walks]
+    assert depth[:6] == [0, depth[1], 0, 2, 1, 0] and depth[1] >= 3
+    levels = list(build_levels(Segments.of(walks)))
+    assert [len(counts) for _, _, counts, _ in levels[:2]] == [5, 4]
+    assert levels[0][3].lengths[1] == 0  # the monotone walk's excursions
+
+
+@pytest.mark.parametrize("policy", ["zero", "first", "latticed"])
+def test_chain_sites_equal_the_scan(policy):
+    """A study takes a chain's hits from its values rounded to sites and
+    shifted by the policy; they are the hits of the scan that
+    ``build_tree`` makes on the lattice of that policy.  Short chains
+    have medians halfway between two lines, which round half to even."""
+    specs = {"bm": (ProcessSpec("bm"), 0.0632455532),
+             "ou": (ProcessSpec("ou", alpha=10.0, sigma=1.0), 0.062945),
+             "feller": (ProcessSpec("feller", kappa=8.0, mu=0.2, sigma=1.0),
+                        0.02833)}
+    for (spec, delta), n in itertools.product(specs.values(), (700, 10)):
+        cfg = StudyConfig(process=spec, n_paths=4, n_crossings=n,
+                          delta=delta, seed=5, delta0_policy=policy)
+        hits = _study_hits(cfg)
+        assert len(hits) == cfg.n_paths
+        for i in range(cfg.n_paths):
+            series = _simulate_series(cfg, i)
+            hit_t, hit_k, _ = level0_hits(series, delta, _origin(cfg, series))
+            assert np.array_equal(hit_t, series.times)
+            got = _segment(hits, i)
+            assert got.dtype == hit_k.dtype and np.array_equal(got, hit_k)
 
 
 class TestLevelStats:
