@@ -87,9 +87,11 @@ def lattice_events(times, values, delta: float, origin: float):
     counts = np.abs(counts).astype(np.int64)
     pos = np.where(up, fa + 1.0, np.ceil(a) - 1.0)  # each segment's first hit
     span = b - a
-    t0, t1 = times[seg], times[nxt]
-    dt = t1 - t0  # t0 + dt can round past t1, so hits are capped at t1
-    hit_t = np.minimum(t0 + (pos - a) / span * dt, t1)
+    t0 = times[seg]
+    dt = times[nxt] - t0
+    hit_t = t0 + (pos - a) / span * dt
+    # t0 + dt can round past the segment's end, so hits are capped there
+    np.minimum(hit_t, times[nxt], out=hit_t)
     hit_k = pos.astype(np.int64)
     multi = np.flatnonzero(counts > 1)
     if multi.size:  # the further hits of segments that hold several
@@ -98,8 +100,8 @@ def lattice_events(times, values, delta: float, origin: float):
         offsets = np.arange(1, extra.sum() + 1) - np.repeat(
             np.cumsum(extra) - extra, extra)
         pos = pos[parent] + np.where(up[parent], 1.0, -1.0) * offsets
-        more_t = np.minimum(t0[parent] + (pos - a[parent]) / span[parent]
-                            * dt[parent], t1[parent])
+        more_t = t0[parent] + (pos - a[parent]) / span[parent] * dt[parent]
+        np.minimum(more_t, times[nxt[parent]], out=more_t)
         hit_t = np.insert(hit_t, parent + 1, more_t)
         hit_k = np.insert(hit_k, parent + 1, pos.astype(np.int64))
 
