@@ -200,7 +200,7 @@ def build_levels(hits: Segments):
         coarse[first[first < stops]] = True
         rank = np.flatnonzero(coarse)
         begin = np.searchsorted(rank, starts)  # each tree's first coarser hit
-        n = np.diff(begin, append=rank.size)
+        n = np.searchsorted(rank, stops) - begin
         deep = n >= 2
         if not deep.any():  # no complete crossing at the coarser level
             return
@@ -229,8 +229,8 @@ def build_tree(
     Level-0 crossings start from the first hit of ``origin + delta * Z``
     (that hit initialises the position and is not itself a crossing);
     incomplete trailing crossings are discarded at every level.
-    ``origin=None`` centres the lattice on the series (``level0_hits``).
-    The coarser levels are ``build_levels``' of this one path.
+    ``origin=None`` centres the lattice on the series (``level0_hits``);
+    the coarser levels are ``build_levels``' of this one path.
     """
     hit_t, hit_k, origin = level0_hits(series, delta, origin)
     levels = [(hit_t, hit_k, None, None, np.zeros(0, dtype=np.int8))]
