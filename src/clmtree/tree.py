@@ -216,7 +216,7 @@ def build_levels(hits: Segments):
         n = n[deep]
         ends = np.cumsum(n)
         k, starts = k[rank] >> 1, ends - n
-        del even, coarse, end  # before the level is read
+        del even, coarse, end  # not held while the caller reads the level
         counts = np.delete(rank[1:] - rank[:-1], ends[:-1] - 1)
         yield rank, k, Segments(counts, n - 1), Segments(bits, (hi - lo) // 2 - n + 1)
 
