@@ -163,23 +163,17 @@ class StudyReport:
         return self.cell(test_id, level)[0] / self.n_paths
 
 
-def _simulate_series(cfg: StudyConfig, path_index: int) -> TickSeries:
+def _simulate_fbm(cfg: StudyConfig, path_index: int) -> TickSeries:
     spec = cfg.process
-    if spec.kind == "fbm":
-        # self-similar scaling gives the crossing-duration order of
-        # magnitude; the margin absorbs the H-dependent constant
-        horizon = cfg.fbm_horizon
-        if horizon is None:
-            per_crossing = (cfg.delta**2 / spec.sigma2) ** (1.0 / (2 * spec.hurst))
-            horizon = 2.2 * cfg.n_crossings * per_crossing
-        n_steps = int(math.ceil(horizon / cfg.fbm_grid))
-        return simulate_fbm_path(spec.hurst, spec.sigma2, n_steps,
-                                 cfg.fbm_grid, seed=[cfg.seed, path_index])
-    values = simulate_crossings_batch(
-        spec, cfg.delta, cfg.n_crossings, 1, [cfg.seed, path_index]
-    )[0]
-    times = np.arange(values.size, dtype=np.float64)
-    return TickSeries(times=times, values=values, meta=f"{spec.kind} chain")
+    # self-similar scaling gives the crossing-duration order of magnitude;
+    # the margin absorbs the H-dependent constant
+    horizon = cfg.fbm_horizon
+    if horizon is None:
+        per_crossing = (cfg.delta**2 / spec.sigma2) ** (1.0 / (2 * spec.hurst))
+        horizon = 2.2 * cfg.n_crossings * per_crossing
+    n_steps = int(math.ceil(horizon / cfg.fbm_grid))
+    return simulate_fbm_path(spec.hurst, spec.sigma2, n_steps,
+                             cfg.fbm_grid, seed=[cfg.seed, path_index])
 
 
 def _origin(cfg: StudyConfig, series: TickSeries) -> float | None:
@@ -210,7 +204,7 @@ def _study_hits(cfg: StudyConfig) -> Segments:
                     cfg.process, cfg.delta, cfg.n_crossings, 1, [cfg.seed, i])[0]
                 np.rint(values / cfg.delta, out=sites[i], casting="unsafe")
             else:
-                series = _simulate_series(cfg, i)
+                series = _simulate_fbm(cfg, i)
                 hits.append(level0_hits(series, cfg.delta, _origin(cfg, series))[1])
         except (TreeError, ValueError) as exc:
             raise RuntimeError(f"path {i}: {exc}") from exc

@@ -12,6 +12,7 @@ from clmtree.calibrate import delta_mc
 from clmtree.harness import (
     ALL_TESTS,
     StudyConfig,
+    _simulate_fbm,
     analyze_dataset,
     analyze_series,
     render_report,
@@ -20,7 +21,7 @@ from clmtree.harness import (
     run_type1_study,
 )
 from clmtree.series import TickSeries, save_ticks
-from clmtree.simulate import ProcessSpec
+from clmtree.simulate import ProcessSpec, simulate_crossings_batch
 from clmtree.tree import build_tree
 
 BM_DELTA = math.sqrt(0.004)
@@ -45,6 +46,16 @@ def jump_fixture(n=30_000, seed=12):
                             rng.choice([-1.0, 1.0], n) * rng.uniform(0.8, 1.2, n)))
     return TickSeries(times=np.arange(n + 1, dtype=float),
                       values=np.r_[0, np.cumsum(inc)])
+
+
+def path_series(cfg, i):
+    """Path i of a study as a tick series, as analysis would read it: an
+    fBm path, or a chain's values at unit tick times."""
+    if cfg.process.kind == "fbm":
+        return _simulate_fbm(cfg, i)
+    values = simulate_crossings_batch(cfg.process, cfg.delta, cfg.n_crossings,
+                                      1, [cfg.seed, i])[0]
+    return TickSeries(times=np.arange(values.size, dtype=float), values=values)
 
 
 def bm_cfg(**kw):
@@ -132,13 +143,12 @@ class TestStudy:
         level of all paths in one call per test; its cells equal a tally
         of the per-tree outcomes."""
         from clmtree.critical_values import load_all_tables
-        from clmtree.harness import (_simulate_series, apply_tests_to_tree,
-                                     run_study, tree_for_series)
+        from clmtree.harness import apply_tests_to_tree, run_study, tree_for_series
 
         tables = load_all_tables()
         cells = {}
         for i in range(cfg.n_paths):
-            tree = tree_for_series(cfg, _simulate_series(cfg, i), cfg.delta)
+            tree = tree_for_series(cfg, path_series(cfg, i), cfg.delta)
             for level, row in apply_tests_to_tree(tree, cfg.tests, tables).items():
                 for test_id, res in row.items():
                     cell = cells.setdefault((test_id, level), [0, 0])

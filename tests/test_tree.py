@@ -6,7 +6,6 @@ import pytest
 from clmtree.harness import (
     StudyConfig,
     _origin,
-    _simulate_series,
     _study_hits,
     tree_for_series,
 )
@@ -421,7 +420,9 @@ def test_chain_sites_equal_the_scan(policy):
         hits = _study_hits(cfg)
         assert len(hits) == cfg.n_paths
         for i in range(cfg.n_paths):
-            series = _simulate_series(cfg, i)
+            values = simulate_crossings_batch(spec, delta, n, 1, [cfg.seed, i])[0]
+            series = TickSeries(times=np.arange(values.size, dtype=float),
+                                values=values)
             hit_t, hit_k, _ = level0_hits(series, delta, _origin(cfg, series))
             assert np.array_equal(hit_t, series.times)
             got = _segment(hits, i)
