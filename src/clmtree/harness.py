@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -23,7 +24,8 @@ from .qv import (  # unused here; bench/tracing.py patches these names
     time_change_increments,
 )
 from .series import TickSeries, load_ticks, log_transform
-from .simulate import ProcessSpec, simulate_crossings_batch, simulate_fbm_path
+from .simulate import ProcessSpec, simulate_crossings_batch, simulate_fbm_paths
+from .simulate import simulate_fbm_path  # unused here; bench/tracing.py patches it
 from .tree import (
     CrossingTree,
     TreeError,
@@ -163,7 +165,7 @@ class StudyReport:
         return self.cell(test_id, level)[0] / self.n_paths
 
 
-def _simulate_fbm(cfg: StudyConfig, path_index: int) -> TickSeries:
+def _fbm_paths(cfg: StudyConfig, indices):
     spec = cfg.process
     # self-similar scaling gives the crossing-duration order of magnitude;
     # the margin absorbs the H-dependent constant
@@ -172,8 +174,8 @@ def _simulate_fbm(cfg: StudyConfig, path_index: int) -> TickSeries:
         per_crossing = (cfg.delta**2 / spec.sigma2) ** (1.0 / (2 * spec.hurst))
         horizon = 2.2 * cfg.n_crossings * per_crossing
     n_steps = int(math.ceil(horizon / cfg.fbm_grid))
-    return simulate_fbm_path(spec.hurst, spec.sigma2, n_steps,
-                             cfg.fbm_grid, seed=[cfg.seed, path_index])
+    return simulate_fbm_paths(spec.hurst, spec.sigma2, n_steps, cfg.fbm_grid,
+                              [[cfg.seed, i] for i in indices])
 
 
 def _origin(cfg: StudyConfig, series: TickSeries) -> float | None:
@@ -189,25 +191,27 @@ def tree_for_series(cfg: StudyConfig, series: TickSeries,
 
 def _study_hits(cfg: StudyConfig) -> Segments:
     """Every path's level-0 hit lines on the policy's lattice, one segment
-    a path.  fBm paths are scanned.  Each value of a chain is a hit on its
-    site times delta, so a policy shifts a row of rounded quotients by 0,
-    its first site or its median line (rounded as ``level0_hits`` does)."""
+    a path.  fBm paths are scanned as they arrive.  Each value of a chain
+    is a hit on its site times delta, so a policy shifts a row of rounded
+    quotients by 0, its first site or its median line, rounded as in ``level0_hits``."""
     chain = cfg.process.kind != "fbm"
     if chain and cfg.n_crossings < 2:
         raise RuntimeError("path 0: fewer than 2 level-0 crossings")
     sites = np.empty((cfg.n_paths if chain else 0, cfg.n_crossings + 1), np.int64)
     hits = []  # fBm paths' hit lines
-    for i in range(cfg.n_paths):
-        try:
-            if chain:
-                values = simulate_crossings_batch(
-                    cfg.process, cfg.delta, cfg.n_crossings, 1, [cfg.seed, i])[0]
-                np.rint(values / cfg.delta, out=sites[i], casting="unsafe")
-            else:
-                series = _simulate_fbm(cfg, i)
-                hits.append(level0_hits(series, cfg.delta, _origin(cfg, series))[1])
-        except (TreeError, ValueError) as exc:
-            raise RuntimeError(f"path {i}: {exc}") from exc
+    paths = _fbm_paths(cfg, range(0 if chain else cfg.n_paths))
+    with contextlib.closing(paths):  # joins its helper thread however the loop ends
+        for i in range(cfg.n_paths):
+            try:
+                if chain:
+                    values = simulate_crossings_batch(
+                        cfg.process, cfg.delta, cfg.n_crossings, 1, [cfg.seed, i])[0]
+                    np.rint(values / cfg.delta, out=sites[i], casting="unsafe")
+                else:
+                    series = next(paths)
+                    hits.append(level0_hits(series, cfg.delta, _origin(cfg, series))[1])
+            except (TreeError, ValueError) as exc:
+                raise RuntimeError(f"path {i}: {exc}") from exc
     if not chain:
         return Segments.of(hits)
     if cfg.delta0_policy == "first":

@@ -8,9 +8,10 @@ point, from the OU equilibrium lattice law, or from the exact first hit
 of the stationary Feller Gamma law.  The speed measure gives expected
 crossing durations.  One Gauss-Legendre rule, vectorised over sites,
 takes both integrals.  Nothing here steps time.  Fractional Brownian motion
-comes from circulant embedding of the increment covariance.  The
-crossings of any other sample path are the tree's level 0
-(``tree.lattice_events``).
+comes from circulant embedding of the increment covariance; a helper thread
+draws the next path's normals from that path's own generator while one path
+is transformed, so no number depends on thread timing.  The crossings of
+any other sample path are the tree's level 0 (``tree.lattice_events``).
 """
 
 from __future__ import annotations
@@ -384,6 +385,34 @@ def _fgn_sqrt_eigenvalues(n: int, hurst: float) -> np.ndarray:
         m *= 2
 
 
+def _draw_weighted(z: np.ndarray, sqrt_eig: np.ndarray,
+                   rng: np.random.Generator) -> np.ndarray:
+    """Draw the zeroed half spectra z in the stream order of one (rows, ...)
+    draw, every row's real ends first, and weight them by sqrt_eig, in
+    place; returns z.  Nothing large is allocated: it runs on a helper."""
+    parts = z.view(np.float64)  # (re, im) pairs
+    m = parts.shape[1] - 2
+    ends = rng.standard_normal((z.shape[0], 2))
+    for row in parts:
+        rng.standard_normal(out=row[2:m])
+    parts[:, 2:m] /= math.sqrt(2.0)
+    parts[:, 0], parts[:, m] = ends[:, 0], ends[:, 1]
+    z *= sqrt_eig
+    return z
+
+
+def _transform(z: np.ndarray, n: int, sigma2: float) -> np.ndarray:
+    """The first n noise values of each weighted half spectrum in z, by one
+    ``scipy.fft.hfft`` (imported on the first call) that may overwrite z."""
+    from scipy import fft
+
+    m = 2 * (z.shape[1] - 1)
+    x = fft.hfft(z, m, axis=1, overwrite_x=True)[:, :n]
+    x /= math.sqrt(m)
+    x *= math.sqrt(sigma2)
+    return x
+
+
 def fgn(n: int, hurst: float, sigma2: float, rng: np.random.Generator,
         size: int = 1) -> np.ndarray:
     """Exact-in-distribution fractional Gaussian noise, shape (size, n).
@@ -392,42 +421,49 @@ def fgn(n: int, hurst: float, sigma2: float, rng: np.random.Generator,
     sigma2/2 (|j+1|^2H - 2|j|^2H + |j-1|^2H), by circulant embedding
     (Wood & Chan 1994; Dietrich & Newsam 1997).  The weighted Gaussian
     vector is Hermitian, so only its half spectrum 0 .. m/2 is drawn and
-    one real-output transform of size m, ``scipy.fft.hfft`` (imported on
-    the first call), gives the path.  The draws and the scalings go into
-    one buffer in place; the result is a view of the transform's output.
+    one real-output transform of size m gives the path.  The draws and
+    the scalings go into one buffer in place; the result is a view of
+    the transform's output.
     """
-    from scipy import fft
-
     sqrt_eig = _fgn_sqrt_eigenvalues(n, hurst)
-    half = sqrt_eig.size - 1
-    m = 2 * half
-    z = np.zeros((size, half + 1), dtype=np.complex128)  # the ends are real
-    parts = z.view(np.float64)  # (re, im) pairs
-    ends = rng.standard_normal((size, 2))
-    for row in parts:  # row by row is the stream order of one (size, ...) draw
-        rng.standard_normal(out=row[2:m])
-    parts[:, 2:m] /= math.sqrt(2.0)
-    parts[:, 0], parts[:, m] = ends[:, 0], ends[:, 1]
-    z *= sqrt_eig
-    x = fft.hfft(z, m, axis=1, overwrite_x=True)[:, :n]
-    x /= math.sqrt(m)
-    x *= math.sqrt(sigma2)
-    return x
+    z = np.zeros((size, sqrt_eig.size), dtype=np.complex128)  # the ends are real
+    return _transform(_draw_weighted(z, sqrt_eig, rng), n, sigma2)
 
 
-def simulate_fbm_path(
-    hurst: float, sigma2: float, n: int, grid: float, seed=0
-) -> TickSeries:
-    """Fractional Brownian motion sampled every ``grid`` time units.
+def simulate_fbm_paths(hurst: float, sigma2: float, n: int, grid: float,
+                       seeds):
+    """Yield fBm paths sampled every ``grid`` time units, one per seed in
+    order: ``fgn``'s increments from generator ``seeds[i]`` alone, cumulated
+    and rescaled by grid**hurst, so Var X(t) = sigma2 * t**(2*hurst).  While
+    path i is transformed and consumed, one helper thread draws path i + 1's
+    normals into a buffer allocated here, so no number depends on thread
+    timing.  The helper allocates nothing large (a second allocating thread's
+    malloc arena shows up as RSS) and is joined when the generator ends or
+    is closed.  The paths share one read-only times array."""
+    from concurrent.futures import ThreadPoolExecutor  # not on import clmtree
 
-    Unit-grid increments are generated exactly, cumulated, then rescaled by
-    grid**hurst (self-similarity), so Var X(t) = sigma2 * t**(2*hurst).
-    """
     spec = ProcessSpec("fbm", hurst=hurst, sigma2=sigma2)
-    rng = np.random.default_rng(_seed_key(seed))
-    values = np.empty(n + 1, dtype=np.float64)
-    values[0] = 0.0
-    np.cumsum(fgn(n, spec.hurst, spec.sigma2, rng)[0], out=values[1:])
-    values *= grid**hurst
+    sqrt_eig = _fgn_sqrt_eigenvalues(n, spec.hurst)
     times = grid * np.arange(n + 1, dtype=np.float64)
-    return TickSeries(times=times, values=values, meta=f"fbm H={hurst}")
+
+    def start(i):  # path i's zeroed buffer and generator, made on this thread
+        return (np.zeros((1, sqrt_eig.size), dtype=np.complex128), sqrt_eig,
+                np.random.default_rng(_seed_key(seeds[i])))
+
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        for i in range(len(seeds)):
+            z = drawn.result() if i else _draw_weighted(*start(0))
+            drawn = (helper.submit(_draw_weighted, *start(i + 1))
+                     if i + 1 < len(seeds) else None)
+            values = np.zeros(n + 1, dtype=np.float64)
+            np.cumsum(_transform(z, n, spec.sigma2)[0], out=values[1:])
+            del z  # release the spectrum before the path is consumed
+            values *= grid**hurst
+            yield TickSeries(times=times, values=values, meta=f"fbm H={hurst}")
+
+
+def simulate_fbm_path(hurst: float, sigma2: float, n: int, grid: float,
+                      seed=0) -> TickSeries:
+    """One path of ``simulate_fbm_paths``: the batch of one seed."""
+    [path] = simulate_fbm_paths(hurst, sigma2, n, grid, [seed])
+    return path

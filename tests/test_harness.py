@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from clmtree.calibrate import delta_mc
 from clmtree.harness import (
     ALL_TESTS,
     StudyConfig,
-    _simulate_fbm,
+    _fbm_paths,
     analyze_dataset,
     analyze_series,
     render_report,
@@ -52,7 +53,8 @@ def path_series(cfg, i):
     """Path i of a study as a tick series, as analysis would read it: an
     fBm path, or a chain's values at unit tick times."""
     if cfg.process.kind == "fbm":
-        return _simulate_fbm(cfg, i)
+        [series] = _fbm_paths(cfg, [i])
+        return series
     values = simulate_crossings_batch(cfg.process, cfg.delta, cfg.n_crossings,
                                       1, [cfg.seed, i])[0]
     return TickSeries(times=np.arange(values.size, dtype=float), values=values)
@@ -161,6 +163,68 @@ class TestStudy:
         cfg = bm_cfg(n_crossings=1)  # too short for any tree
         with pytest.raises(RuntimeError, match="path 0"):
             run_type1_study(cfg)
+
+
+class TestFbmStudy:
+    """An fBm study scans each path as it arrives, while a helper thread
+    draws the next path's normals; that thread must not outlive the
+    study call, whether it ends normally or in an error."""
+
+    CFG = StudyConfig(process=ProcessSpec("fbm", hurst=0.7, sigma2=1.0 / 250.0),
+                      n_paths=4, delta=0.0010176, seed=2, fbm_horizon=0.5,
+                      tests=("chi2", "twos"))
+
+    def test_a_full_run_leaves_no_thread(self):
+        before = threading.active_count()
+        run_power_study(self.CFG)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("bad", [0, 1, 3])
+    def test_a_failed_draw_names_its_path(self, monkeypatch, bad):
+        from clmtree import simulate
+
+        calls = []
+        draw = simulate._draw_weighted
+
+        def failing(*args):
+            calls.append(None)
+            if len(calls) == bad + 1:
+                raise ValueError("injected draw failure")
+            return draw(*args)
+
+        monkeypatch.setattr(simulate, "_draw_weighted", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError,
+                           match=f"^path {bad}: injected draw failure$") as err:
+            run_power_study(self.CFG)
+        # joined even while the error's traceback holds the study's frames
+        assert threading.active_count() == before
+        assert err.value.__cause__ is not None
+
+    @pytest.mark.parametrize("bad", [0, 2, 3])
+    def test_a_failed_scan_names_its_path(self, monkeypatch, bad):
+        """The scan of path ``bad`` fails while the helper draws the
+        next path; the study still names the path and joins the helper."""
+        from clmtree import harness
+        from clmtree.tree import TreeError
+
+        scans = []
+        scan = harness.level0_hits
+
+        def failing(*args):
+            scans.append(None)
+            if len(scans) == bad + 1:
+                raise TreeError("injected scan failure")
+            return scan(*args)
+
+        monkeypatch.setattr(harness, "level0_hits", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError,
+                           match=f"^path {bad}: injected scan failure$") as err:
+            run_power_study(self.CFG)
+        # joined even while the error's traceback holds the study's frames
+        assert threading.active_count() == before
+        assert err.value.__cause__ is not None
 
 
 class TestAnalyze:

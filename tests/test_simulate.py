@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from clmtree.simulate import (
     mean_crossing_times,
     simulate_crossings_batch,
     simulate_fbm_path,
+    simulate_fbm_paths,
 )
 from clmtree.tree import lattice_events
 
@@ -490,6 +492,94 @@ class TestFbm:
         a = simulate_fbm_path(0.7, 1.0, 500, 1e-3, seed=11)
         b = simulate_fbm_path(0.7, 1.0, 500, 1e-3, seed=11)
         assert np.array_equal(a.values, b.values)
+
+
+class TestFbmPaths:
+    """``simulate_fbm_paths`` draws path i + 1's normals on one helper
+    thread while path i is transformed and yielded; the numbers must not
+    depend on it, and the helper must not outlive the generator."""
+
+    @staticmethod
+    def _thread_starts(monkeypatch):
+        started = []
+        start = threading.Thread.start
+
+        def counted(thread):
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted)
+        return started
+
+    @pytest.mark.parametrize("n_seeds", [0, 1, 2, 7])
+    @pytest.mark.parametrize("n, hurst, sigma2, grid", [
+        (1, 0.7, 1.0, 1e-3), (500, 0.3, 2.0, 0.25), (4096, 0.9, 0.5, 1e-5),
+        (100_000, 0.7, 1.0 / 250.0, 1e-5)])
+    def test_each_path_equals_a_lone_call(self, monkeypatch, n_seeds, n,
+                                          hurst, sigma2, grid):
+        seeds = [[n_seeds, i] for i in range(n_seeds)]
+        if seeds:
+            seeds[-1] = n_seeds  # an int seed among the keys
+        before = threading.active_count()
+        started = self._thread_starts(monkeypatch)
+        paths = list(simulate_fbm_paths(hurst, sigma2, n, grid, seeds))
+        # one helper thread, and none without a second path to draw
+        assert len(started) == (n_seeds > 1)
+        assert threading.active_count() == before
+        assert len(paths) == n_seeds
+        for path, seed in zip(paths, seeds):
+            lone = simulate_fbm_path(hurst, sigma2, n, grid, seed)
+            assert np.array_equal(path.values, lone.values)
+            assert np.array_equal(path.times, lone.times)
+            assert path.values.dtype == path.times.dtype == np.float64
+            assert path.meta == lone.meta and len(path) == n + 1
+            assert not path.times.flags.writeable
+        assert all(p.times is paths[0].times for p in paths)
+        assert len(started) == (n_seeds > 1)  # the lone calls start none
+
+    def test_early_close_joins_the_helper(self):
+        before = threading.active_count()
+        paths = simulate_fbm_paths(0.7, 1.0, 2000, 1e-3, [[1, i] for i in range(5)])
+        first = next(paths)
+        assert threading.active_count() == before + 1  # drawing path 1
+        paths.close()
+        assert threading.active_count() == before
+        assert np.array_equal(first.values,
+                              simulate_fbm_path(0.7, 1.0, 2000, 1e-3, [1, 0]).values)
+
+    @pytest.mark.parametrize("bad", [0, 1, 3])
+    def test_a_failed_draw_raises_at_its_path_and_joins_the_helper(
+            self, monkeypatch, bad):
+        """Path ``bad``'s draw fails, on the helper thread unless it is
+        the first path; the paths before it come out, then the error."""
+        from clmtree import simulate
+
+        calls = []
+        draw = simulate._draw_weighted
+
+        def failing(z, sqrt_eig, rng):
+            calls.append(threading.current_thread() is threading.main_thread())
+            if len(calls) == bad + 1:
+                raise ValueError("injected")
+            return draw(z, sqrt_eig, rng)
+
+        monkeypatch.setattr(simulate, "_draw_weighted", failing)
+        before = threading.active_count()
+        paths = simulate_fbm_paths(0.7, 1.0, 2000, 1e-3, [[2, i] for i in range(5)])
+        got = []
+        with pytest.raises(ValueError, match="injected"):
+            for path in paths:
+                got.append(path)
+        assert len(got) == bad
+        assert threading.active_count() == before
+        # path 0 is drawn on the calling thread, the rest on the helper
+        assert calls == [True] + [False] * bad
+
+    def test_bad_parameters_raise_before_any_thread(self, monkeypatch):
+        started = self._thread_starts(monkeypatch)
+        with pytest.raises(ValueError, match="hurst"):
+            next(simulate_fbm_paths(1.2, 1.0, 100, 1e-3, [1, 2]))
+        assert started == []
 
 
 class TestExtractCrossings:
