@@ -439,12 +439,14 @@ def simulate_fbm_paths(hurst: float, sigma2: float, n: int, grid: float,
     normals into a buffer allocated here, so no number depends on thread
     timing.  The helper allocates nothing large (a second allocating thread's
     malloc arena shows up as RSS) and is joined when the generator ends or
-    is closed.  The paths share one read-only times array."""
+    is closed.  The paths share one read-only times array, checked once."""
     from concurrent.futures import ThreadPoolExecutor  # not on import clmtree
 
     spec = ProcessSpec("fbm", hurst=hurst, sigma2=sigma2)
     sqrt_eig = _fgn_sqrt_eigenvalues(n, spec.hurst)
     times = grid * np.arange(n + 1, dtype=np.float64)
+    # one series checks the shared times once; each path checks its values
+    grid_series = TickSeries(times=times, values=times, meta=f"fbm H={hurst}")
 
     def start(i):  # path i's zeroed buffer and generator, made on this thread
         return (np.zeros((1, sqrt_eig.size), dtype=np.complex128), sqrt_eig,
@@ -459,7 +461,7 @@ def simulate_fbm_paths(hurst: float, sigma2: float, n: int, grid: float,
             np.cumsum(_transform(z, n, spec.sigma2)[0], out=values[1:])
             del z  # release the spectrum before the path is consumed
             values *= grid**hurst
-            yield TickSeries(times=times, values=values, meta=f"fbm H={hurst}")
+            yield grid_series._on_times(values)
 
 
 def simulate_fbm_path(hurst: float, sigma2: float, n: int, grid: float,

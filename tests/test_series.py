@@ -1,5 +1,7 @@
 import importlib.util
 import math
+import os
+import threading
 import warnings
 from pathlib import Path
 
@@ -114,7 +116,8 @@ def _outcome(path):
         ts = load_ticks(path)
     except ValueError as exc:
         return "error", str(exc)
-    return ts.times.tobytes(), ts.values.tobytes(), ts.meta, ts.collapsed
+    return (ts.times.dtype, ts.values.dtype, ts.times.tobytes(),
+            ts.values.tobytes(), ts.meta, ts.collapsed)
 
 
 def _loop_outcome(path):
@@ -255,6 +258,170 @@ def test_fixed_reader_refuses_near_misses(tmp_path):
     check()
 
 
+class _SplitReads:
+    """Small blocks for the fixed-layout reader, with a record of the
+    threads it starts and of each block read: (thread, offset, bytes)."""
+
+    def __init__(self, mp, rows_per_block, width):
+        mp.setattr(series, "FIXED_BLOCK_BYTES", rows_per_block * width)
+        self.starts, self.reads = [], []
+        start, preadv = threading.Thread.start, os.preadv
+
+        def counted_start(thread):
+            self.starts.append(thread)
+            return start(thread)
+
+        def recorded_preadv(fd, buffers, offset):
+            got = preadv(fd, buffers, offset)
+            self.reads.append((threading.get_ident(), offset, got))
+            return got
+
+        mp.setattr(threading.Thread, "start", counted_start)
+        mp.setattr(os, "preadv", recorded_preadv)
+
+    def reader_of(self, offset):
+        """The thread that read the byte at ``offset``."""
+        (ident,) = [i for i, lo, got in self.reads if lo <= offset < lo + got]
+        return ident
+
+
+def _split(text):
+    """(body offset, row width, rows) of a fixed-layout file's text."""
+    head, _, body = text.partition("time,value\n")
+    start = len((head + "time,value\n").encode("utf-8"))
+    width = body.index("\n") + 1
+    return start, width, len(body) // width
+
+
+def _caller_rows(rows, rows_per_block):
+    """The rows the calling thread parses: the first half of the blocks,
+    rounded up."""
+    blocks = -(-rows // rows_per_block)
+    return min(rows, (blocks + 1) // 2 * rows_per_block)
+
+
+def test_split_reader_matches_line_loop(tmp_path):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    path = tmp_path / "split.csv"
+
+    @hypothesis.given(case=_fixed_layout_files(), rows_per_block=st.integers(1, 3))
+    def check(case, rows_per_block):
+        text, digits = case
+        path.write_bytes(text.encode("utf-8"))
+        _, width, rows = _split(text)
+        before = threading.active_count()
+        with pytest.MonkeyPatch.context() as mp:
+            spy = _SplitReads(mp, rows_per_block, width)
+            taken = _fixed_reader_takes(path)
+            assert threading.active_count() == before
+            got = _outcome(str(path))
+        assert threading.active_count() == before
+        assert taken == all(1 <= d <= series.FIXED_MAX_DIGITS for d in digits)
+        assert got == _loop_outcome(str(path))
+        # one helper per accepted load of two or more blocks, none for one
+        helpers = 1 if taken and rows > rows_per_block else 0
+        assert len(spy.starts) == 2 * helpers
+
+    check()
+
+
+def test_split_reader_refusal_in_either_half(tmp_path):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    path = tmp_path / "near.csv"
+
+    @hypothesis.given(
+        case=_fixed_layout_files(), kind=st.sampled_from("-e_"),
+        where=st.sampled_from(["caller", "boundary", "helper"]),
+        rows_per_block=st.integers(1, 3), pick=st.integers(0, 11),
+        col=st.integers(0, 29))
+    def check(case, kind, where, rows_per_block, pick, col):
+        text, digits = case
+        hypothesis.assume(all(1 <= d <= series.FIXED_MAX_DIGITS
+                              for d in digits))
+        start, width, rows = _split(text)
+        hypothesis.assume(rows > rows_per_block)  # a helper is started
+        mid = _caller_rows(rows, rows_per_block)
+        row = {"caller": 1 + pick % max(1, mid - 1),
+               "boundary": mid - 1 + pick % 2,
+               "helper": mid + pick % (rows - mid)}[where]
+        hypothesis.assume(0 < row < rows)  # row 0 sets the layout
+        body = bytearray(text.encode("utf-8"))
+        line = body[start + row * width:start + (row + 1) * width]
+        digit_cols = [i for i, b in enumerate(line) if chr(b).isdigit()]
+        body[start + row * width + digit_cols[col % len(digit_cols)]] = ord(kind)
+        path.write_bytes(bytes(body))
+        before = threading.active_count()
+        with pytest.MonkeyPatch.context() as mp:
+            spy = _SplitReads(mp, rows_per_block, width)
+            assert not _fixed_reader_takes(path)
+        assert threading.active_count() == before
+        caller = spy.reader_of(start + row * width) == threading.get_ident()
+        assert caller == (row < mid)
+        with pytest.MonkeyPatch.context() as mp:
+            _SplitReads(mp, rows_per_block, width)
+            assert _outcome(str(path)) == _loop_outcome(str(path))
+        assert threading.active_count() == before
+
+    check()
+
+
+def _many_blocks(tmp_path, rows=40):
+    text = "time,value\n" + "".join(f"{i:04d},1.{i:03d}\n" for i in range(rows))
+    path = tmp_path / "many.csv"
+    path.write_text(text, encoding="utf-8")
+    return str(path), _split(text)
+
+
+def test_one_block_file_starts_no_thread(tmp_path, monkeypatch):
+    path, (_, width, rows) = _many_blocks(tmp_path)
+    spy = _SplitReads(monkeypatch, rows, width)
+    s = load_ticks(path)
+    assert spy.starts == [] and len(spy.reads) == 1
+    assert s.values.tolist() == [1 + i / 1000 for i in range(rows)]
+
+
+@pytest.mark.parametrize("failing", ["caller", "helper"])
+def test_read_error_in_either_half_joins_the_helper(tmp_path, monkeypatch,
+                                                   failing):
+    path, (start, width, rows) = _many_blocks(tmp_path)
+    spy = _SplitReads(monkeypatch, 3, width)
+    helper_from = start + _caller_rows(rows, 3) * width
+    preadv = os.preadv
+
+    def failing_preadv(fd, buffers, offset):
+        if (offset >= helper_from) == (failing == "helper"):
+            raise OSError(5, "Input/output error")
+        return preadv(fd, buffers, offset)
+
+    monkeypatch.setattr(os, "preadv", failing_preadv)
+    before = threading.active_count()
+    with pytest.raises(OSError, match="cannot read tick file"):
+        load_ticks(path)
+    assert threading.active_count() == before
+    assert len(spy.starts) == 1
+
+
+def test_file_truncated_after_its_size_is_read(tmp_path, monkeypatch):
+    path, (start, width, rows) = _many_blocks(tmp_path)
+    spy = _SplitReads(monkeypatch, 3, width)
+    fstat = os.fstat
+
+    def truncating_fstat(fd):
+        st = fstat(fd)
+        os.truncate(path, start + 25 * width)  # in the helper's half
+        return st
+
+    monkeypatch.setattr(os, "fstat", truncating_fstat)
+    before = threading.active_count()
+    with open(path, "rb") as fh:
+        assert series._fixed_rows(fh) is None
+    assert threading.active_count() == before and len(spy.starts) == 1
+    monkeypatch.undo()
+    assert _outcome(path) == _loop_outcome(path)
+
+
 @pytest.mark.parametrize("preamble", [b"# a\rb\n", b"# \xff\n"])
 def test_fixed_reader_leaves_text_mode_preambles(tmp_path, preamble):
     # text mode ends a line at '\r' and refuses bytes that are not UTF-8
@@ -346,6 +513,19 @@ def test_log_transform_identities():
     out = log_transform(ts)
     assert np.allclose(out.values, [0.0, 1.0, 2.0], atol=1e-15)
     assert np.array_equal(out.times, ts.times)
+
+
+def test_series_on_checked_times_checks_only_its_values():
+    ts = TickSeries(times=np.array([0.0, 1.0, 2.0]),
+                    values=np.array([1.0, 2.0, 4.0]), meta="m", collapsed=3)
+    out = log_transform(ts)
+    assert out.times is ts.times
+    assert (out.meta, out.collapsed) == ("m", 3)
+    assert not out.values.flags.writeable
+    for bad in ([1.0, np.inf, 2.0], [1.0, np.nan, 2.0], [1.0, 2.0],
+                [[1.0, 2.0, 3.0]]):
+        with pytest.raises(ValueError):
+            ts._on_times(np.array(bad))
 
 
 def test_log_transform_rejects_nonpositive():
