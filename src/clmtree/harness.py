@@ -7,7 +7,7 @@ import json
 import math
 import os
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -70,6 +70,7 @@ ROSTER = {
 ALL_TESTS = tuple(ROSTER)
 
 DELTA0_POLICIES = ("zero", "first", "latticed")
+QV_PROCESSES = ("bm", "expbm")
 
 # path values the QV study simulates and tests at a time: a block's path
 # and QV matrices take about 2.4 MB
@@ -107,6 +108,19 @@ class StudyConfig:
         unknown = set(self.tests) - set(ALL_TESTS)
         if unknown:
             raise ValueError(f"unknown tests: {sorted(unknown)}")
+        if self.n_crossings < 2:
+            raise ValueError(f"need n_crossings >= 2, got {self.n_crossings}")
+        for name in ("delta", "fbm_grid", "fbm_horizon"):
+            val = getattr(self, name)
+            if val is not None and not (math.isfinite(val) and val > 0):
+                raise ValueError(f"{name} must be finite and positive, got {val!r}")
+        fbm = self.process is not None and self.process.kind == "fbm"
+        for f in fields(self):
+            if (f.name.startswith("fbm_") and not fbm
+                    and getattr(self, f.name) != f.default):
+                raise ValueError(f"only an fbm process reads {f.name}")
+        if self.qv_process not in QV_PROCESSES:
+            raise ValueError(f"qv process must be one of {QV_PROCESSES}")
 
 
 def _samples(z: Segments, excursions: Segments) -> dict[str, Segments]:
@@ -183,20 +197,12 @@ def _origin(cfg: StudyConfig, series: TickSeries) -> float | None:
     return {"zero": 0.0, "first": float(series.values[0])}.get(cfg.delta0_policy)
 
 
-def tree_for_series(cfg: StudyConfig, series: TickSeries,
-                    delta: float) -> CrossingTree:
-    """Build the tree on the lattice origin of the configured policy."""
-    return build_tree(series, delta, _origin(cfg, series))
-
-
 def _study_hits(cfg: StudyConfig) -> Segments:
     """Every path's level-0 hit lines on the policy's lattice, one segment
     a path.  fBm paths are scanned as they arrive.  Each value of a chain
     is a hit on its site times delta, so a policy shifts a row of rounded
     quotients by 0, its first site or its median line, rounded as in ``level0_hits``."""
     chain = cfg.process.kind != "fbm"
-    if chain and cfg.n_crossings < 2:
-        raise RuntimeError("path 0: fewer than 2 level-0 crossings")
     sites = np.empty((cfg.n_paths if chain else 0, cfg.n_crossings + 1), np.int64)
     hits = []  # fBm paths' hit lines
     paths = _fbm_paths(cfg, range(0 if chain else cfg.n_paths))
@@ -265,7 +271,7 @@ class LevelReport:
     config: dict
     delta: float
     origin: float
-    rows: list  # per level: counts, temporal scale, outcomes, diagnostics
+    rows: list  # per level: level_stats, crossing shares and outcomes
     test_order: tuple
 
 
@@ -274,23 +280,12 @@ def analyze_series(series: TickSeries, cfg: StudyConfig,
     if cfg.log_transform:
         series = log_transform(series)
     delta = cfg.delta if cfg.delta is not None else select_base_scale(series)
-    tree = tree_for_series(cfg, series, delta)
+    tree = build_tree(series, delta, _origin(cfg, series))
     tables = load_all_tables(cfg.cv_dir)
     outcomes = apply_tests_to_tree(tree, cfg.tests, tables)
-    shares = {d["level"]: d for d in multiple_crossing_shares(tree, series)}
-    rows = []
-    for level in range(tree.max_level + 1):
-        stats_ = level_stats(tree, level)
-        row = {
-            "level": level,
-            "n_z": stats_["n_z"],
-            "n_v": stats_["n_v"],
-            "mean_duration_prev_level": stats_["mean_duration_prev_level"],
-            "ge2_pct": shares[level]["ge2_pct"],
-            "ge4_pct": shares[level]["ge4_pct"],
-            "outcomes": outcomes.get(level, {}),
-        }
-        rows.append(row)
+    rows = [{**level_stats(tree, share["level"]), **share,
+             "outcomes": outcomes.get(share["level"], {})}
+            for share in multiple_crossing_shares(tree, series)]
     return LevelReport(
         label=label,
         config=_config_summary(cfg),
@@ -322,8 +317,6 @@ def _qv_paths(cfg: StudyConfig, paths: range) -> np.ndarray:
     """The given paths, one per row, filled in place from each path's
     generator."""
     n, h = cfg.qv_n_points, cfg.qv_spacing
-    if cfg.qv_process not in ("bm", "expbm"):
-        raise ValueError(f"unknown qv process {cfg.qv_process!r}")
     out = np.empty((len(paths), n + 1))
     out[:, 0] = 0.0
     steps = out[:, 1:]
@@ -396,6 +389,11 @@ def _config_summary(cfg: StudyConfig) -> dict:
     return d
 
 
+def _json(payload) -> str:
+    """Sorted, indented JSON; a value JSON has no type for is its str."""
+    return json.dumps(payload, sort_keys=True, indent=1, default=str) + "\n"
+
+
 def _fmt_cell(rej: int, tested: int, n_paths: int) -> str:
     if tested == 0:
         return "--"
@@ -438,7 +436,7 @@ def _render_study(r: StudyReport, fmt: str) -> str:
                 lines.append(f"{test_id},{level},{rej},{tested},{r.n_paths}")
         return "\n".join(lines) + "\n"
     if fmt == "json":
-        payload = {
+        return _json({
             "label": r.label,
             "config": r.config,
             "n_paths": r.n_paths,
@@ -446,8 +444,7 @@ def _render_study(r: StudyReport, fmt: str) -> str:
                 f"{t}@{l}": list(r.cell(t, l))
                 for t in r.test_order for l in r.levels
             },
-        }
-        return json.dumps(payload, sort_keys=True, indent=1, default=str) + "\n"
+        })
     width = max(len(t) for t in r.test_order) + 2
     head = f"{r.label}: % of all (% of tested; # tested), {r.n_paths} paths"
     lines = [head, ""]
@@ -497,22 +494,14 @@ def _render_levels(r: LevelReport, fmt: str) -> str:
                 )
         return "\n".join(lines) + "\n"
     if fmt == "json":
-        payload = {
+        return _json({
             "label": r.label, "config": r.config, "delta": r.delta,
             "origin": r.origin,
             "levels": [
-                {
-                    **{k: row[k] for k in ("level", "n_z", "n_v",
-                                           "mean_duration_prev_level",
-                                           "ge2_pct", "ge4_pct")},
-                    "outcomes": {
-                        t: vars(res) for t, res in sorted(row["outcomes"].items())
-                    },
-                }
+                {**row, "outcomes": {t: vars(o) for t, o in row["outcomes"].items()}}
                 for row in r.rows
             ],
-        }
-        return json.dumps(payload, sort_keys=True, indent=1, default=str) + "\n"
+        })
     width = max(len(t) for t in r.test_order) + 2
     lines = [f"{r.label}: delta={r.delta!r} origin={r.origin!r}", ""]
     lines.append(" " * width + "".join(f"level {l:<10}" for l in levels))
@@ -559,10 +548,8 @@ def _render_qv(r: QvStudyReport, fmt: str) -> str:
             )
         return "\n".join(lines) + "\n"
     if fmt == "json":
-        return json.dumps(
-            {"label": r.label, "config": r.config, "n_paths": r.n_paths,
-             "rows": r.rows},
-            sort_keys=True, indent=1, default=str) + "\n"
+        return _json({"label": r.label, "config": r.config,
+                      "n_paths": r.n_paths, "rows": r.rows})
     lines = [f"qv study: {r.n_paths} paths", "",
              f"{'c':>8} {'mean N':>8} {'KS %':>8} {'CvM %':>8} {'SM %':>8}"]
     for row in r.rows:
@@ -579,7 +566,7 @@ def _render_qv(r: QvStudyReport, fmt: str) -> str:
 def _render_calibration(r: CalibrationResult, fmt: str) -> str:
     payload = {k: v for k, v in vars(r).items()}
     if fmt == "json":
-        return json.dumps(payload, sort_keys=True, indent=1, default=str) + "\n"
+        return _json(payload)
     if fmt == "csv":
         keys = sorted(payload)
         return (

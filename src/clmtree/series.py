@@ -46,7 +46,7 @@ class TickSeries:
             raise ValueError("times and values must be 1-d and equal length")
         if t.size < 2:
             raise ValueError("need at least 2 observations")
-        if not np.all(np.diff(t) > 0):
+        if not np.all(t[1:] > t[:-1]):
             raise ValueError("times must be strictly increasing")
         if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
             raise ValueError("times and values must be finite")
@@ -88,31 +88,51 @@ def load_ticks(path: str) -> TickSeries:
        reads a field with k digits after its '.' as an integer over 10**k;
        both are exact doubles (at most 15 digits, and 10**k exact for
        k <= 22), so the one division rounds correctly.  Two threads parse
-       the rows into one array whose rows become the series' arrays;
-    2. numpy's C reader (``np.loadtxt``);
-    3. a loop over the lines, which names the line of a malformed row.
+       the rows straight into the (2, n) array;
+    2. numpy's C reader (``_loadtxt_rows``);
+    3. a loop over the lines (``_line_rows``), which names the line of a
+       malformed row.
 
-    A file a route refuses goes to the next, so the accepted inputs are the
-    loop's, and so are the bits: every route reads the correctly rounded
-    double of each field.  Rows already in strictly increasing time skip
-    the sort and the duplicate collapse, which would leave them as they are.
+    Each route gives the (2, n) array of times and values and the '#'
+    lines, or None for a file it refuses, which goes to the next route.  So
+    the accepted inputs are the loop's, and so are the bits: every route
+    reads the correctly rounded double of each field.  Rows already in
+    strictly increasing time skip the sort and the duplicate collapse.
     """
     try:
         with open(path, "rb") as fh:
-            fast = _fixed_rows(fh)
-        raw = []
-        if fast is None:
+            got = _fixed_rows(fh)
+        if got is None:
             with open(path, "r", encoding="utf-8") as fh:
-                fast = _loadtxt_rows(fh)
-                if fast is None:
-                    fh.seek(0)
-                    raw = fh.read().split("\n")
+                got = _loadtxt_rows(fh) or _line_rows(fh, path)
     except OSError as exc:
         raise OSError(f"cannot read tick file {path}: {exc}") from exc
 
-    rows, comments = fast or ([], [])
-    header_seen = bool(fast)
-    for lineno, line in enumerate(raw, start=1):
+    cols, comments = got
+    if cols.shape[1] < 2:
+        raise ValueError(f"{path}: fewer than 2 observations")
+    collapsed = 0
+    # rows already in strictly increasing time need neither sort nor collapse
+    if not np.all(cols[0, 1:] > cols[0, :-1]):
+        cols = cols[:, np.argsort(cols[0], kind="stable")]
+        # Last observation wins on duplicate timestamps.
+        keep = np.concatenate([cols[0, 1:] != cols[0, :-1], [True]])
+        collapsed = int((~keep).sum())
+        cols = cols[:, keep]
+    if cols.shape[1] < 2:
+        raise ValueError(f"{path}: fewer than 2 distinct timestamps")
+    if collapsed:
+        logger.info("%s: collapsed %d duplicate-timestamp rows", path, collapsed)
+    meta = "; ".join(comments) if comments else path
+    return TickSeries(times=cols[0], values=cols[1], meta=meta, collapsed=collapsed)
+
+
+def _line_rows(fh, path: str):
+    """(cols, comments) of text ``fh``, read line by line from its start.
+    Raises ValueError naming the line of a wrong header or a malformed row."""
+    fh.seek(0)
+    rows, comments, header_seen = [], [], False
+    for lineno, line in enumerate(fh.read().split("\n"), start=1):
         line = line.strip()
         if not line:
             continue
@@ -135,30 +155,11 @@ def load_ticks(path: str) -> TickSeries:
             raise ValueError(f"{path}:{lineno}: malformed row {line!r}") from exc
     if not header_seen:
         raise ValueError(f"{path}: missing {CANONICAL_HEADER!r} header")
-
-    if len(rows) < 2:
-        raise ValueError(f"{path}: fewer than 2 observations")
-    cols = np.asarray(rows, dtype=np.float64).T  # times, values
-    collapsed = 0
-    # rows already in strictly increasing time need neither sort nor collapse
-    if not np.all(cols[0, 1:] > cols[0, :-1]):
-        cols = cols[:, np.argsort(cols[0], kind="stable")]
-        # Last observation wins on duplicate timestamps.
-        keep = np.concatenate([cols[0, 1:] != cols[0, :-1], [True]])
-        collapsed = int((~keep).sum())
-        cols = cols[:, keep]
-    if cols.shape[1] < 2:
-        raise ValueError(f"{path}: fewer than 2 distinct timestamps")
-    if collapsed:
-        logger.info("%s: collapsed %d duplicate-timestamp rows", path, collapsed)
-    meta = "; ".join(comments) if comments else path
-    return TickSeries(times=cols[0], values=cols[1], meta=meta, collapsed=collapsed)
+    return np.array(rows, dtype=np.float64).reshape(-1, 2).T, comments
 
 
 def _fixed_rows(fh):
-    """(rows, comments) of a fixed-layout tick file open in binary, or None.
-    ``rows`` is the (n, 2) transpose of one array whose two rows hold the
-    times and the values.
+    """(cols, comments) of a fixed-layout tick file open in binary, or None.
 
     The first data row sets the layout: its width, and the columns of its
     ',' and '.' bytes.  Every row must have the same bytes in those columns,
@@ -204,7 +205,7 @@ def _fixed_rows(fh):
         ok = _parse_fixed(fh.fileno(), start, layout, cols[:, :mid],
                           *_block_buffers(min(per_block, mid), width))
         ok = (second is None or second.result()) and ok
-    return (cols.T, comments) if ok else None
+    return (cols, comments) if ok else None
 
 
 def _block_buffers(rows: int, width: int):
@@ -299,7 +300,7 @@ def _preamble(lines):
 
 
 def _loadtxt_rows(fh):
-    """(rows, comments) with the rows read by ``np.loadtxt``, or None."""
+    """(cols, comments) with the rows read by ``np.loadtxt``, or None."""
     comments = _preamble(iter(fh.readline, ""))
     if comments is None:
         return None
@@ -312,7 +313,7 @@ def _loadtxt_rows(fh):
     if rows is None:
         fh.seek(start)
         rows = _read_rows(line for line in fh if not line.isspace())
-    return (rows, comments) if rows is not None and rows.shape[1] == 2 else None
+    return (rows.T, comments) if rows is not None and rows.shape[1] == 2 else None
 
 
 def _read_rows(lines):

@@ -26,6 +26,7 @@ from clmtree.simulate import ProcessSpec, simulate_crossings_batch
 from clmtree.tree import build_tree
 
 BM_DELTA = math.sqrt(0.004)
+FBM = ProcessSpec("fbm", hurst=0.7, sigma2=1.0 / 250.0)
 
 
 def jump_fixture(n=30_000, seed=12):
@@ -145,12 +146,13 @@ class TestStudy:
         level of all paths in one call per test; its cells equal a tally
         of the per-tree outcomes."""
         from clmtree.critical_values import load_all_tables
-        from clmtree.harness import apply_tests_to_tree, run_study, tree_for_series
+        from clmtree.harness import _origin, apply_tests_to_tree, run_study
 
         tables = load_all_tables()
         cells = {}
         for i in range(cfg.n_paths):
-            tree = tree_for_series(cfg, path_series(cfg, i), cfg.delta)
+            series = path_series(cfg, i)
+            tree = build_tree(series, cfg.delta, _origin(cfg, series))
             for level, row in apply_tests_to_tree(tree, cfg.tests, tables).items():
                 for test_id, res in row.items():
                     cell = cells.setdefault((test_id, level), [0, 0])
@@ -159,10 +161,39 @@ class TestStudy:
                         cell[0] += bool(res.reject_at_5pct)
         assert run_study(cfg, "tally").cells == cells
 
-    def test_simulator_failure_carries_path_index(self):
-        cfg = bm_cfg(n_crossings=1)  # too short for any tree
-        with pytest.raises(RuntimeError, match="path 0"):
-            run_type1_study(cfg)
+    def test_simulator_failure_carries_path_index(self, monkeypatch):
+        from clmtree import harness
+
+        def fail_at_path_1(spec, delta, n, m, key):
+            if key[1] == 1:
+                raise ValueError("chain failed")
+            return simulate_crossings_batch(spec, delta, n, m, key)
+
+        monkeypatch.setattr(harness, "simulate_crossings_batch", fail_at_path_1)
+        with pytest.raises(RuntimeError, match="path 1: chain failed"):
+            run_type1_study(bm_cfg())
+
+    @pytest.mark.parametrize("kw, message", [
+        (dict(delta=0.0), "delta must be finite and positive, got 0.0"),
+        (dict(delta=-0.1), "delta must be finite and positive, got -0.1"),
+        (dict(delta=math.nan), "delta must be finite and positive, got nan"),
+        (dict(n_crossings=1), "need n_crossings >= 2, got 1"),
+        (dict(process=FBM, fbm_grid=0.0),
+         "fbm_grid must be finite and positive, got 0.0"),
+        (dict(process=FBM, fbm_grid=math.inf),
+         "fbm_grid must be finite and positive, got inf"),
+        (dict(process=FBM, fbm_horizon=-1.0),
+         "fbm_horizon must be finite and positive, got -1.0"),
+        (dict(fbm_grid=1e-4), "only an fbm process reads fbm_grid"),
+        (dict(process=None, fbm_horizon=1.0),
+         "only an fbm process reads fbm_horizon"),
+        (dict(qv_process="ou"), "qv process must be one of ('bm', 'expbm')"),
+    ])
+    def test_config_refuses_what_no_run_can_use(self, kw, message):
+        """Refused when the config is built, before anything is simulated."""
+        with pytest.raises(ValueError) as info:
+            bm_cfg(**kw)
+        assert str(info.value) == message
 
 
 class TestFbmStudy:
@@ -265,6 +296,19 @@ class TestAnalyze:
         text = render_report(rep, "text")
         assert "# SubX" in text and ">=2 xings %" in text
 
+    def test_rows_hold_the_reported_keys(self):
+        """A key added to ``level_stats`` or ``multiple_crossing_shares``
+        would change the report's JSON bytes, so each row's keys are pinned."""
+        rng = np.random.default_rng(16)
+        series = TickSeries(times=np.arange(3000, dtype=float),
+                            values=np.cumsum(rng.standard_normal(3000)))
+        rep = analyze_series(series, bm_cfg(delta=None, tests=("chi2",)))
+        assert len(rep.rows) >= 3
+        for row in rep.rows:
+            assert list(row) == ["level", "n_z", "n_v",
+                                 "mean_duration_prev_level", "ge2_pct",
+                                 "ge4_pct", "outcomes"]
+
     def test_skip_markers_render(self):
         vals = np.array([0.0, 1, 2, 1, 2, 3, 4])
         series = TickSeries(times=np.arange(7.0), values=vals)
@@ -306,6 +350,10 @@ class TestQvStudy:
         spread_keep = max(rates(keep)) - min(rates(keep))
         spread_drop = max(rates(drop)) - min(rates(drop))
         assert spread_keep > spread_drop
+
+
+FBM_ARGS = ["power", "--process", "fbm", "--hurst", "0.7", "--sigma2", "0.004",
+            "--delta", "0.0010176", "--n-paths", "2"]
 
 
 class TestCli:
@@ -352,11 +400,41 @@ class TestCli:
         (["calibrate", "--process", "feller", "--kappa", "6", "--mu", "0.2",
           "--sigma", "1", "--n-paths", "4", "--step-exponents", "2,2"],
          "clmtree calibrate: error: need distinct step exponents, got (2, 2)"),
+        ([*FBM_ARGS, "--fbm-grid", "0"],
+         "clmtree power: error: fbm_grid must be finite and positive, got 0.0"),
+        ([*FBM_ARGS, "--fbm-grid=-1e-5"],
+         "clmtree power: error: fbm_grid must be finite and positive, "
+         "got -1e-05"),
+        ([*FBM_ARGS, "--fbm-grid", "inf"],
+         "clmtree power: error: fbm_grid must be finite and positive, got inf"),
+        (["type1", "--delta", "0", "--n-paths", "2"],
+         "clmtree type1: error: delta must be finite and positive, got 0.0"),
+        (["type1", "--delta=-0.1", "--n-paths", "2"],
+         "clmtree type1: error: delta must be finite and positive, got -0.1"),
+        (["type1", "--delta", "nan", "--n-paths", "2"],
+         "clmtree type1: error: delta must be finite and positive, got nan"),
+        (["type1", "--delta", "0.0632", "--n-paths", "2", "--n-crossings", "0"],
+         "clmtree type1: error: need n_crossings >= 2, got 0"),
+        (["type1", "--process", "bm", "--delta", "0.0632", "--n-paths", "2",
+          "--n-crossings", "-5"],
+         "clmtree type1: error: need n_crossings >= 2, got -5"),
+        (["power", "--process", "ou", "--alpha", "10", "--sigma", "1",
+          "--delta", "0.062945", "--n-paths", "2", "--n-crossings", "1"],
+         "clmtree power: error: need n_crossings >= 2, got 1"),
+        ([*FBM_ARGS, "--n-crossings", "1"],
+         "clmtree power: error: need n_crossings >= 2, got 1"),
+        (["type1", "--process", "bm", "--delta", "0.0632", "--n-paths", "2",
+          "--fbm-grid", "1e-4"],
+         "clmtree type1: error: only an fbm process reads fbm_grid"),
     ], ids=["analyze-unread", "qv-unread", "calibrate-unread", "type1-unread",
             "type1-bad-tests", "power-bad-spec", "type1-no-delta",
             "calibrate-not-diffusion", "calibrate-unread-param",
             "calibrate-odd-feller-paths", "qv-no-c", "qv-bad-c",
-            "calibrate-no-step-exponents", "calibrate-repeated-step"])
+            "calibrate-no-step-exponents", "calibrate-repeated-step",
+            "fbm-zero-grid", "fbm-negative-grid", "fbm-infinite-grid",
+            "type1-zero-delta", "type1-negative-delta", "type1-nan-delta",
+            "bm-zero-crossings", "bm-negative-crossings", "ou-one-crossing",
+            "fbm-one-crossing", "bm-fbm-grid"])
     def test_usage_errors(self, argv, reason, tmp_path):
         """A flag the subcommand does not read, and a value the library
         refuses, are usage errors rather than tracebacks."""

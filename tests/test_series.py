@@ -1,4 +1,5 @@
 import importlib.util
+import itertools
 import math
 import os
 import threading
@@ -459,8 +460,8 @@ def test_whitespace_only_lines_stay_with_the_reader(tmp_path):
     path = tmp_path / "ws.csv"
     path.write_text("time,value\n \t\n0,1.5\n  \n1,2.5\n\t", encoding="utf-8")
     with open(path, encoding="utf-8") as fh:
-        rows, _ = series._loadtxt_rows(fh)
-    assert rows.tolist() == [[0.0, 1.5], [1.0, 2.5]]
+        cols, _ = series._loadtxt_rows(fh)
+    assert cols.tolist() == [[0.0, 1.0], [1.5, 2.5]]
     s = load_ticks(str(path))
     assert s.times.tolist() == [0.0, 1.0] and s.values.tolist() == [1.5, 2.5]
 
@@ -554,3 +555,32 @@ def test_validation():
         TickSeries(times=np.array([0.0]), values=np.array([1.0]))
     with pytest.raises(ValueError):
         TickSeries(times=np.array([0.0, 1.0]), values=np.array([1.0, np.nan]))
+
+
+def _diff_rule(times, values):
+    """The error of the former checks, np.diff(times) > 0 and then
+    finiteness, or None."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        if not np.all(np.diff(times) > 0):
+            return "times must be strictly increasing"
+    if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
+        return "times and values must be finite"
+    return None
+
+
+def test_time_order_check_matches_the_diff_rule():
+    """times[1:] > times[:-1] accepts and refuses the same times as
+    np.diff(times) > 0: a difference of doubles is 0 only between equal
+    ones (gradual underflow), an overflowing one is inf, and NaN and
+    inf - inf fail both."""
+    big = np.finfo(np.float64).max
+    edges = (0.0, -0.0, 5e-324, -5e-324, 1.0, big, -big, np.inf, -np.inf,
+             np.nan)
+    values = np.ones(3)
+    for times in itertools.product(edges, repeat=3):  # equal neighbours too
+        try:
+            TickSeries(times=np.array(times), values=values)
+            got = None
+        except ValueError as exc:
+            got = str(exc)
+        assert got == _diff_rule(np.array(times), values), times

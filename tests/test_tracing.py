@@ -85,8 +85,8 @@ def test_tracer_counts_the_trees_built(tmp_path):
     path = str(tmp_path / "ticks.csv")
     save_ticks(series, path)
     analysis = harness.StudyConfig(tests=("chi2",))
-    trees = [harness.tree_for_series(
-        analysis, series, harness.select_base_scale(series))]
+    trees = [harness.build_tree(series, harness.select_base_scale(series),
+                                harness._origin(analysis, series))]
     tracer = _tracing().Tracer()
     tracer.install()
     try:

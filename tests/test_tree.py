@@ -7,7 +7,6 @@ from clmtree.harness import (
     StudyConfig,
     _origin,
     _study_hits,
-    tree_for_series,
 )
 from clmtree.outcomes import Segments
 from clmtree.series import TickSeries, log_transform
@@ -205,7 +204,7 @@ def test_tree_matches_oracle_on_shifted_lattices():
 
 
 def test_single_scan_tree_matches_oracle_on_shifted_lattices():
-    """Property: the latticed tree of ``tree_for_series``, built from the
+    """Property: the latticed tree of an analysis, built from the
     0-anchored scan's hits shifted by their median line m, has its origin
     at m * delta and is the oracle's tree of the walk on the lattice
     anchored at m, and the tree a second scan at that origin gives."""
@@ -216,9 +215,9 @@ def test_single_scan_tree_matches_oracle_on_shifted_lattices():
         ref = brute_tree(k + walk - m) if len(lines) >= 2 else []
         if not ref or len(ref[0]["times"]) < 3:
             with pytest.raises(TreeError):
-                tree_for_series(cfg, series, delta)
+                build_tree(series, delta, _origin(cfg, series))
             return
-        t = tree_for_series(cfg, series, delta)
+        t = build_tree(series, delta, _origin(cfg, series))
         assert t.origin == build_tree(series, delta, None).origin == m * delta
         _assert_oracle_tree(t, ref, shift)
         _assert_same_tree(t, build_tree(series, delta, t.origin), ulps=0)
