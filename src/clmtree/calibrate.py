@@ -13,6 +13,7 @@ from scipy import special
 from .simulate import (
     ProcessSpec,
     _gamma_shape_scale,
+    _grid_block,
     _stationary_law,
     _walk_table,
     expected_crossing_time,
@@ -31,7 +32,6 @@ EXACT_DELTA_REL_TOL = 1e-15
 SECANT_STEPS = 30  # window evaluations per solve beyond the first
 MC_MAX_WINDOW_FACTOR = 20.0  # hard cap on simulated time, in units of t0
 WINDOW_BLOCK_VALUES = 100_000  # grid values per simulated block
-FELLER_MAX_REDRAWS = 10_000  # per grid value; c07's passes redraw none
 TOUCH_EXPONENT_MAX = 30.0  # bridge touch probabilities below e**-30 drop
 # the upper-touch filter of _bridge_touches: its slack on the exponent, and
 # the floor on q_lo below which a step always takes the exact arithmetic
@@ -165,103 +165,6 @@ def _brownian_increments(rngs, n_roots, n_cols, root_step, out=None):
         nxt -= z.mean(axis=1)[:, None, :]
         g = nxt.reshape(-1, n_cols)
     return g if out is None else out
-
-
-def milstein_feller_step(spec: ProcessSpec, x, g, step: float):
-    """One Milstein step of the Feller diffusion from ``x`` with Brownian
-    increment ``g`` (variance ``step``); elementwise on arrays."""
-    return (x + spec.kappa * (spec.mu - x) * step
-            + spec.sigma * np.sqrt(x) * g
-            + spec.sigma**2 * (g * g - step) / 4.0)
-
-
-def _grid_block(spec, x, g, step, redraw, out=None):
-    """Next ``len(g)`` grid values of every path from the values ``x``,
-    written into ``out`` (a new array if None) and returned.
-
-    ``g`` holds the Gaussian increments (variance ``step``), one row per
-    step.  BM and OU are vectorised over time (OU through its exact AR(1)
-    transition).  Feller takes ``milstein_feller_step`` row by row, in
-    place in the output block and in that function's order of operations,
-    so every value keeps its bits: the x-free term sigma**2 (g**2 - step) / 4
-    is filled in for all rows at once.  The two x-dependent factors of a
-    row are stacked in one (2, n) buffer w = [mu - x, sqrt(x)], scaled by
-    [kappa, sigma] and then by [step, g_k] (a per-block (rows, 2, n)
-    array); x and the noise term w[1] are added to the drift term w[0],
-    and that to the row: seven ufunc calls a row.  A step that lands at or
-    below 0 has its increment redrawn from ``redraw`` until it lands above
-    0.  A value still at or below 0 after FELLER_MAX_REDRAWS redraws
-    raises ValueError: at a step that coarse (kappa * step near 1 or
-    above) a large value may never land above 0.  Positivity is checked
-    once per block: after stepping through the block, the first row
-    holding a value <= 0 has those values redrawn in index order from the
-    row before it, exactly as a check after every step would, and the
-    block is stepped again from the next row.  (A NaN, which only a
-    negative or non-finite start gives, is never redrawn.)
-    """
-    if out is None:
-        out = np.empty_like(g)
-    if spec.kind in ("bm", "bm_drift"):  # BM's alpha is 0
-        np.cumsum(spec.alpha * step + g, axis=0, out=out)
-        out += x
-        return out
-    if spec.kind == "ou":
-        from scipy import signal  # slow to import, and needed only here
-
-        rho = math.exp(-spec.alpha * step)
-        sd = spec.sigma * math.sqrt((1 - rho * rho) / (2 * spec.alpha * step))
-        out[...] = signal.lfilter([1.0], [1.0, -rho], sd * g, axis=0,
-                                  zi=rho * x[None, :])[0]
-        return out
-    # the constants as arrays: a ufunc converts a Python float on every call
-    mu = np.full(x.shape, spec.mu)
-    scale = np.empty((2,) + x.shape)
-    scale[0], scale[1] = spec.kappa, spec.sigma
-    factors = np.empty((len(g), 2) + x.shape)
-    factors[:, 0], factors[:, 1] = step, g
-    w = np.empty((2,) + x.shape)
-    head, noise = w
-    # local names: seven global lookups a row add up over a block
-    sub, sqrt, mul, add = np.subtract, np.sqrt, np.multiply, np.add
-    sq = math.sqrt(step)
-    start = 0
-    while start < len(g):
-        # the x-free term of every row still to step
-        rows = out[start:]
-        np.multiply(g[start:], g[start:], out=rows)
-        rows -= step
-        rows *= spec.sigma**2
-        rows /= 4.0
-        prev = x if start == 0 else out[start - 1]
-        with np.errstate(invalid="ignore"):
-            for row, f in zip(rows, factors[start:]):
-                # x + kappa (mu - x) step + sigma sqrt(x) g, then the term
-                sub(mu, prev, head)
-                sqrt(prev, noise)
-                mul(w, scale, w)
-                mul(w, f, w)
-                add(head, prev, head)
-                add(head, noise, head)
-                add(row, head, row)
-                prev = row
-        low = (rows <= 0.0).any(axis=1)
-        if not low.any():
-            break
-        k = start + int(np.argmax(low))
-        prev, row = (x if k == 0 else out[k - 1]), out[k]
-        for i in np.flatnonzero(row <= 0.0):
-            for _ in range(FELLER_MAX_REDRAWS):
-                row[i] = milstein_feller_step(
-                    spec, prev[i], redraw.standard_normal() * sq, step)
-                if row[i] > 0.0:
-                    break
-            else:
-                raise ValueError(
-                    f"step {step:g} is too coarse for this Feller process: "
-                    f"a value stayed at or below 0 after "
-                    f"{FELLER_MAX_REDRAWS} redraws")
-        start = k + 1
-    return out
 
 
 def _exp_neg(q):
@@ -445,8 +348,9 @@ def _mean_window_for_n_crossings(
     under continuous monitoring.
 
     Paths start from the stationary law (Gamma for Feller, Gaussian for
-    OU, 0 for BM) and move on a grid of the given step (Milstein for
-    Feller, exact Gaussian transitions otherwise).  Between grid points
+    OU, 0 for BM) and move on a grid of the given step through
+    ``simulate._grid_block`` (Milstein for Feller, exact Gaussian
+    transitions otherwise).  Between grid points
     the path is a Brownian bridge, and the lines it touches and leaves
     there (``_bridge_touches``) count as crossings (Broadie, Glasserman &
     Kou 1997; Glasserman 2004, section 6.4), so the estimate carries no
@@ -475,7 +379,7 @@ def _mean_window_for_n_crossings(
     through the bridge touches and the count, and crossings are counted
     only on the steps that touch a line.  Returns (mean, se).
     """
-    if spec.kind not in ("bm", "bm_drift", "ou", "feller"):
+    if not spec.is_diffusion:
         raise ValueError(f"no grid-path sampler for {spec.kind!r}")
     if n_paths < 2 or (spec.kind == "feller" and n_paths % 2):
         raise ValueError("need n_paths >= 2, and even for feller (antithetic "

@@ -135,7 +135,7 @@ def main(argv=None) -> int:
     for name, text in (("type1", "null-process rejection study"),
                        ("power", "alternative-process rejection study")):
         p = add_parser(name, help=text)
-        _add_process_args(p, list(PROCESS_PARAMS))
+        _add_process_args(p, [*DIFFUSIONS, "fbm"])
         p.add_argument("--n-crossings", type=int)
         p.add_argument("--n-paths", type=int)
         p.add_argument("--delta", type=float, required=True)

@@ -24,7 +24,8 @@ from .qv import (  # unused here; bench/tracing.py patches these names
     time_change_increments,
 )
 from .series import TickSeries, load_ticks, log_transform
-from .simulate import ProcessSpec, simulate_crossings_batch, simulate_fbm_paths
+from .simulate import (ProcessSpec, _grid_block, simulate_crossings_batch,
+                       simulate_fbm_paths)
 from .simulate import simulate_fbm_path  # unused here; bench/tracing.py patches it
 from .tree import (
     CrossingTree,
@@ -233,6 +234,8 @@ def run_study(cfg: StudyConfig, label: str) -> StudyReport:
     all paths and tally rejections per test and level."""
     if cfg.process is None or cfg.delta is None:
         raise ValueError("simulation studies need a process spec and delta")
+    if cfg.process.kind == "expbm":
+        raise ValueError("no crossing study simulates expbm")
     tables = load_all_tables(cfg.cv_dir)
     cells: dict = {}
     levels = []
@@ -314,19 +317,15 @@ class QvStudyReport:
 
 
 def _qv_paths(cfg: StudyConfig, paths: range) -> np.ndarray:
-    """The given paths, one per row, filled in place from each path's
-    generator."""
-    n, h = cfg.qv_n_points, cfg.qv_spacing
-    out = np.empty((len(paths), n + 1))
-    out[:, 0] = 0.0
+    """Paths of ``cfg.qv_process``, one a row, each from its own generator."""
+    spec = ProcessSpec(cfg.qv_process)
+    out = np.empty((len(paths), cfg.qv_n_points + 1))
+    out[:, 0] = 1.0 if spec.kind == "expbm" else 0.0
     steps = out[:, 1:]
     for i, row in zip(paths, steps):
         np.random.default_rng([cfg.seed, i]).standard_normal(out=row)
-    steps *= math.sqrt(h)
-    np.cumsum(steps, axis=1, out=steps)
-    if cfg.qv_process == "expbm":
-        out -= 0.5 * (h * np.arange(n + 1))
-        np.exp(out, out=out)
+    steps *= math.sqrt(cfg.qv_spacing)
+    _grid_block(spec, out[:, 0], steps.T, cfg.qv_spacing, None, out=steps.T)
     return out
 
 

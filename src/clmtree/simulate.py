@@ -6,8 +6,8 @@ generator.  One cached walk table per process and crossing size holds the
 up-step probabilities from the scale function; a chain starts from a
 point, from the OU equilibrium lattice law, or from the exact first hit
 of the stationary Feller Gamma law.  The speed measure gives expected
-crossing durations.  One Gauss-Legendre rule, vectorised over sites,
-takes both integrals.  Nothing here steps time.  Fractional Brownian motion
+crossing durations.  One Gauss-Legendre rule, vectorised over sites, takes
+both integrals.  One stepper moves grid paths.  Fractional Brownian motion
 comes from circulant embedding of the increment covariance; a helper thread
 draws the next path's normals from that path's own generator while one path
 is transformed, so no number depends on thread timing.  The crossings of
@@ -32,11 +32,13 @@ GL_NODES, GL_WEIGHTS = 0.5 * (np.array(np.polynomial.legendre.leggauss(24))
 OU_TRUNCATION_SDS = 10.0
 FELLER_START_TAIL = 1e-13  # stationary Gamma tail cut by the Feller table
 FBM_MAX_EMBED = 2 ** 26
+FELLER_MAX_REDRAWS = 10_000  # per grid value; c07's passes redraw none
 
 # each process kind and the parameters it reads
 PROCESS_PARAMS = {"bm": (), "bm_drift": ("alpha",), "ou": ("alpha", "sigma"),
-                  "feller": ("kappa", "mu", "sigma"), "fbm": ("hurst", "sigma2")}
-DIFFUSIONS = tuple(kind for kind in PROCESS_PARAMS if kind != "fbm")
+                  "feller": ("kappa", "mu", "sigma"), "fbm": ("hurst", "sigma2"),
+                  "expbm": ()}  # exp(W - t / 2): only the grid stepper reads it
+DIFFUSIONS = ("bm", "bm_drift", "ou", "feller")
 
 
 @dataclass(frozen=True)
@@ -346,6 +348,113 @@ def _seed_key(seed) -> list:
     if isinstance(seed, (list, tuple)):
         return [int(s) for s in seed]
     raise TypeError("seed must be an int or a sequence of ints")
+
+
+# ---------------------------------------------------------------------------
+# grid paths
+# ---------------------------------------------------------------------------
+
+def milstein_feller_step(spec: ProcessSpec, x, g, step: float):
+    """One Milstein step of the Feller diffusion from ``x`` with Brownian
+    increment ``g`` (variance ``step``); elementwise on arrays."""
+    return (x + spec.kappa * (spec.mu - x) * step
+            + spec.sigma * np.sqrt(x) * g
+            + spec.sigma**2 * (g * g - step) / 4.0)
+
+
+def _grid_block(spec, x, g, step, redraw, out=None):
+    """Next ``len(g)`` grid values of every path from the values ``x``,
+    written into ``out`` (a new array if None) and returned.
+
+    ``g`` holds the Gaussian increments (variance ``step``), one row per
+    step.  BM, exp-BM and OU step at once (OU through its exact AR(1)
+    transition).  Feller takes ``milstein_feller_step`` row by row, in
+    place in the output block and in that function's order of operations,
+    so every value keeps its bits: the x-free term sigma**2 (g**2 - step) / 4
+    is filled in for all rows at once.  The two x-dependent factors of a
+    row are stacked in one (2, n) buffer w = [mu - x, sqrt(x)], scaled by
+    [kappa, sigma] and then by [step, g_k] (a per-block (rows, 2, n)
+    array); x and the noise term w[1] are added to the drift term w[0],
+    and that to the row: seven ufunc calls a row.  A step that lands at or
+    below 0 has its increment redrawn from ``redraw`` until it lands above
+    0.  A value still at or below 0 after FELLER_MAX_REDRAWS redraws
+    raises ValueError: at a step that coarse (kappa * step near 1 or
+    above) a large value may never land above 0.  Positivity is checked
+    once per block: after stepping through the block, the first row
+    holding a value <= 0 has those values redrawn in index order from the
+    row before it, exactly as a check after every step would, and the
+    block is stepped again from the next row.  (A NaN, which only a
+    negative or non-finite start gives, is never redrawn.)
+    """
+    if out is None:
+        out = np.empty_like(g)
+    if spec.kind in ("bm", "bm_drift", "expbm"):  # W, or W + alpha t
+        np.cumsum(spec.alpha * step + g if spec.kind == "bm_drift" else g,
+                  axis=0, out=out)
+        if spec.kind == "expbm":  # x exp(W - t / 2), t from the block's start
+            out -= 0.5 * (step * np.arange(1, len(g) + 1))[:, None]
+            np.exp(out, out=out)
+            out *= x
+            return out
+        out += x
+        return out
+    if spec.kind == "ou":
+        from scipy import signal  # slow to import, and needed only here
+
+        rho = math.exp(-spec.alpha * step)
+        sd = spec.sigma * math.sqrt((1 - rho * rho) / (2 * spec.alpha * step))
+        out[...] = signal.lfilter([1.0], [1.0, -rho], sd * g, axis=0,
+                                  zi=rho * x[None, :])[0]
+        return out
+    # the constants as arrays: a ufunc converts a Python float on every call
+    mu = np.full(x.shape, spec.mu)
+    scale = np.empty((2,) + x.shape)
+    scale[0], scale[1] = spec.kappa, spec.sigma
+    factors = np.empty((len(g), 2) + x.shape)
+    factors[:, 0], factors[:, 1] = step, g
+    w = np.empty((2,) + x.shape)
+    head, noise = w
+    # local names: seven global lookups a row add up over a block
+    sub, sqrt, mul, add = np.subtract, np.sqrt, np.multiply, np.add
+    sq = math.sqrt(step)
+    start = 0
+    while start < len(g):
+        # the x-free term of every row still to step
+        rows = out[start:]
+        np.multiply(g[start:], g[start:], out=rows)
+        rows -= step
+        rows *= spec.sigma**2
+        rows /= 4.0
+        prev = x if start == 0 else out[start - 1]
+        with np.errstate(invalid="ignore"):
+            for row, f in zip(rows, factors[start:]):
+                # x + kappa (mu - x) step + sigma sqrt(x) g, then the term
+                sub(mu, prev, head)
+                sqrt(prev, noise)
+                mul(w, scale, w)
+                mul(w, f, w)
+                add(head, prev, head)
+                add(head, noise, head)
+                add(row, head, row)
+                prev = row
+        low = (rows <= 0.0).any(axis=1)
+        if not low.any():
+            break
+        k = start + int(np.argmax(low))
+        prev, row = (x if k == 0 else out[k - 1]), out[k]
+        for i in np.flatnonzero(row <= 0.0):
+            for _ in range(FELLER_MAX_REDRAWS):
+                row[i] = milstein_feller_step(
+                    spec, prev[i], redraw.standard_normal() * sq, step)
+                if row[i] > 0.0:
+                    break
+            else:
+                raise ValueError(
+                    f"step {step:g} is too coarse for this Feller process: "
+                    f"a value stayed at or below 0 after "
+                    f"{FELLER_MAX_REDRAWS} redraws")
+        start = k + 1
+    return out
 
 
 # ---------------------------------------------------------------------------

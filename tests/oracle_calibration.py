@@ -19,12 +19,12 @@ Independent of ``clmtree.calibrate`` and of the Gauss-Legendre rule of
 ``clmtree.simulate``: the scale odds and crossing times here are nested
 adaptive ``integrate.quad`` calls, one site at a time.
 
-The other references here are ones that ``clmtree.calibrate`` must
-reproduce bit for bit:
+The other references here are ones that ``clmtree.calibrate`` and its
+grid stepper in ``clmtree.simulate`` must reproduce bit for bit:
 
 * ``feller_grid_reference``: the Feller grid stepped one
   ``milstein_feller_step`` call at a time, with a positivity check after
-  every step (``calibrate._grid_block``);
+  every step (``simulate._grid_block``);
 * ``bridge_touches_reference``: the bridge touches with the exact
   arithmetic on every step near a line (``calibrate._bridge_touches``);
 * ``brownian_increments_reference``: the decade refinement through whole
@@ -36,8 +36,7 @@ import math
 import numpy as np
 from scipy import integrate, special
 
-from clmtree.calibrate import milstein_feller_step
-from clmtree.simulate import ProcessSpec
+from clmtree.simulate import ProcessSpec, milstein_feller_step
 
 START_TAIL = 1e-13  # stationary mass left above the truncated lattice
 WALK_TAIL = 1e-10  # walk mass allowed to reach the top site

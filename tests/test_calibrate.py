@@ -8,12 +8,10 @@ import pytest
 
 from clmtree import calibrate
 from clmtree.calibrate import (
-    FELLER_MAX_REDRAWS,
     SECANT_STEPS,
     WINDOW_BLOCK_VALUES,
     _bridge_touches,
     _brownian_increments,
-    _grid_block,
     _mean_window_for_n_crossings,
     _solve_log_window,
     delta_exact,
@@ -22,7 +20,7 @@ from clmtree.calibrate import (
     mean_crossing_duration,
 )
 from clmtree.harness import render_report
-from clmtree.simulate import ProcessSpec
+from clmtree.simulate import FELLER_MAX_REDRAWS, ProcessSpec, _grid_block
 
 from oracle_calibration import (
     bridge_exponents_reference,
@@ -550,6 +548,15 @@ def test_delta_mc_refuses_empty_or_repeated_steps(monkeypatch):
     for steps in ((), (2, 2), (3, 2, 3)):
         with pytest.raises(ValueError, match="distinct step exponents"):
             delta_mc(FELLER, 200, 0.8, step_exponents=steps, n_paths=4)
+
+
+def test_calibration_refuses_expbm():
+    """exp-BM is a grid path of the QV study, not a diffusion to calibrate."""
+    spec = ProcessSpec("expbm")
+    with pytest.raises(ValueError, match="no exact calibration for 'expbm'"):
+        delta_exact(spec, 1250, 5.0)
+    with pytest.raises(ValueError, match="no grid-path sampler for 'expbm'"):
+        delta_mc(spec, 1250, 5.0, n_paths=4)
 
 
 def test_coarse_feller_step_raises_within_seconds():

@@ -161,6 +161,12 @@ class TestStudy:
                         cell[0] += bool(res.reject_at_5pct)
         assert run_study(cfg, "tally").cells == cells
 
+    def test_refuses_expbm(self):
+        """Only the QV study steps exp-BM; no crossing chain samples it."""
+        with pytest.raises(ValueError,
+                           match="no crossing study simulates expbm"):
+            run_type1_study(bm_cfg(process=ProcessSpec("expbm")))
+
     def test_simulator_failure_carries_path_index(self, monkeypatch):
         from clmtree import harness
 

@@ -10,6 +10,7 @@ from clmtree.simulate import (
     DIFFUSIONS,
     PROCESS_PARAMS,
     ProcessSpec,
+    _grid_block,
     _scale_odds,
     _stationary_law,
     _walk_table,
@@ -42,7 +43,8 @@ class TestProcessSpec:
 
     def test_params_follow_the_kind_table(self):
         specs = [ProcessSpec("bm"), ProcessSpec("bm_drift", alpha=1.0), OU,
-                 FELLER, ProcessSpec("fbm", hurst=0.7, sigma2=2.0)]
+                 FELLER, ProcessSpec("fbm", hurst=0.7, sigma2=2.0),
+                 ProcessSpec("expbm")]
         assert [s.kind for s in specs] == list(PROCESS_PARAMS)
         assert [s.kind for s in specs if s.is_diffusion] == list(DIFFUSIONS)
         assert FELLER.params == {"kappa": 6.0, "mu": 0.2, "sigma": 1.0}
@@ -55,8 +57,9 @@ class TestProcessSpec:
         ("ou", {"alpha": 8.0, "sigma": 1.0, "mu": 0.2}),
         ("feller", {"kappa": 6.0, "mu": 0.2, "sigma": 1.0, "hurst": 0.7}),
         ("fbm", {"hurst": 0.7, "alpha": 1.0}),
+        ("expbm", {"sigma": 2.0}),
     ], ids=["bm-alpha", "bm-sigma", "drift-sigma", "ou-mu", "feller-hurst",
-            "fbm-alpha"])
+            "fbm-alpha", "expbm-sigma"])
     def test_unread_parameters_are_refused(self, kind, unread):
         # a parameter the kind does not read may only keep its default
         *read, (name, value) = unread.items()
@@ -294,6 +297,10 @@ class TestChains:
             batch = simulate_crossings_batch(spec, d, 300, 3, 5)
             assert np.array_equal(batch[0], a)
 
+    def test_refuses_expbm(self):
+        with pytest.raises(ValueError, match="require a diffusion spec"):
+            simulate_crossings_batch(ProcessSpec("expbm"), 0.1, 10, 1, 1)
+
     def test_bm_up_fraction(self):
         chain = simulate_crossings_batch(ProcessSpec("bm"), 0.1, 4000, 1, 2,
                                          start=0.0)[0]
@@ -307,6 +314,22 @@ class TestChains:
         chain = simulate_crossings_batch(spec, d, 20000, 1, 3, start=0.0)[0]
         up = np.mean(np.diff(chain) > 0)
         assert abs(up - p) < 0.01
+
+
+class TestGridBlock:
+    def test_expbm_is_the_exponential_martingale(self):
+        # x exp(W - t / 2) from each block's start: two blocks step as one
+        step, x = 0.01, np.array([1.0, 0.5, 3.0])
+        g = np.random.default_rng(4).standard_normal((400, 3)) * math.sqrt(step)
+        spec = ProcessSpec("expbm")
+        whole = _grid_block(spec, x, g, step, None)
+        t = step * np.arange(1, 401)[:, None]
+        assert np.allclose(whole, x * np.exp(np.cumsum(g, axis=0) - t / 2),
+                           rtol=1e-13, atol=0)
+        half = _grid_block(spec, x, g[:200], step, None)
+        rest = _grid_block(spec, half[-1], g[200:], step, None)
+        assert np.allclose(np.concatenate([half, rest]), whole, rtol=1e-13,
+                           atol=0)
 
 
 class TestFeller:
