@@ -31,7 +31,6 @@ from .harness import (
 )
 from .simulate import DIFFUSIONS, PROCESS_PARAMS, ProcessSpec
 
-DEFAULT_PROCESS = "bm"
 MC_ARGS = ("step_exponents", "n_paths", "seed")  # delta_mc's keywords
 
 
@@ -44,8 +43,7 @@ def _comma_list(kind):
 
 
 def _add_process_args(p: argparse.ArgumentParser, kinds) -> None:
-    p.add_argument("--process", dest="kind", default=DEFAULT_PROCESS,
-                   choices=kinds)
+    p.add_argument("--process", dest="kind", default="bm", choices=kinds)
     params = (k for kind in kinds for k in PROCESS_PARAMS[kind])
     for name in dict.fromkeys(params):
         p.add_argument(f"--{name}", type=float)
@@ -153,17 +151,14 @@ def main(argv=None) -> int:
     _add_output_args(p_an)
 
     p_qv = add_parser("qv", help="quadratic-variation c-sweep study")
+    _add_process_args(p_qv, ["bm", "expbm"])
     p_qv.add_argument("--n-paths", type=int)
     p_qv.add_argument("--seed", type=int)
     p_qv.add_argument("--c-list", type=_comma_list(float),
                       default=(20.0, 60.0, 100.0, 140.0))
     p_qv.add_argument("--n-points", dest="qv_n_points", type=int)
     p_qv.add_argument("--spacing", dest="qv_spacing", type=float)
-    p_qv.add_argument("--qv-process", choices=["bm", "expbm"])
     p_qv.add_argument("--drop-last", dest="qv_drop_last", action="store_true")
-    # the paths come from --qv-process; the report's config has always
-    # named the default process
-    p_qv.set_defaults(kind=DEFAULT_PROCESS)
     _add_output_args(p_qv)
 
     p_cal = add_parser("calibrate", help="crossing-scale determination")

@@ -71,7 +71,6 @@ ROSTER = {
 ALL_TESTS = tuple(ROSTER)
 
 DELTA0_POLICIES = ("zero", "first", "latticed")
-QV_PROCESSES = ("bm", "expbm")
 
 # path values the QV study simulates and tests at a time: a block's path
 # and QV matrices take about 2.4 MB
@@ -95,7 +94,6 @@ class StudyConfig:
     fbm_grid: float = 1e-5
     qv_n_points: int = 1250
     qv_spacing: float = 1.0 / 250.0
-    qv_process: str = "bm"
     qv_drop_last: bool = False
     fbm_horizon: float | None = None  # None: scaling-rule guess with margin
 
@@ -120,8 +118,6 @@ class StudyConfig:
             if (f.name.startswith("fbm_") and not fbm
                     and getattr(self, f.name) != f.default):
                 raise ValueError(f"only an fbm process reads {f.name}")
-        if self.qv_process not in QV_PROCESSES:
-            raise ValueError(f"qv process must be one of {QV_PROCESSES}")
 
 
 def _samples(z: Segments, excursions: Segments) -> dict[str, Segments]:
@@ -317,8 +313,8 @@ class QvStudyReport:
 
 
 def _qv_paths(cfg: StudyConfig, paths: range) -> np.ndarray:
-    """Paths of ``cfg.qv_process``, one a row, each from its own generator."""
-    spec = ProcessSpec(cfg.qv_process)
+    """Paths of ``cfg.process`` (BM if None), one a row, each from its own generator."""
+    spec = cfg.process or ProcessSpec("bm")
     out = np.empty((len(paths), cfg.qv_n_points + 1))
     out[:, 0] = 1.0 if spec.kind == "expbm" else 0.0
     steps = out[:, 1:]
@@ -335,7 +331,9 @@ def run_qv_study(cfg: StudyConfig, c_values) -> QvStudyReport:
 
     The paths are simulated in blocks of about QV_BLOCK_VALUES values, and
     for each c every path of a block is decided at once
-    (``qv.qv_tests``)."""
+    (``qv.qv_tests``).  It steps BM (the default) or exp-BM."""
+    if cfg.process and cfg.process.kind not in ("bm", "expbm"):
+        raise ValueError(f"the qv study steps bm or expbm, not {cfg.process.kind!r}")
     c_values = list(c_values)
     if not c_values:
         raise ValueError("need at least one c value")
@@ -378,14 +376,9 @@ def run_qv_study(cfg: StudyConfig, c_values) -> QvStudyReport:
 # ---------------------------------------------------------------------------
 
 def _config_summary(cfg: StudyConfig) -> dict:
-    d = {}
-    for key, val in vars(cfg).items():
-        if isinstance(val, ProcessSpec):
-            d[key] = {k: v for k, v in vars(val).items()
-                      if v is not None and v != 0.0 or k == "kind"}
-        else:
-            d[key] = val
-    return d
+    return {key: {"kind": val.kind, **val.params}
+            if isinstance(val, ProcessSpec) else val
+            for key, val in vars(cfg).items()}
 
 
 def _json(payload) -> str:

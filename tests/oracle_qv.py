@@ -81,18 +81,19 @@ def reference_gof(z, drop_last=False):
 
 def reference_qv_paths(cfg):
     n, h = cfg.qv_n_points, cfg.qv_spacing
+    kind = "bm" if cfg.process is None else cfg.process.kind
     out = np.empty((cfg.n_paths, n + 1))
     for i in range(cfg.n_paths):
         rng = np.random.default_rng([cfg.seed, i])
         bm = np.concatenate([[0.0],
                              np.cumsum(rng.standard_normal(n) * math.sqrt(h))])
-        if cfg.qv_process == "bm":
+        if kind == "bm":
             out[i] = bm
-        elif cfg.qv_process == "expbm":
+        elif kind == "expbm":
             t = h * np.arange(n + 1)
             out[i] = np.exp(bm - 0.5 * t)
         else:
-            raise ValueError(f"unknown qv process {cfg.qv_process!r}")
+            raise ValueError(f"unknown qv process {kind!r}")
     return out
 
 

@@ -193,7 +193,6 @@ class TestStudy:
         (dict(fbm_grid=1e-4), "only an fbm process reads fbm_grid"),
         (dict(process=None, fbm_horizon=1.0),
          "only an fbm process reads fbm_horizon"),
-        (dict(qv_process="ou"), "qv process must be one of ('bm', 'expbm')"),
     ])
     def test_config_refuses_what_no_run_can_use(self, kw, message):
         """Refused when the config is built, before anything is simulated."""
@@ -342,10 +341,17 @@ class TestQvStudy:
             assert int(parsed["ks_rej"]) == row["ks"][0]
             assert float(parsed["mean_n_tested"]) == row["mean_n_tested"]
 
+    def test_refuses_a_process_it_does_not_step(self):
+        cfg = bm_cfg(process=ProcessSpec("ou", alpha=10.0, sigma=1.0))
+        with pytest.raises(ValueError) as info:
+            run_qv_study(cfg, [60.0])
+        assert str(info.value) == "the qv study steps bm or expbm, not 'ou'"
+
     def test_sawtooth_from_coarse_counts_and_drop_last_remedy(self):
         # exponential-martingale QV has a knee; with few tested values the
         # rejection rate wobbles in c unless the final increment is dropped
-        cfg = bm_cfg(n_paths=250, qv_n_points=1250, qv_process="expbm", seed=30)
+        cfg = bm_cfg(process=ProcessSpec("expbm"), n_paths=250,
+                     qv_n_points=1250, seed=30)
         cs = [150, 190, 230, 270, 310, 350]
         keep = run_qv_study(cfg, cs)
         drop = run_qv_study(StudyConfig(**{**vars(cfg), "qv_drop_last": True}), cs)
@@ -432,6 +438,10 @@ class TestCli:
         (["type1", "--process", "bm", "--delta", "0.0632", "--n-paths", "2",
           "--fbm-grid", "1e-4"],
          "clmtree type1: error: only an fbm process reads fbm_grid"),
+        (["type1", "--process", "expbm", "--delta", "0.1"],
+         "argument --process: invalid choice: 'expbm'"),
+        (["qv", "--process", "ou"],
+         "argument --process: invalid choice: 'ou'"),
     ], ids=["analyze-unread", "qv-unread", "calibrate-unread", "type1-unread",
             "type1-bad-tests", "power-bad-spec", "type1-no-delta",
             "calibrate-not-diffusion", "calibrate-unread-param",
@@ -440,7 +450,7 @@ class TestCli:
             "fbm-zero-grid", "fbm-negative-grid", "fbm-infinite-grid",
             "type1-zero-delta", "type1-negative-delta", "type1-nan-delta",
             "bm-zero-crossings", "bm-negative-crossings", "ou-one-crossing",
-            "fbm-one-crossing", "bm-fbm-grid"])
+            "fbm-one-crossing", "bm-fbm-grid", "type1-expbm", "qv-ou"])
     def test_usage_errors(self, argv, reason, tmp_path):
         """A flag the subcommand does not read, and a value the library
         refuses, are usage errors rather than tracebacks."""
@@ -477,6 +487,31 @@ class TestCli:
         out = self.run_cli("qv", "--n-paths", "20", "--n-points", "600",
                            "--c-list", "40", "--seed", "2")
         assert out.returncode == 0 and "qv study" in out.stdout
+
+    @pytest.mark.parametrize("argv, process", [
+        (["type1", "--process", "bm", "--delta", "0.0632"], {"kind": "bm"}),
+        (["type1", "--process", "bm_drift", "--alpha", "0", "--delta",
+          "0.0632"], {"kind": "bm_drift", "alpha": 0.0}),
+        (["power", "--process", "feller", "--kappa", "8", "--mu", "0.2",
+          "--sigma", "1", "--delta", "0.02833"],
+         {"kind": "feller", "kappa": 8.0, "mu": 0.2, "sigma": 1.0}),
+        (FBM_ARGS, {"kind": "fbm", "hurst": 0.7, "sigma2": 0.004}),
+        (["qv", "--process", "expbm"], {"kind": "expbm"}),
+    ], ids=["bm", "drift-0", "feller", "fbm", "qv-expbm"])
+    def test_json_process_holds_what_the_kind_reads(self, argv, process,
+                                                    monkeypatch, capsys):
+        """The JSON config names the kind and the parameters it reads,
+        default values included, and nothing else."""
+        from clmtree import cli
+        from clmtree.harness import _config_summary
+
+        monkeypatch.setattr(cli, "run_type1_study", lambda cfg: cfg)
+        monkeypatch.setattr(cli, "run_power_study", lambda cfg: cfg)
+        monkeypatch.setattr(cli, "run_qv_study", lambda cfg, c: cfg)
+        monkeypatch.setattr(cli, "_emit", lambda cfg, args: print(json.dumps(
+            _config_summary(cfg)["process"])))
+        assert cli.main(argv) == 0
+        assert json.loads(capsys.readouterr().out) == process
 
     def test_calibrate_bm(self):
         out = self.run_cli("calibrate", "--process", "bm",

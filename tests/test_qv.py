@@ -23,6 +23,7 @@ from oracle_qv import (
     reference_estimate_qv,
     reference_gof,
     reference_path_outcomes,
+    reference_qv_paths,
     reference_qv_study,
     reference_select_increment,
     reference_time_change,
@@ -266,9 +267,8 @@ def test_study_matches_the_frozen_per_path_study(monkeypatch):
             block_values):
         monkeypatch.setattr(harness, "QV_BLOCK_VALUES", block_values)
         cfg = harness.StudyConfig(
-            process=ProcessSpec("bm"), n_paths=n_paths, seed=seed,
-            qv_n_points=n_points, qv_spacing=spacing, qv_process=process,
-            qv_drop_last=drop_last)
+            process=ProcessSpec(process), n_paths=n_paths, seed=seed,
+            qv_n_points=n_points, qv_spacing=spacing, qv_drop_last=drop_last)
         c_values = [max(n_points - 2, 1) / r for r in ratios]
         rows, per_path = reference_qv_study(cfg, c_values)
         assert harness.run_qv_study(cfg, c_values).rows == rows
@@ -283,6 +283,32 @@ def test_study_matches_the_frozen_per_path_study(monkeypatch):
                     _same_outcome(res[key].outcome(i, key), outcome)
 
     run()
+
+
+@pytest.mark.parametrize("block_values", [1, 700, harness.QV_BLOCK_VALUES])
+@pytest.mark.parametrize("kind", ["bm", "expbm"])
+def test_study_paths_match_the_frozen_paths_bit_for_bit(monkeypatch, kind,
+                                                        block_values):
+    """The blocks of paths that ``run_qv_study`` steps with the grid
+    stepper, joined, are the frozen per-path simulation's bytes."""
+    monkeypatch.setattr(harness, "QV_BLOCK_VALUES", block_values)
+    blocks = []
+
+    def recorded(cfg, paths):
+        blocks.append(_qv_paths(cfg, paths))
+        return blocks[-1]
+
+    _qv_paths = harness._qv_paths
+    monkeypatch.setattr(harness, "_qv_paths", recorded)
+    for spacing in (1.0 / 250.0, 0.37, 1.0):
+        cfg = harness.StudyConfig(process=ProcessSpec(kind), n_paths=9,
+                                  seed=13, qv_n_points=300,
+                                  qv_spacing=spacing)
+        blocks.clear()
+        harness.run_qv_study(cfg, [60.0])
+        assert len(blocks) == {1: 9, 700: 3}.get(block_values, 1)
+        assert np.concatenate(blocks).tobytes() \
+            == reference_qv_paths(cfg).tobytes()
 
 
 @pytest.mark.parametrize("seed", [201, 202, 203])
