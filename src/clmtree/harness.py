@@ -100,15 +100,14 @@ class StudyConfig:
     def __post_init__(self):
         if not self.tests:
             raise ValueError("test roster must be nonempty")
-        if self.n_paths < 1:
-            raise ValueError("n_paths must be >= 1")
         if self.delta0_policy not in DELTA0_POLICIES:
             raise ValueError(f"delta0 policy must be one of {DELTA0_POLICIES}")
         unknown = set(self.tests) - set(ALL_TESTS)
         if unknown:
             raise ValueError(f"unknown tests: {sorted(unknown)}")
-        if self.n_crossings < 2:
-            raise ValueError(f"need n_crossings >= 2, got {self.n_crossings}")
+        for name, low in (("n_paths", 1), ("n_crossings", 2), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"need {name} >= {low}, got {getattr(self, name)}")
         for name in ("delta", "fbm_grid", "fbm_horizon"):
             val = getattr(self, name)
             if val is not None and not (math.isfinite(val) and val > 0):

@@ -193,6 +193,7 @@ class TestStudy:
         (dict(fbm_grid=1e-4), "only an fbm process reads fbm_grid"),
         (dict(process=None, fbm_horizon=1.0),
          "only an fbm process reads fbm_horizon"),
+        (dict(seed=-1), "need seed >= 0, got -1"),
     ])
     def test_config_refuses_what_no_run_can_use(self, kw, message):
         """Refused when the config is built, before anything is simulated."""
@@ -438,6 +439,13 @@ class TestCli:
         (["type1", "--process", "bm", "--delta", "0.0632", "--n-paths", "2",
           "--fbm-grid", "1e-4"],
          "clmtree type1: error: only an fbm process reads fbm_grid"),
+        (["type1", "--process", "bm", "--delta", "0.0632", "--n-paths", "2",
+          "--seed", "-1"],
+         "clmtree type1: error: need seed >= 0, got -1"),
+        ([*FBM_ARGS, "--seed", "-3"],
+         "clmtree power: error: need seed >= 0, got -3"),
+        (["qv", "--n-paths", "2", "--seed", "-1"],
+         "clmtree qv: error: need seed >= 0, got -1"),
         (["type1", "--process", "expbm", "--delta", "0.1"],
          "argument --process: invalid choice: 'expbm'"),
         (["qv", "--process", "ou"],
@@ -450,7 +458,8 @@ class TestCli:
             "fbm-zero-grid", "fbm-negative-grid", "fbm-infinite-grid",
             "type1-zero-delta", "type1-negative-delta", "type1-nan-delta",
             "bm-zero-crossings", "bm-negative-crossings", "ou-one-crossing",
-            "fbm-one-crossing", "bm-fbm-grid", "type1-expbm", "qv-ou"])
+            "fbm-one-crossing", "bm-fbm-grid", "bm-negative-seed",
+            "fbm-negative-seed", "qv-negative-seed", "type1-expbm", "qv-ou"])
     def test_usage_errors(self, argv, reason, tmp_path):
         """A flag the subcommand does not read, and a value the library
         refuses, are usage errors rather than tracebacks."""

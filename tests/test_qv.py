@@ -292,13 +292,12 @@ def test_study_paths_match_the_frozen_paths_bit_for_bit(monkeypatch, kind,
     """The blocks of paths that ``run_qv_study`` steps with the grid
     stepper, joined, are the frozen per-path simulation's bytes."""
     monkeypatch.setattr(harness, "QV_BLOCK_VALUES", block_values)
-    blocks = []
+    blocks, qv_paths = [], harness._qv_paths
 
     def recorded(cfg, paths):
-        blocks.append(_qv_paths(cfg, paths))
+        blocks.append(qv_paths(cfg, paths))
         return blocks[-1]
 
-    _qv_paths = harness._qv_paths
     monkeypatch.setattr(harness, "_qv_paths", recorded)
     for spacing in (1.0 / 250.0, 0.37, 1.0):
         cfg = harness.StudyConfig(process=ProcessSpec(kind), n_paths=9,
