@@ -108,6 +108,13 @@ def mean_crossing_duration(spec: ProcessSpec, delta: float) -> float:
                         mean_crossing_times(spec, sites, delta)))
 
 
+def _check_target(n_crossings: int, t0: float) -> None:
+    """The target both calibrators refuse: no crossing, or no finite window."""
+    if n_crossings < 1 or not (math.isfinite(t0) and t0 > 0):
+        raise ValueError(f"need n_crossings >= 1 and a finite, positive t0, "
+                         f"got {n_crossings} and {t0!r}")
+
+
 def delta_exact(spec: ProcessSpec, n_crossings: int, t0: float) -> float:
     """delta at which the exact mean crossing duration is t0/n: sqrt(t0/n)
     for BM, and for drift and OU the root of ``mean_crossing_duration`` by
@@ -115,8 +122,7 @@ def delta_exact(spec: ProcessSpec, n_crossings: int, t0: float) -> float:
     ``delta_mc``."""
     if spec.kind not in ("bm", "bm_drift", "ou"):
         raise ValueError(f"no exact calibration for {spec.kind!r}")
-    if n_crossings < 1 or t0 <= 0:
-        raise ValueError("need n_crossings >= 1 and t0 > 0")
+    _check_target(n_crossings, t0)
     target = t0 / n_crossings
     if spec.alpha == 0.0:  # BM, or drift 0
         return math.sqrt(target)
@@ -488,9 +494,10 @@ def delta_mc(
     finest-step delta with a warning.  For other kinds a single resolution
     (the largest exponent) is used.  The achieved window at the finest
     step is reported with a 95% confidence interval (from antithetic pair
-    means for Feller).  An empty or repeated list of step exponents is
-    refused before anything is simulated.
+    means for Feller).  ``delta_exact``'s target checks, and an empty or
+    repeated list of step exponents, refuse before anything is simulated.
     """
+    _check_target(n_crossings, t0)
     if not step_exponents or len(set(step_exponents)) < len(step_exponents):
         raise ValueError(f"need distinct step exponents, got "
                          f"{tuple(step_exponents)}")

@@ -223,10 +223,14 @@ def main(argv=None) -> int:
 
 
 def _calibrate(spec: ProcessSpec, args) -> CalibrationResult:
-    """Monte Carlo calibration for Feller; exact for the other diffusions."""
+    """Monte Carlo calibration for Feller; exact for the other diffusions,
+    which read none of the Monte Carlo flags."""
+    mc_args = {k: getattr(args, k) for k in MC_ARGS if k in args}
     if spec.kind == "feller":
-        mc_args = {k: v for k, v in vars(args).items() if k in MC_ARGS}
         return delta_mc(spec, args.n_crossings, args.t0, **mc_args)
+    if mc_args:
+        flags = ", ".join("--" + k.replace("_", "-") for k in mc_args)
+        raise ValueError(f"only feller's Monte Carlo reads {flags}")
     return CalibrationResult(
         kind=spec.kind, n_crossings=args.n_crossings, t0=args.t0,
         delta=delta_exact(spec, args.n_crossings, args.t0), params=spec.params)

@@ -550,6 +550,29 @@ def test_delta_mc_refuses_empty_or_repeated_steps(monkeypatch):
             delta_mc(FELLER, 200, 0.8, step_exponents=steps, n_paths=4)
 
 
+@pytest.mark.parametrize("n_crossings, t0", [
+    (1250, math.nan), (1250, math.inf), (1250, 0.0), (1250, -5.0), (0, 5.0)])
+@pytest.mark.parametrize("spec", [ProcessSpec("bm"), OU_8_1, FELLER],
+                         ids=["bm", "ou", "feller"])
+def test_calibrators_refuse_a_target_no_window_meets(monkeypatch, spec,
+                                                     n_crossings, t0):
+    """Both calibrators refuse, with one message, a t0 that is not finite
+    and positive and a crossing count below 1, before simulating."""
+    def simulate(*args, **kwargs):
+        raise AssertionError("simulated before checking the target")
+
+    monkeypatch.setattr(calibrate, "_mean_window_for_n_crossings", simulate)
+    message = (f"need n_crossings >= 1 and a finite, positive t0, "
+               f"got {n_crossings} and {t0!r}")
+    calls = [lambda: delta_mc(spec, n_crossings, t0, n_paths=4)]
+    if spec.kind != "feller":
+        calls.append(lambda: delta_exact(spec, n_crossings, t0))
+    for call in calls:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
+
+
 def test_calibration_refuses_expbm():
     """exp-BM is a grid path of the QV study, not a diffusion to calibrate."""
     spec = ProcessSpec("expbm")

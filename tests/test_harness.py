@@ -450,6 +450,31 @@ class TestCli:
          "argument --process: invalid choice: 'expbm'"),
         (["qv", "--process", "ou"],
          "argument --process: invalid choice: 'ou'"),
+        (["calibrate", "--process", "bm", "--n-paths", "5", "--seed", "3",
+          "--step-exponents", "9"],
+         "clmtree calibrate: error: only feller's Monte Carlo reads "
+         "--step-exponents, --n-paths, --seed"),
+        (["calibrate", "--process", "ou", "--alpha", "8", "--sigma", "1",
+          "--step-exponents", "1,1"],
+         "clmtree calibrate: error: only feller's Monte Carlo reads "
+         "--step-exponents"),
+        (["calibrate", "--process", "bm", "--t0", "nan"],
+         "clmtree calibrate: error: need n_crossings >= 1 and a finite, "
+         "positive t0, got 1250 and nan"),
+        (["calibrate", "--process", "bm", "--t0", "inf"],
+         "clmtree calibrate: error: need n_crossings >= 1 and a finite, "
+         "positive t0, got 1250 and inf"),
+        (["calibrate", "--process", "ou", "--alpha", "8", "--sigma", "1",
+          "--t0", "nan"],
+         "clmtree calibrate: error: need n_crossings >= 1 and a finite, "
+         "positive t0, got 1250 and nan"),
+        (["calibrate", "--process", "feller", "--kappa", "6", "--mu", "0.2",
+          "--sigma", "1", "--n-paths", "4", "--t0", "inf"],
+         "clmtree calibrate: error: need n_crossings >= 1 and a finite, "
+         "positive t0, got 1250 and inf"),
+        (["calibrate", "--process", "bm", "--n-crossings", "0"],
+         "clmtree calibrate: error: need n_crossings >= 1 and a finite, "
+         "positive t0, got 0 and 5.0"),
     ], ids=["analyze-unread", "qv-unread", "calibrate-unread", "type1-unread",
             "type1-bad-tests", "power-bad-spec", "type1-no-delta",
             "calibrate-not-diffusion", "calibrate-unread-param",
@@ -459,7 +484,10 @@ class TestCli:
             "type1-zero-delta", "type1-negative-delta", "type1-nan-delta",
             "bm-zero-crossings", "bm-negative-crossings", "ou-one-crossing",
             "fbm-one-crossing", "bm-fbm-grid", "bm-negative-seed",
-            "fbm-negative-seed", "qv-negative-seed", "type1-expbm", "qv-ou"])
+            "fbm-negative-seed", "qv-negative-seed", "type1-expbm", "qv-ou",
+            "calibrate-bm-mc-flags", "calibrate-ou-step-exponents",
+            "calibrate-bm-nan-t0", "calibrate-bm-inf-t0", "calibrate-ou-nan-t0",
+            "calibrate-feller-inf-t0", "calibrate-bm-zero-crossings"])
     def test_usage_errors(self, argv, reason, tmp_path):
         """A flag the subcommand does not read, and a value the library
         refuses, are usage errors rather than tracebacks."""
