@@ -105,13 +105,17 @@ class StudyConfig:
         unknown = set(self.tests) - set(ALL_TESTS)
         if unknown:
             raise ValueError(f"unknown tests: {sorted(unknown)}")
-        for name, low in (("n_paths", 1), ("n_crossings", 2), ("seed", 0)):
+        for name, low in (("n_paths", 1), ("n_crossings", 2), ("seed", 0),
+                          ("qv_n_points", 2)):
             if getattr(self, name) < low:
                 raise ValueError(f"need {name} >= {low}, got {getattr(self, name)}")
-        for name in ("delta", "fbm_grid", "fbm_horizon"):
+        for name in ("delta", "fbm_grid", "fbm_horizon", "qv_spacing"):
             val = getattr(self, name)
             if val is not None and not (math.isfinite(val) and val > 0):
                 raise ValueError(f"{name} must be finite and positive, got {val!r}")
+        if not math.isfinite(self.qv_spacing * self.qv_n_points):
+            raise ValueError("the qv grid's end qv_spacing * qv_n_points "
+                             "overflows")
         fbm = self.process is not None and self.process.kind == "fbm"
         for f in fields(self):
             if (f.name.startswith("fbm_") and not fbm
@@ -339,11 +343,8 @@ def run_qv_study(cfg: StudyConfig, c_values) -> QvStudyReport:
     bad = [c for c in c_values if not (math.isfinite(c) and c > 0)]
     if bad:
         raise ValueError(f"c values must be finite and positive, got {bad}")
-    h, n = cfg.qv_spacing, cfg.qv_n_points
-    if n < 2 or not (h > 0 and math.isfinite(h * n)):
-        raise ValueError("need qv_n_points >= 2 and a finite, positive "
-                         "qv_spacing")
-    times = h * np.arange(n + 1)
+    n = cfg.qv_n_points
+    times = cfg.qv_spacing * np.arange(n + 1)
     n_blocks = -(-cfg.n_paths * (n + 1) // QV_BLOCK_VALUES)
     block = -(-cfg.n_paths // n_blocks)
     tested_n = [[] for _ in c_values]  # per c: the tested paths' sample sizes

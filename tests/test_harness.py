@@ -450,6 +450,8 @@ class TestCli:
          "argument --process: invalid choice: 'expbm'"),
         (["qv", "--process", "ou"],
          "argument --process: invalid choice: 'ou'"),
+        (["qv", "--n-points", "1"],
+         "clmtree qv: error: need qv_n_points >= 2, got 1"),
         (["calibrate", "--process", "bm", "--n-paths", "5", "--seed", "3",
           "--step-exponents", "9"],
          "clmtree calibrate: error: only feller's Monte Carlo reads "
@@ -485,7 +487,8 @@ class TestCli:
             "bm-zero-crossings", "bm-negative-crossings", "ou-one-crossing",
             "fbm-one-crossing", "bm-fbm-grid", "bm-negative-seed",
             "fbm-negative-seed", "qv-negative-seed", "type1-expbm", "qv-ou",
-            "calibrate-bm-mc-flags", "calibrate-ou-step-exponents",
+            "qv-one-point", "calibrate-bm-mc-flags",
+            "calibrate-ou-step-exponents",
             "calibrate-bm-nan-t0", "calibrate-bm-inf-t0", "calibrate-ou-nan-t0",
             "calibrate-feller-inf-t0", "calibrate-bm-zero-crossings"])
     def test_usage_errors(self, argv, reason, tmp_path):

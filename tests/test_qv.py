@@ -443,12 +443,18 @@ class TestStudyRefusesBadInput:
                                              "positive"):
             harness.run_qv_study(cfg, c_values)
 
-    @pytest.mark.parametrize("spacing, n_points", [
-        (0.0, 50), (-0.004, 50), (math.nan, 50), (math.inf, 50),
-        (1e308, 50), (0.004, 1), (0.004, 0), (0.004, -3)])
-    def test_bad_grid(self, spacing, n_points):
-        cfg = harness.StudyConfig(process=ProcessSpec("bm"), n_paths=3,
-                                  qv_spacing=spacing, qv_n_points=n_points)
-        with pytest.raises(ValueError, match="need qv_n_points >= 2 and a "
-                                             "finite, positive qv_spacing"):
-            harness.run_qv_study(cfg, [20.0])
+    @pytest.mark.parametrize("spacing, n_points, message", [
+        (0.0, 50, "qv_spacing must be finite and positive, got 0.0"),
+        (-0.004, 50, "qv_spacing must be finite and positive, got -0.004"),
+        (math.nan, 50, "qv_spacing must be finite and positive, got nan"),
+        (math.inf, 50, "qv_spacing must be finite and positive, got inf"),
+        (1e308, 50, "the qv grid's end qv_spacing * qv_n_points overflows"),
+        (0.004, 1, "need qv_n_points >= 2, got 1"),
+        (0.004, 0, "need qv_n_points >= 2, got 0"),
+        (0.004, -3, "need qv_n_points >= 2, got -3")])
+    def test_bad_grid(self, spacing, n_points, message):
+        """Refused when the config is built, before anything is simulated."""
+        with pytest.raises(ValueError) as info:
+            harness.StudyConfig(process=ProcessSpec("bm"), n_paths=3,
+                                qv_spacing=spacing, qv_n_points=n_points)
+        assert str(info.value) == message
