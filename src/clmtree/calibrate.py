@@ -109,9 +109,8 @@ def mean_crossing_duration(spec: ProcessSpec, delta: float) -> float:
 
 
 def _check_target(n_crossings: int, t0: float) -> None:
-    """The target both calibrators refuse: no crossing, or no finite window."""
     if n_crossings < 1 or not (math.isfinite(t0) and t0 > 0):
-        raise ValueError(f"need n_crossings >= 1 and a finite, positive t0, "
+        raise ValueError("need n_crossings >= 1 and a finite, positive t0, "
                          f"got {n_crossings} and {t0!r}")
 
 

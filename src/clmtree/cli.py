@@ -223,14 +223,12 @@ def main(argv=None) -> int:
 
 
 def _calibrate(spec: ProcessSpec, args) -> CalibrationResult:
-    """Monte Carlo calibration for Feller; exact for the other diffusions,
-    which read none of the Monte Carlo flags."""
+    """Monte Carlo calibration for Feller; exact, with no MC_ARGS, for the rest."""
     mc_args = {k: getattr(args, k) for k in MC_ARGS if k in args}
     if spec.kind == "feller":
         return delta_mc(spec, args.n_crossings, args.t0, **mc_args)
     if mc_args:
-        flags = ", ".join("--" + k.replace("_", "-") for k in mc_args)
-        raise ValueError(f"only feller's Monte Carlo reads {flags}")
+        raise ValueError(f"only feller's Monte Carlo reads {', '.join(mc_args)}")
     return CalibrationResult(
         kind=spec.kind, n_crossings=args.n_crossings, t0=args.t0,
         delta=delta_exact(spec, args.n_crossings, args.t0), params=spec.params)

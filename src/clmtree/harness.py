@@ -114,8 +114,7 @@ class StudyConfig:
             if val is not None and not (math.isfinite(val) and val > 0):
                 raise ValueError(f"{name} must be finite and positive, got {val!r}")
         if not math.isfinite(self.qv_spacing * self.qv_n_points):
-            raise ValueError("the qv grid's end qv_spacing * qv_n_points "
-                             "overflows")
+            raise ValueError("the qv grid's end qv_spacing * qv_n_points overflows")
         fbm = self.process is not None and self.process.kind == "fbm"
         for f in fields(self):
             if (f.name.startswith("fbm_") and not fbm
@@ -343,9 +342,8 @@ def run_qv_study(cfg: StudyConfig, c_values) -> QvStudyReport:
     bad = [c for c in c_values if not (math.isfinite(c) and c > 0)]
     if bad:
         raise ValueError(f"c values must be finite and positive, got {bad}")
-    n = cfg.qv_n_points
-    times = cfg.qv_spacing * np.arange(n + 1)
-    n_blocks = -(-cfg.n_paths * (n + 1) // QV_BLOCK_VALUES)
+    times = cfg.qv_spacing * np.arange(cfg.qv_n_points + 1)
+    n_blocks = -(-cfg.n_paths * times.size // QV_BLOCK_VALUES)
     block = -(-cfg.n_paths // n_blocks)
     tested_n = [[] for _ in c_values]  # per c: the tested paths' sample sizes
     counts = np.zeros((len(c_values), len(GOF_TESTS), 2), dtype=np.int64)

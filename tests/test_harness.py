@@ -455,11 +455,11 @@ class TestCli:
         (["calibrate", "--process", "bm", "--n-paths", "5", "--seed", "3",
           "--step-exponents", "9"],
          "clmtree calibrate: error: only feller's Monte Carlo reads "
-         "--step-exponents, --n-paths, --seed"),
+         "step_exponents, n_paths, seed"),
         (["calibrate", "--process", "ou", "--alpha", "8", "--sigma", "1",
           "--step-exponents", "1,1"],
          "clmtree calibrate: error: only feller's Monte Carlo reads "
-         "--step-exponents"),
+         "step_exponents"),
         (["calibrate", "--process", "bm", "--t0", "nan"],
          "clmtree calibrate: error: need n_crossings >= 1 and a finite, "
          "positive t0, got 1250 and nan"),
