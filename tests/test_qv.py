@@ -451,7 +451,9 @@ class TestStudyRefusesBadInput:
         (1e308, 50, "the qv grid's end qv_spacing * qv_n_points overflows"),
         (0.004, 1, "need qv_n_points >= 2, got 1"),
         (0.004, 0, "need qv_n_points >= 2, got 0"),
-        (0.004, -3, "need qv_n_points >= 2, got -3")])
+        (0.004, -3, "need qv_n_points >= 2, got -3")],
+        ids=["0.0-50", "-0.004-50", "nan-50", "inf-50", "1e+308-50", "0.004-1",
+             "0.004-0", "0.004--3"])
     def test_bad_grid(self, spacing, n_points, message):
         """Refused when the config is built, before anything is simulated."""
         with pytest.raises(ValueError) as info:
