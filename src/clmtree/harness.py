@@ -7,7 +7,7 @@ import json
 import math
 import os
 from collections.abc import Callable
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -75,6 +75,13 @@ DELTA0_POLICIES = ("zero", "first", "latticed")
 # path values the QV study simulates and tests at a time: a block's path
 # and QV matrices take about 2.4 MB
 QV_BLOCK_VALUES = 150_000
+
+RUN_FIELDS = {  # the StudyConfig fields each run reads, and its JSON config holds
+    "study": ("process", "n_paths", "n_crossings", "delta", "seed", "delta0_policy",
+              "tests", "cv_dir", "fbm_grid", "fbm_horizon"),  # fbm_*: fBm only
+    "analysis": ("delta", "log_transform", "delta0_policy", "tests", "cv_dir"),
+    "qv": ("process", "n_paths", "seed", "qv_n_points", "qv_spacing", "qv_drop_last"),
+}
 
 
 @dataclass(frozen=True)
@@ -246,7 +253,7 @@ def run_study(cfg: StudyConfig, label: str) -> StudyReport:
                                             int(res.applied.sum())]
     return StudyReport(
         label=label,
-        config=_config_summary(cfg),
+        config=_config_summary(cfg, "study"),
         n_paths=cfg.n_paths,
         levels=levels,
         cells=cells,
@@ -289,7 +296,7 @@ def analyze_series(series: TickSeries, cfg: StudyConfig,
             for share in multiple_crossing_shares(tree, series)]
     return LevelReport(
         label=label,
-        config=_config_summary(cfg),
+        config=_config_summary(cfg, "analysis"),
         delta=delta,
         origin=tree.origin,
         rows=rows,
@@ -315,15 +322,14 @@ class QvStudyReport:
 
 
 def _qv_paths(cfg: StudyConfig, paths: range) -> np.ndarray:
-    """Paths of ``cfg.process`` (BM if None), one a row, each from its own generator."""
-    spec = cfg.process or ProcessSpec("bm")
+    """Paths of ``cfg.process``, one a row, each from its own generator."""
     out = np.empty((len(paths), cfg.qv_n_points + 1))
-    out[:, 0] = 1.0 if spec.kind == "expbm" else 0.0
+    out[:, 0] = 1.0 if cfg.process.kind == "expbm" else 0.0
     steps = out[:, 1:]
     for i, row in zip(paths, steps):
         np.random.default_rng([cfg.seed, i]).standard_normal(out=row)
     steps *= math.sqrt(cfg.qv_spacing)
-    _grid_block(spec, out[:, 0], steps.T, cfg.qv_spacing, None, out=steps.T)
+    _grid_block(cfg.process, out[:, 0], steps.T, cfg.qv_spacing, None, out=steps.T)
     return out
 
 
@@ -334,7 +340,8 @@ def run_qv_study(cfg: StudyConfig, c_values) -> QvStudyReport:
     The paths are simulated in blocks of about QV_BLOCK_VALUES values, and
     for each c every path of a block is decided at once
     (``qv.qv_tests``).  It steps BM (the default) or exp-BM."""
-    if cfg.process and cfg.process.kind not in ("bm", "expbm"):
+    cfg = replace(cfg, process=cfg.process or ProcessSpec("bm"))
+    if cfg.process.kind not in ("bm", "expbm"):
         raise ValueError(f"the qv study steps bm or expbm, not {cfg.process.kind!r}")
     c_values = list(c_values)
     if not c_values:
@@ -365,7 +372,7 @@ def run_qv_study(cfg: StudyConfig, c_values) -> QvStudyReport:
             "mean_n_tested": float(np.mean(sizes)) if sizes.size else 0.0,
             **{key: tuple(val) for key, val in zip(GOF_TESTS, tally)},
         })
-    return QvStudyReport(label="qv", config=_config_summary(cfg),
+    return QvStudyReport(label="qv", config=_config_summary(cfg, "qv"),
                          n_paths=cfg.n_paths, rows=rows)
 
 
@@ -373,10 +380,11 @@ def run_qv_study(cfg: StudyConfig, c_values) -> QvStudyReport:
 # rendering
 # ---------------------------------------------------------------------------
 
-def _config_summary(cfg: StudyConfig) -> dict:
+def _config_summary(cfg: StudyConfig, run: str) -> dict:
     return {key: {"kind": val.kind, **val.params}
-            if isinstance(val, ProcessSpec) else val
-            for key, val in vars(cfg).items()}
+            if isinstance(val, ProcessSpec) else val for key in RUN_FIELDS[run]
+            if not key.startswith("fbm_") or cfg.process.kind == "fbm"
+            for val in [getattr(cfg, key)]}
 
 
 def _json(payload) -> str:

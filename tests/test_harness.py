@@ -12,6 +12,7 @@ import clmtree
 from clmtree.calibrate import delta_mc
 from clmtree.harness import (
     ALL_TESTS,
+    RUN_FIELDS,
     StudyConfig,
     _fbm_paths,
     analyze_dataset,
@@ -323,6 +324,59 @@ class TestAnalyze:
         assert "--" in text  # skipped cells are marked, never shown as 0%
 
 
+def positive_series(n=3000, seed=13):
+    rng = np.random.default_rng(seed)
+    vals = np.exp(np.cumsum(rng.standard_normal(n)) * 1e-3) * 0.6
+    return TickSeries(times=np.arange(n, dtype=float), values=vals)
+
+
+# per run: its RUN_FIELDS key, the call and a config that sets unread fields
+REPORT_RUNS = {
+    "bm": ("study", run_type1_study,
+           bm_cfg(n_paths=3, n_crossings=150, tests=("chi2", "twos"),
+                  log_transform=True, qv_n_points=40)),
+    "fbm": ("study", run_power_study, TestFbmStudy.CFG),
+    "analysis": ("analysis", lambda cfg: analyze_series(positive_series(), cfg),
+                 StudyConfig(log_transform=True, delta0_policy="first",
+                             tests=("chi2", "runs"), n_paths=5, seed=3)),
+    "qv": ("qv", lambda cfg: run_qv_study(cfg, [20.0, 60.0]),
+           StudyConfig(n_paths=12, seed=4, qv_n_points=300, delta=0.1,
+                       tests=("twos",))),
+}
+
+
+def config_of(report) -> dict:
+    return json.loads(render_report(report, "json"))["config"]
+
+
+class TestReportConfig:
+    @pytest.mark.parametrize("name", REPORT_RUNS)
+    def test_json_config_holds_the_fields_the_run_reads(self, name):
+        run, call, cfg = REPORT_RUNS[name]
+        fbm = {"fbm_grid", "fbm_horizon"} if name != "fbm" else set()
+        assert set(config_of(call(cfg))) == set(RUN_FIELDS[run]) - fbm
+
+    def test_qv_names_the_process_it_stepped(self):
+        _, call, cfg = REPORT_RUNS["qv"]
+        assert cfg.process is None
+        assert config_of(call(cfg))["process"] == {"kind": "bm"}
+
+    @pytest.mark.parametrize("name", REPORT_RUNS)
+    def test_a_report_reproduces_itself(self, name):
+        """The JSON config rebuilds a config whose run renders the same
+        bytes: the report names every field its run read."""
+        _, call, cfg = REPORT_RUNS[name]
+        report = call(cfg)
+        fields = config_of(report)
+        if "process" in fields:
+            fields["process"] = ProcessSpec(**fields["process"])
+        if "tests" in fields:
+            fields["tests"] = tuple(fields["tests"])
+        again = call(StudyConfig(**fields))
+        for fmt in ("text", "json"):
+            assert render_report(again, fmt) == render_report(report, fmt)
+
+
 class TestQvStudy:
     def test_single_c_single_row(self):
         cfg = bm_cfg(n_paths=40, qv_n_points=600)
@@ -537,7 +591,8 @@ class TestCli:
          {"kind": "feller", "kappa": 8.0, "mu": 0.2, "sigma": 1.0}),
         (FBM_ARGS, {"kind": "fbm", "hurst": 0.7, "sigma2": 0.004}),
         (["qv", "--process", "expbm"], {"kind": "expbm"}),
-    ], ids=["bm", "drift-0", "feller", "fbm", "qv-expbm"])
+        (["qv"], {"kind": "bm"}),
+    ], ids=["bm", "drift-0", "feller", "fbm", "qv-expbm", "qv-default"])
     def test_json_process_holds_what_the_kind_reads(self, argv, process,
                                                     monkeypatch, capsys):
         """The JSON config names the kind and the parameters it reads,
@@ -548,10 +603,39 @@ class TestCli:
         monkeypatch.setattr(cli, "run_type1_study", lambda cfg: cfg)
         monkeypatch.setattr(cli, "run_power_study", lambda cfg: cfg)
         monkeypatch.setattr(cli, "run_qv_study", lambda cfg, c: cfg)
+        run = "qv" if argv[0] == "qv" else "study"
         monkeypatch.setattr(cli, "_emit", lambda cfg, args: print(json.dumps(
-            _config_summary(cfg)["process"])))
+            _config_summary(cfg, run)["process"])))
         assert cli.main(argv) == 0
         assert json.loads(capsys.readouterr().out) == process
+
+    def test_flags_are_the_fields_their_run_reads(self, monkeypatch):
+        """Each study subcommand declares a flag for every field its run
+        reads (``--process`` for ``process``), and for no other field.
+        ``fbm_horizon`` has no flag."""
+        import argparse
+        import dataclasses
+
+        from clmtree import cli
+
+        parsers = {}
+
+        def capture(parser, *args, **kwargs):
+            parsers.update(next(a.choices for a in parser._actions
+                                if isinstance(a, argparse._SubParsersAction)))
+            raise SystemExit(0)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", capture)
+        with pytest.raises(SystemExit):
+            cli.main(["type1"])
+        names = {f.name for f in dataclasses.fields(StudyConfig)}
+        for command, run in (("type1", "study"), ("power", "study"),
+                             ("analyze", "analysis"), ("qv", "qv")):
+            actions = parsers[command]._actions
+            read = {a.dest for a in actions} & names
+            if any("--process" in a.option_strings for a in actions):
+                read.add("process")
+            assert read == set(RUN_FIELDS[run]) - {"fbm_horizon"}, command
 
     def test_calibrate_bm(self):
         out = self.run_cli("calibrate", "--process", "bm",
