@@ -223,7 +223,7 @@ def main(argv=None) -> int:
 
 
 def _calibrate(spec: ProcessSpec, args) -> CalibrationResult:
-    """Monte Carlo calibration for Feller; exact, with no MC_ARGS, for the rest."""
+    """Monte Carlo calibration for Feller; exact for the rest, which read no MC_ARGS."""
     mc_args = {k: getattr(args, k) for k in MC_ARGS if k in args}
     if spec.kind == "feller":
         return delta_mc(spec, args.n_crossings, args.t0, **mc_args)
