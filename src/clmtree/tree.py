@@ -2,10 +2,11 @@
 
 Level-l crossings are first passages of size ``delta * 2**l`` over the
 lattice ``origin + delta * 2**l * Z``.  ``lattice_events`` walks the
-interpolated path once to enumerate every level-0 lattice hit.  One
-segmented builder, ``build_levels``, derives each coarser level from the
-finer one by subsampling and first-passage reduction, for many paths at
-once; ``build_tree`` is a batch of one.  Without an origin the lattice is
+interpolated path once, in blocks of ``SCAN_BLOCK`` segments, to
+enumerate every level-0 lattice hit.  One segmented builder,
+``build_levels``, derives each coarser level from the finer one by
+subsampling and first-passage reduction, for many paths at once;
+``build_tree`` is a batch of one.  Without an origin the lattice is
 centred on the path's median crossing line m of that one scan: hits found
 on ``delta * Z`` serve the origin ``m * delta`` once shifted by m.
 """
@@ -34,6 +35,7 @@ SNAP_MAX = 2.0 ** -8
 SNAP_ULPS = 64
 
 MAX_LEVELS = 62
+SCAN_BLOCK = 2 ** 16  # segments per block of the scan and of base-scale choice
 
 
 class TreeError(ValueError):
@@ -48,11 +50,31 @@ def lattice_events(times, values, delta: float, origin: float):
     first entry is the initialising hit; consecutive entries differ by
     exactly +-1.  A touch of a lattice line counts as a hit; hits inside a
     data segment are placed at the exact linear-interpolation times.
+
+    The path is scanned in blocks of ``SCAN_BLOCK`` segments that share
+    their boundary value, so temporaries stay a block long.  A block's
+    first hit is dropped when it repeats the last hit line kept so far.
+    A later block that starts on a line starts on the last hit line (the
+    path reached that line at a hit), so its start hit is always dropped.
     """
     times = np.asarray(times, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
     if delta <= 0:
         raise TreeError("crossing size must be positive")
+    parts, last = [], None
+    for s in range(0, max(values.size - 1, 1), SCAN_BLOCK):
+        block = slice(s, s + SCAN_BLOCK + 1)
+        hit_t, hit_k = _scan_block(times[block], values[block], delta, origin)
+        if hit_k.size and hit_k[0] == last:
+            hit_t, hit_k = hit_t[1:], hit_k[1:]
+        if hit_k.size:
+            last = hit_k[-1]
+        parts.append((hit_t, hit_k))
+    return tuple(np.concatenate(x) for x in zip(*parts))
+
+
+def _scan_block(times, values, delta: float, origin: float):
+    """``lattice_events`` of a path short enough to scan at once."""
     u = np.subtract(values, origin)
     u /= delta
     far = SNAP_ULPS * np.finfo(np.float64).eps * abs(origin) / delta
@@ -249,21 +271,27 @@ def select_base_scale(series: TickSeries) -> float:
     median falls back to the smallest positive increment (with a warning);
     all-zero increments are an error.  The number of zero increments
     fixes the median whenever it reaches half of them, so no selection
-    runs then.
+    runs then.  Zeros and the smallest positive increment are counted in
+    blocks of ``SCAN_BLOCK`` increments; only the median route forms them
+    all at once.
     """
-    inc = np.abs(series.increments())
-    zeros = np.count_nonzero(inc == 0.0)
-    if zeros == inc.size:
+    n, zeros, low = len(series) - 1, 0, []
+    for s in range(0, n, SCAN_BLOCK):
+        inc = np.diff(series.values[s:s + SCAN_BLOCK + 1])
+        np.abs(inc, out=inc)
+        zeros += np.count_nonzero(inc == 0.0)
+        # nonnegative doubles order as their bit patterns, and the pattern
+        # of zero less one wraps round to the largest
+        low.append((inc.view(np.uint64) - np.uint64(1)).min())
+    if zeros == n:
         raise TreeError("all increments are zero; no crossing scale exists")
-    half = inc.size // 2  # the upper central order statistic
+    half = n // 2  # the upper central order statistic
     if zeros < half:
-        return float(np.median(inc))
-    # nonnegative doubles order as their bit patterns, and the pattern of
-    # zero less one wraps round to the largest
-    bits = inc.view(np.uint64) - np.uint64(1)
-    smallest = float((bits.min() + np.uint64(1)).view(np.float64))
+        inc = series.increments()
+        return float(np.median(np.abs(inc, out=inc)))
+    smallest = float((min(low) + np.uint64(1)).view(np.float64))
     if zeros == half:  # the upper central statistic is the smallest positive
-        return smallest if inc.size % 2 else smallest / 2.0  # mean of 0 and it
+        return smallest if n % 2 else smallest / 2.0  # mean of 0 and it
     logger.warning(
         "median absolute increment is 0; using smallest positive %g", smallest
     )

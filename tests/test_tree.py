@@ -1,8 +1,11 @@
 import itertools
+import logging
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import clmtree.tree as tree_module
 from clmtree.harness import (
     StudyConfig,
     _origin,
@@ -81,6 +84,60 @@ class TestBaseScale:
             steps = np.abs(series.increments())
             want = float(np.median(steps)) or float(steps[steps > 0].min())
             assert select_base_scale(series) == want, (n, zeros)
+
+
+def _frozen_select_base_scale(series):
+    """``select_base_scale`` as it stood before it counted in blocks: one
+    array of every absolute increment."""
+    inc = np.abs(series.increments())
+    zeros = np.count_nonzero(inc == 0.0)
+    if zeros == inc.size:
+        raise TreeError("all increments are zero; no crossing scale exists")
+    half = inc.size // 2
+    if zeros < half:
+        return float(np.median(inc))
+    bits = inc.view(np.uint64) - np.uint64(1)
+    smallest = float((bits.min() + np.uint64(1)).view(np.float64))
+    if zeros == half:
+        return smallest if inc.size % 2 else smallest / 2.0
+    return smallest  # with a warning, which the test checks apart
+
+
+BASE_SCALE_ROUTES = {
+    "median": [0.0, 0.3, -0.1, 0.2, 0.2, 0.7, 0.4, 0.65],
+    "half-zeros-odd": [1.0, 1.0, 1.5, 1.25, 1.25, 0.5, 0.5, 0.75],
+    "half-zeros-even": [2.0, 2.0, 2.5, 2.5, 2.375, 2.375, 1.0],
+    "fallback": [0.0, 0.0, 0.0, 0.25, 0.25, 0.25, -0.5, -0.5, -0.375],
+    "all-zero": [3.0, 3.0, 3.0, 3.0, 3.0],
+    "two-values": [1.0, 1.375],
+}
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+@pytest.mark.parametrize("route", sorted(BASE_SCALE_ROUTES))
+def test_base_scale_in_blocks_equals_the_frozen_one(route, block, monkeypatch,
+                                                    caplog):
+    """Counted in blocks of 1-3 increments, the base scale is the frozen
+    whole-array one on every route: the median, zeros at exactly half of
+    an odd and an even number of increments, the fallback to the smallest
+    positive increment with its warning, all increments zero and a
+    two-value series."""
+    monkeypatch.setattr(tree_module, "SCAN_BLOCK", block)
+    series = walk_series(BASE_SCALE_ROUTES[route])
+    if route == "all-zero":
+        for choose in (select_base_scale, _frozen_select_base_scale):
+            with pytest.raises(TreeError, match="all increments are zero"):
+                choose(series)
+        return
+    want = _frozen_select_base_scale(series)
+    with caplog.at_level(logging.WARNING, logger=tree_module.__name__):
+        assert select_base_scale(series) == want
+    warned = [r.getMessage() for r in caplog.records]
+    if route == "fallback":
+        assert warned == ["median absolute increment is 0; using smallest "
+                          "positive 0.125"]
+    else:
+        assert warned == []
 
 
 class TestBuildTree:
@@ -638,7 +695,7 @@ def test_hit_times_never_decrease():
     """Property: on tick times that cross 0 within a few ulps of 1, or sit
     far from it (so that ``t1 - t0`` rounds), with values on lines,
     between them and jumping over several, the hit times never decrease
-    and stay within the ticks' span."""
+    and stay within the ticks' span, and the scan is the frozen one."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     tick = st.one_of(st.sampled_from([-2.0, -1.0, 1.0, 3.0, -1e9, 1e9]),
@@ -658,7 +715,7 @@ def test_hit_times_never_decrease():
         if times.size < 2:
             return
         values = np.cumsum(np.r_[0.0, steps[:times.size - 1]]) * delta
-        hit_t, _ = lattice_events(times, values, delta, origin)
+        hit_t, _ = _same_events(times, values, delta, origin)
         assert np.all(np.diff(hit_t) >= 0.0)
         assert np.all((hit_t >= times[0]) & (hit_t <= times[-1]))
 
@@ -747,3 +804,92 @@ def test_lattice_events_match_the_frozen_scan_on_paths(kind):
     for origin in (0.0, build_tree(series, delta, None).origin,
                    float(series.values[0])):
         _same_events(series.times, series.values, delta, origin)
+
+
+SCAN_PROPERTIES = [test_hit_times_never_decrease,
+                   test_lattice_events_on_lines_match_both_oracles,
+                   test_lattice_events_match_the_frozen_scan]
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+@pytest.mark.parametrize("check", SCAN_PROPERTIES,
+                         ids=[f.__name__[5:] for f in SCAN_PROPERTIES])
+def test_scan_properties_hold_in_small_blocks(check, block, monkeypatch):
+    """The scan's property tests, with blocks of 1-3 segments in place of
+    the default ``SCAN_BLOCK`` that they run at themselves: every block
+    boundary falls among the examples' values on lines, flat segments and
+    ticks within a few ulps of 0."""
+    monkeypatch.setattr(tree_module, "SCAN_BLOCK", block)
+    check()
+
+
+def _pip_prices():
+    """Raw prices of a +-1/0-pip walk from 1.1300: every value lies on a
+    line of delta = 1e-4 up to the snap tolerance."""
+    rng = np.random.default_rng(43)
+    pips = 11_300 + np.cumsum(rng.choice([-1, 0, 0, 1], 3_000))
+    return np.cumsum(rng.exponential(1.0, pips.size)), pips / 1e4
+
+
+BLOCK_CASES = {
+    # name: (times, values, delta, origin, hit lines)
+    "repeat-across-boundary": (np.arange(4.0), [0.5, 1.5, 0.5, 1.5], 1.0,
+                               0.0, [1]),
+    "empty-block-between": (np.arange(5.0), [0.5, 1.5, 1.75, 1.6, 0.5],
+                            1.0, 0.0, [1]),
+    "on-a-line-at-boundary-up": (np.arange(3.0), [0.5, 2.0, 3.5], 1.0, 0.0,
+                                 [1, 2, 3]),
+    "on-a-line-at-boundary-down": (np.arange(4.0), [2.5, 1.0, 0.2, 1.0],
+                                   1.0, 0.0, [2, 1]),
+    "starts-on-a-line": (np.arange(6.0), [1.0, 1.0, 3.0, 3.0, 1.0, 1.0],
+                         1.0, 0.0, [1, 2, 3, 2, 1]),
+    "ticks-across-0-in-ulps": (
+        np.array([-1.0, -0.3, 0.6, 0.9, 3.0]) * 2.0**-52,
+        [0.0, 1.0, 3.0, 0.5, 3.5], 1.0, 0.0, [0, 1, 2, 3, 2, 1, 2, 3]),
+    "pip-prices": (*_pip_prices(), 1e-4, 0.0, None),
+}
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7, tree_module.SCAN_BLOCK])
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_block_boundaries(case, block, monkeypatch):
+    """Hits that repeat across a block boundary, a block with no hit
+    between two that hit the same line, values on a line at a boundary,
+    a path that starts on a line (only block 0 takes that hit), ticks
+    that cross 0 within a few ulps, and raw pip prices at delta = 1e-4:
+    the blocked scan is the frozen one."""
+    monkeypatch.setattr(tree_module, "SCAN_BLOCK", block)
+    times, values, delta, origin, want = BLOCK_CASES[case]
+    _, hit_k = _same_events(times, np.asarray(values, dtype=float), delta,
+                            origin)
+    if want is not None:
+        assert hit_k.tolist() == want
+    else:  # every tick is on a line, so each pip move is one hit
+        pips = np.round(np.asarray(values) / delta)
+        moves = np.flatnonzero(np.diff(pips)).size
+        assert hit_k.size == moves + 1 and np.all(np.abs(np.diff(hit_k)) == 1)
+
+
+def test_scan_and_base_scale_memory_are_bounded_by_the_block():
+    """On 4 * 10**5 log prices of a pip walk, the scan and the choice of
+    delta hold temporaries of a few blocks, not of the whole series.
+    Under ``tracemalloc`` the whole-array scan peaked at 15.9 MiB here
+    and the whole-array choice at 6.1 MiB; blocked, 3.2 and 1.0 MiB."""
+    rng = np.random.default_rng(44)
+    steps = np.rint(0.4 * rng.standard_normal(400_000))
+    series = log_transform(TickSeries(
+        times=np.cumsum(rng.exponential(1.0, steps.size)),
+        values=(11_300 + np.cumsum(steps)) / 1e4))
+    del steps
+    tracemalloc.start()
+    try:
+        delta = select_base_scale(series)
+        choose_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        _, hit_k = lattice_events(series.times, series.values, delta, 0.0)
+        scan_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert hit_k.size > 10_000
+    assert choose_peak < 2.5 * 2**20
+    assert scan_peak < 5 * 2**20
